@@ -27,6 +27,7 @@ from .graphs import (
     is_cover,
     is_dominating,
     is_minimal_cover,
+    is_minimal_over,
     minimal_covers,
     open_neighborhood,
     shortest_odd_cycle,

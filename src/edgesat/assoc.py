@@ -10,8 +10,8 @@ core vertices outside that support.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, permutations, product
-from typing import Iterable
+from itertools import combinations, permutations
+from typing import Iterable, Iterator
 
 from .graphs import (
     SimpleGraph,
@@ -22,6 +22,7 @@ from .graphs import (
     is_cover,
     is_dominating,
     is_minimal_cover,
+    is_minimal_over,
     iter_bits,
     mask_of,
     minimal_covers,
@@ -29,13 +30,11 @@ from .graphs import (
     triangles,
     two_coloring_masked,
 )
-from .matching import WeightedGraph, nu
+from .matching import WeightedGraph
 from .saturation import (
-    ExponentVector,
-    _components_have_short_odd_cycles,
-    _saturation_condition,
+    _inequalities_hold_at,
+    _saturating_graphs,
     is_strongly_t_saturating,
-    is_t_saturating,
     saturating_vectors,
     support,
     weighted_graph,
@@ -82,20 +81,19 @@ def _minimal_reports(g: SimpleGraph) -> list[AssPrimeReport]:
     ]
 
 
-def _core_conditions_hold(
-    g: SimpleGraph, h: WeightedGraph, a: ExponentVector, core: frozenset[int], t: int
-) -> bool:
-    sup = set(h.vertices)
-    return all(
-        _saturation_condition(g, h, a, i, t) for i in core if i not in sup
-    )
-
-
-def _minimal_over(g: SimpleGraph, f: frozenset[int], s: frozenset[int]) -> bool:
-    """Is f minimal among the covers of g containing s?"""
-    if not s <= f or not is_cover(g, f):
-        return False
-    return all(not is_cover(g, f - {v}) for v in f - s)
+def _reports_over(
+    g: SimpleGraph, supports: Iterable[tuple[frozenset[int], dict]]
+) -> list[AssPrimeReport]:
+    """Minimal covers, then the covers minimal over N[S] for each (S, evidence)
+    pair; a prime keeps the evidence of the first S that gives it."""
+    reports = _minimal_reports(g)
+    seen = prime_sets(reports)
+    for s, evidence in supports:
+        for f in covers_minimal_over(g, closed_neighborhood(g, s)):
+            if f not in seen:
+                seen.add(f)
+                reports.append(AssPrimeReport(f, "embedded", dict(evidence)))
+    return _sort_reports(reports)
 
 
 def is_associated(g: SimpleGraph, f: Iterable[int], t: int) -> AssPrimeReport | None:
@@ -115,27 +113,11 @@ def is_associated(g: SimpleGraph, f: Iterable[int], t: int) -> AssPrimeReport | 
     if t == 1:
         return None  # Ass(I) is exactly the minimal covers
     core = core_of_cover(g, f)
-    total_bound = 3 * (t - 1)
-    for size in range(1, min(len(core), total_bound) + 1):
-        for sup in combinations(sorted(core), size):
-            if not _components_have_short_odd_cycles(g, mask_of(sup), 2 * t - 1):
-                continue
-            for weights in product(range(1, t), repeat=size):
-                if sum(weights) > total_bound:
-                    continue
-                a = [0] * g.n
-                for v, w in zip(sup, weights):
-                    a[v - 1] = w
-                a = tuple(a)
-                h = weighted_graph(g, a)
-                if not is_t_saturating(h, t):
-                    continue
-                if not _minimal_over(g, f, closed_neighborhood(g, sup)):
-                    continue
-                if _core_conditions_hold(g, h, a, core, t):
-                    return AssPrimeReport(
-                        f, "embedded", {"type": "witness", "exponents": list(a)}
-                    )
+    for sup, a, h in _saturating_graphs(g, t, mask_of(core)):
+        if is_minimal_over(g, f, closed_neighborhood(g, sup)) and _inequalities_hold_at(
+            g, h, t, (i for i in core if i not in sup)
+        ):
+            return AssPrimeReport(f, "embedded", {"type": "witness", "exponents": list(a)})
     return None
 
 
@@ -154,7 +136,7 @@ def ass_primes(g: SimpleGraph, t: int) -> list[AssPrimeReport]:
                 if f in seen:
                     continue
                 core = core_of_cover(g, f)
-                if _core_conditions_hold(g, h, a, core, t):
+                if _inequalities_hold_at(g, h, t, (i for i in core if i not in sup)):
                     seen.add(f)
                     reports.append(
                         AssPrimeReport(
@@ -167,20 +149,10 @@ def ass_primes(g: SimpleGraph, t: int) -> list[AssPrimeReport]:
 def _shape_reports(
     g: SimpleGraph, shapes: Iterable[tuple[str, frozenset[int]]]
 ) -> list[AssPrimeReport]:
-    reports = _minimal_reports(g)
-    seen = prime_sets(reports)
-    for tag, s in shapes:
-        for f in covers_minimal_over(g, closed_neighborhood(g, s)):
-            if f not in seen:
-                seen.add(f)
-                reports.append(
-                    AssPrimeReport(
-                        f,
-                        "embedded",
-                        {"type": "shape", "shape": tag, "vertices": sorted(s)},
-                    )
-                )
-    return _sort_reports(reports)
+    return _reports_over(
+        g,
+        ((s, {"type": "shape", "shape": tag, "vertices": sorted(s)}) for tag, s in shapes),
+    )
 
 
 def ass_primes_2(g: SimpleGraph) -> list[AssPrimeReport]:
@@ -306,37 +278,33 @@ def classify_3_saturating(h: WeightedGraph, g: SimpleGraph) -> str | None:
     return None
 
 
+def _odd_cycle_supports(g: SimpleGraph) -> Iterator[tuple[int, list[int]]]:
+    """Nonempty vertex masks whose induced components all contain an odd
+    cycle, with those components."""
+    for um in range(1, g.full_mask + 1):
+        comps = components_masked(g, um)
+        if all(two_coloring_masked(g, c) is None for c in comps):
+            yield um, comps
+
+
 def ass_infinity(g: SimpleGraph) -> list[AssPrimeReport]:
     """The stable set of associated primes of large powers.
 
     Embedded members come from vertex sets U whose induced components each
     contain an odd cycle; the covers minimal over N[U] are stable primes.
     """
-    reports = _minimal_reports(g)
-    seen = prime_sets(reports)
-    full = g.full_mask
-    for um in range(1, full + 1):
-        comps = components_masked(g, um)
-        if any(two_coloring_masked(g, c) is not None for c in comps):
-            continue
-        u = set_of(um)
-        for f in covers_minimal_over(g, closed_neighborhood(g, u)):
-            if f not in seen:
-                seen.add(f)
-                reports.append(
-                    AssPrimeReport(
-                        f,
-                        "embedded",
-                        {"type": "odd-cycle-support", "vertices": sorted(u)},
-                    )
-                )
-    return _sort_reports(reports)
+    return _reports_over(
+        g,
+        (
+            (set_of(um), {"type": "odd-cycle-support", "vertices": list(iter_bits(um))})
+            for um, _ in _odd_cycle_supports(g)
+        ),
+    )
 
 
 def _component_strong_level(g: SimpleGraph, comp: frozenset[int]) -> int:
     """Largest s with an induced strongly s-saturating subgraph on 2s-1 vertices."""
     verts = sorted(comp)
-    best = 0
     top = (len(verts) + 1) // 2
     for s in range(top, 1, -1):
         size = 2 * s - 1
@@ -346,7 +314,7 @@ def _component_strong_level(g: SimpleGraph, comp: frozenset[int]) -> int:
                 a[v - 1] = 1
             if is_strongly_t_saturating(weighted_graph(g, a), s):
                 return s
-    return best
+    return 0
 
 
 def s_gamma(g: SimpleGraph) -> int:
@@ -359,11 +327,7 @@ def s_gamma(g: SimpleGraph) -> int:
     """
     comp_cache: dict[frozenset[int], int] = {}
     best = 1
-    full = g.full_mask
-    for um in range(1, full + 1):
-        comps = components_masked(g, um)
-        if any(two_coloring_masked(g, c) is not None for c in comps):
-            continue
+    for um, comps in _odd_cycle_supports(g):
         total = 0
         for cm in comps:
             cset = set_of(cm)
@@ -371,7 +335,8 @@ def s_gamma(g: SimpleGraph) -> int:
             if level is None:
                 level = _component_strong_level(g, cset)
                 comp_cache[cset] = level
-            assert level >= 2, "an odd cycle always gives a strong level"
+            if level < 2:
+                raise RuntimeError(f"odd-cycle component {sorted(cset)} has no strong level")
             total += level
         best = max(best, um.bit_count() - total + 1)
     return best

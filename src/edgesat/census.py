@@ -46,9 +46,10 @@ def oracle_ass(g: SimpleGraph, t: int) -> set[frozenset[int]]:
     jt = ideals.power(ideals.edge_ideal(g), t)
     rho = ideals.lcm_exponents(jt)
     isolated = {v for v in range(1, g.n + 1) if not g.adj[v]}
-    assert all(
-        int(rho[v - 1]) == (0 if v in isolated else t) for v in range(1, g.n + 1)
-    ), "lcm of the generators of I^t must carry exponent t on non-isolated vertices"
+    if not all(int(rho[v - 1]) == (0 if v in isolated else t) for v in range(1, g.n + 1)):
+        raise RuntimeError(
+            "lcm of the generators of I^t must carry exponent t on non-isolated vertices"
+        )
     return set(ideals.ass_primes_oracle(jt))
 
 

@@ -121,7 +121,7 @@ def cmd_sat(args: argparse.Namespace) -> int:
     a = _parse_vector(args.exponents, g.n)
     in_pow = saturation.in_power(g, a, args.t)
     in_sat = saturation.in_saturation(g, a, args.t)
-    in_diff = saturation.in_sat_minus_power(g, a, args.t)
+    in_diff = in_sat and not in_pow
     _emit(
         args,
         {"t": args.t, "in_power": in_pow, "in_saturation": in_sat, "in_diff": in_diff},
@@ -260,13 +260,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_ass)
 
-    p = sub.add_parser("ass2", help="Ass(I^2) by the closed form")
-    _add_graph_args(p)
-    p.set_defaults(func=lambda a: _closed_form(a, 2))
-
-    p = sub.add_parser("ass3", help="Ass(I^3) by the closed form")
-    _add_graph_args(p)
-    p.set_defaults(func=lambda a: _closed_form(a, 3))
+    for t in (2, 3):
+        p = sub.add_parser(f"ass{t}", help=f"Ass(I^{t}) by the closed form")
+        _add_graph_args(p)
+        p.set_defaults(func=cmd_ass, t=t, method="classified")
 
     p = sub.add_parser("ass-infinity", help="the stable set of associated primes")
     _add_graph_args(p)
@@ -299,20 +296,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _closed_form(args: argparse.Namespace, t: int) -> int:
-    g = _load_graph(args)
-    reports = assoc.ass_primes_2(g) if t == 2 else assoc.ass_primes_3(g)
-    _emit(
-        args,
-        _report_payload(t, reports),
-        _report_lines(g, reports, f"Ass(I^{t}) [classified]: {len(reports)} primes"),
-    )
-    return EXIT_OK
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "t", 1) < 1:
+        parser.error(f"argument t: the power exponent must be at least 1, got {args.t}")
     try:
         return args.func(args)
     except InputError as exc:

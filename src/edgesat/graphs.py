@@ -103,13 +103,15 @@ def open_neighborhood(g: SimpleGraph, u: Iterable[int]) -> VertexSet:
     return set_of(m)
 
 
+def _closed_mask(g: SimpleGraph, m: int) -> int:
+    for v in iter_bits(m):
+        m |= g.adj_bits[v - 1]
+    return m
+
+
 def closed_neighborhood(g: SimpleGraph, u: Iterable[int]) -> VertexSet:
     """N[U] = U together with N(U)."""
-    m = mask_of(u)
-    acc = m
-    for v in iter_bits(m):
-        acc |= g.adj_bits[v - 1]
-    return set_of(acc)
+    return set_of(_closed_mask(g, mask_of(u)))
 
 
 def induced_subgraph(g: SimpleGraph, u: Iterable[int]) -> tuple[SimpleGraph, dict[int, int]]:
@@ -126,35 +128,40 @@ def induced_subgraph(g: SimpleGraph, u: Iterable[int]) -> tuple[SimpleGraph, dic
     return SimpleGraph(len(order), edges), relabel
 
 
+def _covers_edges(g: SimpleGraph, m: int) -> bool:
+    return all(em & m for em in g.edge_masks)
+
+
+def _core_mask(g: SimpleGraph, m: int) -> int:
+    """Vertices of m with no neighbour outside m."""
+    outside = g.full_mask & ~m
+    return mask_of(v for v in iter_bits(m) if not g.adj_bits[v - 1] & outside)
+
+
 def is_cover(g: SimpleGraph, s: Iterable[int]) -> bool:
     """Does s meet every edge of g?"""
-    m = mask_of(s)
-    return all(em & m for em in g.edge_masks)
+    return _covers_edges(g, mask_of(s))
 
 
-def _cover_mask(g: SimpleGraph, m: int) -> bool:
-    return all(em & m for em in g.edge_masks)
+def is_minimal_over(g: SimpleGraph, f: Iterable[int], s: Iterable[int]) -> bool:
+    """Is f minimal among the covers of g containing s?"""
+    fm, sm = mask_of(f), mask_of(s)
+    if sm & ~fm or not _covers_edges(g, fm):
+        return False
+    return all(not _covers_edges(g, fm & ~(1 << (v - 1))) for v in iter_bits(fm & ~sm))
 
 
 def is_minimal_cover(g: SimpleGraph, s: Iterable[int]) -> bool:
-    """Cover such that no proper subset covers (drops of single vertices suffice)."""
-    m = mask_of(s)
-    if not _cover_mask(g, m):
-        return False
-    return all(not _cover_mask(g, m & ~(1 << (v - 1))) for v in iter_bits(m))
+    """Cover such that no proper subset covers."""
+    return is_minimal_over(g, s, ())
 
 
 def core_of_cover(g: SimpleGraph, f: Iterable[int]) -> VertexSet:
     """core(F): vertices of the cover F with no neighbour outside F."""
     m = mask_of(f)
-    if not _cover_mask(g, m):
+    if not _covers_edges(g, m):
         raise ValueError("core_of_cover requires a vertex cover")
-    return _core_mask_set(g, m)
-
-
-def _core_mask_set(g: SimpleGraph, m: int) -> VertexSet:
-    outside = g.full_mask & ~m
-    return frozenset(v for v in iter_bits(m) if not g.adj_bits[v - 1] & outside)
+    return set_of(_core_mask(g, m))
 
 
 def maximal_independent_sets(g: SimpleGraph, region: int | None = None) -> list[int]:
@@ -195,7 +202,8 @@ def _sorted_sets(masks: Iterable[int]) -> list[VertexSet]:
 def minimal_covers(g: SimpleGraph) -> list[VertexSet]:
     """All minimal vertex covers (complements of maximal independent sets)."""
     out = _sorted_sets(g.full_mask ^ m for m in maximal_independent_sets(g))
-    assert all(is_minimal_cover(g, c) for c in out)
+    if not all(is_minimal_cover(g, c) for c in out):
+        raise RuntimeError("Bron-Kerbosch produced a cover that is not minimal")
     return out
 
 
@@ -236,11 +244,7 @@ def connected_components(g: SimpleGraph) -> list[VertexSet]:
 
 def is_dominating(g: SimpleGraph, u: Iterable[int]) -> bool:
     """Is every vertex outside u adjacent to a vertex of u?"""
-    m = mask_of(u)
-    reach = m
-    for v in iter_bits(m):
-        reach |= g.adj_bits[v - 1]
-    return reach & g.full_mask == g.full_mask
+    return _closed_mask(g, mask_of(u)) == g.full_mask
 
 
 def two_coloring_masked(g: SimpleGraph, region: int) -> dict[int, int] | None:
@@ -313,11 +317,13 @@ def _validate_odd_cycle(g: SimpleGraph, region: int, s: int, u: int, v: int, len
     pu = path_to_root(u)
     pv = path_to_root(v)
     cycle = pu[::-1] + pv[:-1]  # s .. u, then v .. (child of s)
-    assert len(cycle) == length, "odd-cycle witness has wrong length"
-    assert len(set(cycle)) == len(cycle), "odd-cycle witness revisits a vertex"
-    assert length % 2 == 1, "odd-cycle witness has even length"
-    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-        assert g.has_edge(a, b), "odd-cycle witness uses a non-edge"
+    if (
+        len(cycle) != length
+        or len(set(cycle)) != length
+        or length % 2 == 0
+        or not all(g.has_edge(a, b) for a, b in zip(cycle, cycle[1:] + cycle[:1]))
+    ):
+        raise RuntimeError(f"bad odd-cycle witness {cycle} for length {length}")
 
 
 def shortest_odd_cycle(g: SimpleGraph) -> int | None:

@@ -48,7 +48,8 @@ class MonomialIdeal:
     def __init__(self, n: int, gens: np.ndarray):
         self.n = n
         self.gens = gens
-        assert self._is_antichain(), "generators must form a minimal antichain"
+        if not self._is_antichain():
+            raise ValueError("generators must form a minimal antichain")
 
     def _is_antichain(self) -> bool:
         g = self.gens

@@ -10,10 +10,12 @@ of the ambient graph.
 from __future__ import annotations
 
 from itertools import combinations, product
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .graphs import (
     SimpleGraph,
+    _core_mask,
+    _covers_edges,
     components_masked,
     induced_subgraph,
     iter_bits,
@@ -47,40 +49,40 @@ def in_power(g: SimpleGraph, a: Sequence[int], t: int) -> bool:
     return nu(weighted_graph(g, a)) >= t
 
 
-def _saturation_condition(g: SimpleGraph, h: WeightedGraph, a: Sequence[int], i: int, t: int) -> bool:
-    """nu(G_a - N_a(i)) >= t - deg_a(i), the per-vertex saturation inequality."""
+def _inequality_holds(h: WeightedGraph, drop: Collection[int], t: int) -> bool:
+    """nu(H - N) >= t - w(N), with w(N) the weight on the vertex set N of H."""
+    w = sum(h.weight_map[v] for v in drop)
+    return w >= t or nu(h.minus(drop)) >= t - w
+
+
+def _inequalities_hold_at(
+    g: SimpleGraph, h: WeightedGraph, t: int, vertices: Iterable[int]
+) -> bool:
+    """The saturation inequality at each of `vertices`, N being the vertex's
+    neighbourhood inside the support of h."""
     sup = set(h.vertices)
-    na = [v for v in g.adj[i] if v in sup]
-    deg = sum(a[v - 1] for v in na)
-    if deg >= t:
-        return True
-    return nu(h.minus(na)) >= t - deg
+    return all(_inequality_holds(h, [v for v in g.adj[i] if v in sup], t) for i in vertices)
 
 
-def in_saturation(g: SimpleGraph, a: Sequence[int], t: int) -> bool:
-    """x^a lies in the saturation of I^t.
-
-    Holds when the per-vertex inequality holds at every vertex of g; members
-    of I^t itself satisfy those inequalities automatically.
-    """
+def _membership(g: SimpleGraph, a: Sequence[int], t: int) -> tuple[bool, bool]:
+    """Whether x^a lies in I^t and in sat(I^t): the latter is the inequality at
+    every vertex of g, which members of I^t satisfy automatically."""
     _check_t(t)
     h = weighted_graph(g, a)
     if nu(h) >= t:
-        return True
-    return all(
-        _saturation_condition(g, h, a, i, t) for i in range(1, g.n + 1)
-    )
+        return True, True
+    return False, _inequalities_hold_at(g, h, t, range(1, g.n + 1))
+
+
+def in_saturation(g: SimpleGraph, a: Sequence[int], t: int) -> bool:
+    """x^a lies in the saturation of I^t."""
+    return _membership(g, a, t)[1]
 
 
 def in_sat_minus_power(g: SimpleGraph, a: Sequence[int], t: int) -> bool:
     """x^a lies in the saturation of I^t but not in I^t itself."""
-    _check_t(t)
-    h = weighted_graph(g, a)
-    if nu(h) >= t:
-        return False
-    return all(
-        _saturation_condition(g, h, a, i, t) for i in range(1, g.n + 1)
-    )
+    in_pow, in_sat = _membership(g, a, t)
+    return in_sat and not in_pow
 
 
 def is_t_saturating(h: WeightedGraph, t: int) -> bool:
@@ -90,32 +92,28 @@ def is_t_saturating(h: WeightedGraph, t: int) -> bool:
     cycle, and the corresponding monomial is 1).
     """
     _check_t(t)
-    if not h.vertices:
+    if not h.vertices or nu(h) >= t:
         return False
-    if nu(h) >= t:
-        return False
-    for i in h.vertices:
-        deg = h.weighted_degree(i)
-        if deg >= t:
-            continue
-        if nu(h.minus(h.adjacency[i])) < t - deg:
-            return False
-    return True
+    return all(_inequality_holds(h, h.adjacency[i], t) for i in h.vertices)
 
 
 def is_strongly_t_saturating(h: WeightedGraph, t: int) -> bool:
     """nu(H) < t and nu(H - j) >= t - a_j for every vertex j of H."""
     _check_t(t)
-    if not h.vertices:
+    if not h.vertices or nu(h) >= t:
         return False
-    if nu(h) >= t:
-        return False
-    for j, w in zip(h.vertices, h.weights):
-        if w >= t:
-            continue
-        if nu(h.minus((j,))) < t - w:
-            return False
-    return True
+    return all(_inequality_holds(h, (j,), t) for j in h.vertices)
+
+
+def _unit_drop_moving_nu(g: SimpleGraph, b: Sequence[int], level: int) -> int | None:
+    """A support vertex of b where dropping one unit of weight moves nu off
+    `level`, or None when every such drop keeps nu at `level`."""
+    for i in support(b):
+        bm = list(b)
+        bm[i - 1] -= 1
+        if nu(weighted_graph(g, bm)) != level:
+            return i
+    return None
 
 
 def _strong_chain_level(g: SimpleGraph, b: Sequence[int]) -> int:
@@ -129,13 +127,11 @@ def _strong_chain_level(g: SimpleGraph, b: Sequence[int]) -> int:
         raise ValueError(f"base weighted graph is not strongly {t}-saturating")
     if nu(hb) != t - 1:
         raise ValueError(f"base weighted graph must have matching number {t - 1}")
-    for i in support(b):
-        bm = list(b)
-        bm[i - 1] -= 1
-        if nu(weighted_graph(g, bm)) != t - 1:
-            raise ValueError(
-                f"dropping one weight unit at vertex {i} must keep matching number {t - 1}"
-            )
+    i = _unit_drop_moving_nu(g, b, t - 1)
+    if i is not None:
+        raise ValueError(
+            f"dropping one weight unit at vertex {i} must keep matching number {t - 1}"
+        )
     return t
 
 
@@ -158,13 +154,13 @@ def extend_by_edge(g: SimpleGraph, b: Sequence[int], edge: tuple[int, int]) -> E
     a[u - 1] += 1
     a[v - 1] += 1
     ha = weighted_graph(g, a)
-    assert sum(a) == 2 * t + 1
-    assert is_strongly_t_saturating(ha, t + 1), "edge-adding lost strong saturation"
-    assert nu(ha) == t, "edge-adding must raise the matching number by one"
-    for i in support(a):
-        am = list(a)
-        am[i - 1] -= 1
-        assert nu(weighted_graph(g, am)) == t, "single weight drops must preserve nu"
+    if (
+        sum(a) != 2 * t + 1
+        or not is_strongly_t_saturating(ha, t + 1)
+        or nu(ha) != t
+        or _unit_drop_moving_nu(g, a, t) is not None
+    ):
+        raise RuntimeError(f"edge-adding broke the strong-saturation chain at {a}")
     return tuple(a)
 
 
@@ -214,30 +210,27 @@ def _components_have_short_odd_cycles(g: SimpleGraph, sup_mask: int, bound: int)
     return True
 
 
-def saturating_vectors(
+def _saturating_graphs(
     g: SimpleGraph,
     t: int,
-    *,
+    region: int,
     max_weight: int | None = None,
     total_bound: int | None = None,
     odd_cycle_filter: bool = True,
-) -> list[ExponentVector]:
-    """All exponent vectors whose weighted graph is t-saturating.
+) -> Iterator[tuple[tuple[int, ...], ExponentVector, WeightedGraph]]:
+    """The t-saturating weighted graphs supported in `region`, as (support, a, h).
 
-    The default enumeration bounds are complete: weights below t, weight sum
-    at most 3(t-1), and supports whose induced components each contain an odd
-    cycle of length at most 2t-1.  The keyword switches exist so tests can
-    compare against an unpruned enumeration.
+    Supports come by size, then in lexicographic order, and the weights on
+    each support in lexicographic order.  The default bounds are complete:
+    weights below t, weight sum at most 3(t-1), and supports whose induced
+    components each contain an odd cycle of length at most 2t-1.
     """
-    if t < 2:
-        raise ValueError("saturating graphs require t >= 2")
     if max_weight is None:
         max_weight = t - 1
     if total_bound is None:
         total_bound = 3 * (t - 1)
-    out: list[ExponentVector] = []
-    verts = range(1, g.n + 1)
-    for size in range(1, min(g.n, total_bound) + 1):
+    verts = list(iter_bits(region))
+    for size in range(1, min(len(verts), total_bound) + 1):
         for sup in combinations(verts, size):
             if odd_cycle_filter and not _components_have_short_odd_cycles(
                 g, mask_of(sup), 2 * t - 1
@@ -249,9 +242,28 @@ def saturating_vectors(
                 a = [0] * g.n
                 for v, w in zip(sup, weights):
                     a[v - 1] = w
-                if is_t_saturating(weighted_graph(g, a), t):
-                    out.append(tuple(a))
-    return sorted(out)
+                h = weighted_graph(g, a)
+                if is_t_saturating(h, t):
+                    yield sup, tuple(a), h
+
+
+def saturating_vectors(
+    g: SimpleGraph,
+    t: int,
+    *,
+    max_weight: int | None = None,
+    total_bound: int | None = None,
+    odd_cycle_filter: bool = True,
+) -> list[ExponentVector]:
+    """All exponent vectors whose weighted graph is t-saturating, sorted.
+
+    The keyword switches loosen the default bounds so tests can compare
+    against an unpruned enumeration.
+    """
+    if t < 2:
+        raise ValueError("saturating graphs require t >= 2")
+    found = _saturating_graphs(g, t, g.full_mask, max_weight, total_bound, odd_cycle_filter)
+    return sorted(a for _, a, _ in found)
 
 
 def facets_delta(g: SimpleGraph, a: Sequence[int], t: int) -> list[frozenset[int]]:
@@ -275,32 +287,16 @@ def facets_delta(g: SimpleGraph, a: Sequence[int], t: int) -> list[frozenset[int
     sub = 0
     while True:  # all subsets of `free`; G = ga_mask | sub
         fmask = free & ~sub
-        if _all_edges_met(g, fmask):
+        if _covers_edges(g, fmask):
             core = _core_mask(g, fmask)
             shed = fmask & ~core
             s = t - sum(a[v - 1] for v in iter_bits(shed))
             if s >= 1:
-                core_set = set_of(core)
-                subg, relabel = induced_subgraph(g, core_set)
-                a_core = [0] * subg.n
-                for v in core_set:
-                    a_core[relabel[v] - 1] = a[v - 1]
+                subg, _ = induced_subgraph(g, iter_bits(core))  # relabelled in sorted order
+                a_core = [a[v - 1] for v in iter_bits(core)]
                 if in_sat_minus_power(subg, a_core, s):
                     facets.append(set_of(sub))
         if sub == free:
             break
         sub = (sub - free) & free
     return sorted(facets, key=lambda f: (len(f), sorted(f)))
-
-
-def _all_edges_met(g: SimpleGraph, m: int) -> bool:
-    return all(em & m for em in g.edge_masks)
-
-
-def _core_mask(g: SimpleGraph, m: int) -> int:
-    outside = g.full_mask & ~m
-    core = 0
-    for v in iter_bits(m):
-        if not g.adj_bits[v - 1] & outside:
-            core |= 1 << (v - 1)
-    return core

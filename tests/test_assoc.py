@@ -80,6 +80,24 @@ class TestIsAssociated:
                             assert (is_associated(g, f, t) is not None) == (f in oracle)
 
 
+    def test_decision_agrees_with_enumeration_exhaustive(self):
+        # Every cover of every graph with n <= 5, at t = 2 and t = 3.
+        cases = 0
+        for g in all_graphs_upto(5):
+            covers = [
+                frozenset(c)
+                for size in range(g.n + 1)
+                for c in combinations(range(1, g.n + 1), size)
+                if is_cover(g, c)
+            ]
+            for t in (2, 3):
+                listed = prime_sets(ass_primes(g, t))
+                for f in covers:
+                    cases += 1
+                    assert (is_associated(g, f, t) is not None) == (f in listed), (g.edges, f, t)
+        assert cases == 26448
+
+
 class TestAssPrimes:
     def test_triangle_t2(self, triangle):
         assert primes(ass_primes(triangle, 2)) == [[1, 2], [1, 3], [2, 3], [1, 2, 3]]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -187,3 +188,48 @@ class TestParseErrors:
         with pytest.raises(SystemExit) as exc:
             main(["no-such-command"])
         assert exc.value.code == 2
+
+
+class TestPowerExponent:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sat", "--edges", "1-2,2-3,1-3", "0", "1,1,1"],
+            ["ass", "--edges", "1-2,2-3,1-3", "0"],
+            ["ass", "--edges", "1-2,2-3,1-3", "0", "--method", "oracle"],
+        ],
+    )
+    def test_t_below_one_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2 and "error:" in capsys.readouterr().err
+
+
+DATA = Path(__file__).parent / "data"
+G10 = "1-2,1-5,1-10,2-3,2-7,2-10,3-6,3-7,4-5,4-7,4-8,5-6,5-7,5-8,5-10,6-7,7-8,8-9,8-10"
+TAILED_TRIANGLE = "1-2,1-3,2-3,3-4,4-5"
+BOWTIE = "1-2,1-3,2-3,1-4,1-5,4-5"
+
+
+class TestGoldenOutput:
+    """Byte-identical JSON, witness exponents included."""
+
+    @pytest.mark.parametrize(
+        "name, argv",
+        [
+            ("ass_g10_t3_formula", ["ass", "--json", "--edges", G10, "3", "--method", "formula"]),
+            (
+                "ass_g10_t3_classified",
+                ["ass", "--json", "--edges", G10, "3", "--method", "classified"],
+            ),
+            ("ass2_tailed_triangle", ["ass2", "--json", "--edges", TAILED_TRIANGLE]),
+            ("ass3_tailed_triangle", ["ass3", "--json", "--edges", TAILED_TRIANGLE]),
+            ("ass_infinity_bowtie", ["ass-infinity", "--json", "--edges", BOWTIE]),
+            ("astab_bound_bowtie", ["astab-bound", "--json", "--edges", BOWTIE]),
+            ("sat_triangle_t2", ["sat", "--json", "--edges", "1-2,1-3,2-3", "2", "1,1,1"]),
+        ],
+    )
+    def test_matches_golden_file(self, capsys, name, argv):
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert out.encode() == (DATA / f"{name}.json").read_bytes()

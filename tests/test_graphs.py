@@ -18,6 +18,7 @@ from edgesat.graphs import (
     is_cover,
     is_dominating,
     is_minimal_cover,
+    is_minimal_over,
     minimal_covers,
     open_neighborhood,
     parse_graph_text,
@@ -123,6 +124,19 @@ class TestCoversMinimalOver:
                     for f in covers_minimal_over(g, s):
                         assert s <= f and is_cover(g, f)
                         assert all(not is_cover(g, f - {v}) for v in f - s)
+
+    def test_is_minimal_over_matches_enumeration(self):
+        # Every pair (f, s) of vertex sets of every graph with n <= 5.
+        for g in all_graphs_upto(5):
+            subsets = [
+                frozenset(c)
+                for size in range(g.n + 1)
+                for c in combinations(range(1, g.n + 1), size)
+            ]
+            for s in subsets:
+                over = set(covers_minimal_over(g, s))
+                for f in subsets:
+                    assert is_minimal_over(g, f, s) == (f in over), (g.edges, f, s)
 
 
 class TestComponentsAndCycles:
