@@ -15,9 +15,9 @@ from typing import Iterable, Iterator
 
 from .graphs import (
     SimpleGraph,
+    _core_mask,
     closed_neighborhood,
     components_masked,
-    core_of_cover,
     covers_minimal_over,
     is_cover,
     is_dominating,
@@ -35,8 +35,6 @@ from .saturation import (
     _inequalities_hold_at,
     _saturating_graphs,
     is_strongly_t_saturating,
-    saturating_vectors,
-    support,
     weighted_graph,
 )
 
@@ -96,6 +94,11 @@ def _reports_over(
     return _sort_reports(reports)
 
 
+def _core_inequalities_hold(g: SimpleGraph, f: Iterable[int], h: WeightedGraph, t: int) -> bool:
+    """The saturation inequality at each vertex of core(F) outside the support of h."""
+    return _inequalities_hold_at(h, t, iter_bits(_core_mask(g, mask_of(f)) & ~h.mask))
+
+
 def is_associated(g: SimpleGraph, f: Iterable[int], t: int) -> AssPrimeReport | None:
     """Decide whether P_F is an associated prime of I^t, with a certificate.
 
@@ -112,10 +115,9 @@ def is_associated(g: SimpleGraph, f: Iterable[int], t: int) -> AssPrimeReport | 
         return AssPrimeReport(f, "minimal", {"type": "minimal-cover"})
     if t == 1:
         return None  # Ass(I) is exactly the minimal covers
-    core = core_of_cover(g, f)
-    for sup, a, h in _saturating_graphs(g, t, mask_of(core)):
-        if is_minimal_over(g, f, closed_neighborhood(g, sup)) and _inequalities_hold_at(
-            g, h, t, (i for i in core if i not in sup)
+    for sup, a, h in _saturating_graphs(g, t, _core_mask(g, mask_of(f))):
+        if is_minimal_over(g, f, closed_neighborhood(g, sup)) and _core_inequalities_hold(
+            g, f, h, t
         ):
             return AssPrimeReport(f, "embedded", {"type": "witness", "exponents": list(a)})
     return None
@@ -123,20 +125,16 @@ def is_associated(g: SimpleGraph, f: Iterable[int], t: int) -> AssPrimeReport | 
 
 def ass_primes(g: SimpleGraph, t: int) -> list[AssPrimeReport]:
     """Ass(I^t): minimal covers plus the embedded primes found by enumerating
-    t-saturating weighted graphs."""
+    t-saturating weighted graphs, in the order of their exponent vectors."""
     if t < 1:
         raise ValueError("t must be at least 1")
     reports = _minimal_reports(g)
     if t >= 2:
         seen = prime_sets(reports)
-        for a in saturating_vectors(g, t):
-            sup = support(a)
-            h = weighted_graph(g, a)
+        found = sorted(_saturating_graphs(g, t, g.full_mask), key=lambda x: x[1])
+        for sup, a, h in found:
             for f in covers_minimal_over(g, closed_neighborhood(g, sup)):
-                if f in seen:
-                    continue
-                core = core_of_cover(g, f)
-                if _inequalities_hold_at(g, h, t, (i for i in core if i not in sup)):
+                if f not in seen and _core_inequalities_hold(g, f, h, t):
                     seen.add(f)
                     reports.append(
                         AssPrimeReport(
@@ -249,15 +247,11 @@ def classify_3_saturating(h: WeightedGraph, g: SimpleGraph) -> str | None:
         others = [v for v in h.vertices if v != c]
         for x, y in combinations(others, 2):
             z = next(v for v in others if v not in (x, y))
-            if (
-                {tuple(sorted((c, x))), tuple(sorted((c, y))), tuple(sorted((x, y)))}
-                <= h.edges
-                and tuple(sorted((c, z))) in h.edges
-            ):
+            if all(h.graph.has_edge(p, q) for p, q in ((c, x), (c, y), (x, y), (c, z))):
                 return THREE_SATURATING_CASES[1]
         return None
     if k == 6 and wsorted == (1,) * 6:
-        comps = components_masked(g, mask_of(sup))
+        comps = components_masked(g, h.mask)
         if len(h.edges) == 6 and len(comps) == 2 and all(
             set_of(c) in [frozenset(t) for t in triangles(g)] for c in comps
         ):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 import time
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -28,10 +29,18 @@ def all_graphs_upto(n: int) -> Iterator[SimpleGraph]:
 
 def random_graphs(n: int, count: int, seed: int) -> list[SimpleGraph]:
     """`count` distinct seeded-random labelled graphs on n vertices."""
+    if count < 0:
+        raise ValueError("the sample size must be non-negative")
     slots = list(combinations(range(1, n + 1), 2))
     total = 1 << len(slots)
     rng = random.Random(seed)
-    masks = rng.sample(range(total), min(count, total))
+    if total <= sys.maxsize:
+        masks = rng.sample(range(total), min(count, total))
+    else:  # len(range(total)) overflows; draw as `sample` does for a large population
+        drawn: dict[int, None] = {}
+        while len(drawn) < count:
+            drawn[rng.randrange(total)] = None
+        masks = list(drawn)
     out = []
     for mask in masks:
         edges = [slots[i] for i in range(len(slots)) if mask >> i & 1]

@@ -1,7 +1,10 @@
 """Matching numbers of vertex-weighted graphs.
 
-A matching of a weighted graph is an edge multiset in which every vertex
-appears at most its weight many times; nu is the maximum size of one.
+The weighted graph G_a of a monomial x^a is the ambient `SimpleGraph` with
+the exponent vector a: the induced subgraph on the support of a (a bit mask),
+vertex i weighted a_i; `minus` and `components` set entries of a to zero.
+A matching is an edge multiset in which every vertex appears at most its
+weight many times; nu is the maximum size of one.
 The canonical algorithm blows each vertex up into weight-many clones and
 runs Edmonds' maximum-cardinality matching on the resulting simple graph.
 An exhaustive edge-multiset search (`nu_bruteforce`) is kept as an
@@ -14,36 +17,29 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
-from .graphs import SimpleGraph
+from .graphs import SimpleGraph, components_masked, mask_of, set_of
 
 
 @dataclass(frozen=True)
 class WeightedGraph:
-    """Graph on an arbitrary finite vertex set with positive integer weights."""
+    """The weighted graph G_a: the ambient graph and an exponent vector a."""
 
-    vertices: tuple[int, ...]
-    weights: tuple[int, ...]
-    edges: frozenset[tuple[int, int]]
-
-    def __post_init__(self) -> None:
-        if list(self.vertices) != sorted(set(self.vertices)):
-            raise ValueError("vertices must be sorted and distinct")
-        if len(self.weights) != len(self.vertices):
-            raise ValueError("one weight per vertex required")
-        if any(w < 1 for w in self.weights):
-            raise ValueError("weights must be positive")
-        vs = set(self.vertices)
-        for u, v in self.edges:
-            if u >= v or u not in vs or v not in vs:
-                raise ValueError(f"bad edge ({u},{v})")
+    graph: SimpleGraph
+    a: tuple[int, ...]
 
     @classmethod
     def build(cls, weights: Mapping[int, int], edges: Iterable[tuple[int, int]]) -> "WeightedGraph":
-        verts = tuple(sorted(weights))
-        norm = frozenset((u, v) if u < v else (v, u) for u, v in edges)
-        return cls(verts, tuple(weights[v] for v in verts), norm)
+        """The weighted graph on the vertices of `weights`, labelled in 1..64,
+        with the given edges between them."""
+        if any(v < 1 or w < 1 for v, w in weights.items()):
+            raise ValueError("weights must be positive and vertex labels at least 1")
+        g = SimpleGraph.from_edges(max(weights, default=0), edges)
+        h = cls(g, tuple(weights.get(v, 0) for v in range(1, g.n + 1)))
+        if h.edges != g.edges:
+            raise ValueError("every edge must join two weighted vertices")
+        return h
 
     @classmethod
     def from_exponents(cls, g: SimpleGraph, a: Iterable[int]) -> "WeightedGraph":
@@ -54,10 +50,34 @@ class WeightedGraph:
             raise ValueError(f"exponent vector has length {len(a)}, expected {g.n}")
         if any(x < 0 for x in a):
             raise ValueError("exponents must be non-negative")
-        support = tuple(v for v in range(1, g.n + 1) if a[v - 1] > 0)
-        sup = set(support)
-        edges = frozenset(e for e in g.edges if e[0] in sup and e[1] in sup)
-        return cls(support, tuple(a[v - 1] for v in support), edges)
+        return cls(g, a)
+
+    @cached_property
+    def vertices(self) -> tuple[int, ...]:
+        return tuple(i + 1 for i, x in enumerate(self.a) if x)
+
+    @cached_property
+    def weights(self) -> tuple[int, ...]:
+        return tuple(x for x in self.a if x)
+
+    @cached_property
+    def mask(self) -> int:
+        """The support of a, as a vertex mask."""
+        return mask_of(self.vertices)
+
+    def _adjacent_pairs(self) -> Iterator[tuple[int, int]]:
+        """Index pairs i < j of adjacent vertices, in the order of the sorted edges."""
+        verts, adj = self.vertices, self.graph.adj_bits
+        for i, u in enumerate(verts):
+            nbrs = adj[u - 1]
+            for j in range(i + 1, len(verts)):
+                if nbrs >> (verts[j] - 1) & 1:
+                    yield i, j
+
+    @cached_property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        verts = self.vertices
+        return frozenset((verts[i], verts[j]) for i, j in self._adjacent_pairs())
 
     @cached_property
     def weight_map(self) -> dict[int, int]:
@@ -65,58 +85,37 @@ class WeightedGraph:
 
     @cached_property
     def adjacency(self) -> dict[int, frozenset[int]]:
-        nbrs: dict[int, set[int]] = {v: set() for v in self.vertices}
-        for u, v in self.edges:
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        return {v: frozenset(s) for v, s in nbrs.items()}
+        return {v: set_of(self.graph.adj_bits[v - 1] & self.mask) for v in self.vertices}
 
     @cached_property
     def total_weight(self) -> int:
-        return sum(self.weights)
+        return sum(self.a)
 
     @cached_property
     def cache_key(self) -> tuple:
         """Canonical key after relabelling the vertices to 0..k-1."""
-        idx = {v: i for i, v in enumerate(self.vertices)}
         k = len(self.vertices)
         bits = 0
-        for u, v in self.edges:
-            bits |= 1 << (idx[u] * k + idx[v])
+        for i, j in self._adjacent_pairs():
+            bits |= 1 << (i * k + j)
         return (self.weights, bits)
 
     def weighted_degree(self, v: int) -> int:
         """Sum of the weights of the neighbours of v."""
         return sum(self.weight_map[u] for u in self.adjacency[v])
 
+    def minus_mask(self, drop: int) -> "WeightedGraph":
+        """Induced weighted subgraph on the support outside the mask `drop`."""
+        a = tuple(0 if drop >> i & 1 else x for i, x in enumerate(self.a))
+        return WeightedGraph(self.graph, a)
+
     def minus(self, drop: Iterable[int]) -> "WeightedGraph":
         """Induced weighted subgraph on the vertices not in `drop`."""
-        gone = set(drop)
-        keep = tuple(v for v in self.vertices if v not in gone)
-        ks = set(keep)
-        return WeightedGraph(
-            keep,
-            tuple(w for v, w in zip(self.vertices, self.weights) if v in ks),
-            frozenset(e for e in self.edges if e[0] in ks and e[1] in ks),
-        )
+        return self.minus_mask(mask_of(drop))
 
     def components(self) -> list["WeightedGraph"]:
-        seen: set[int] = set()
-        out = []
-        for v in self.vertices:
-            if v in seen:
-                continue
-            comp = {v}
-            q = deque([v])
-            while q:
-                x = q.popleft()
-                for y in self.adjacency[x]:
-                    if y not in comp:
-                        comp.add(y)
-                        q.append(y)
-            seen |= comp
-            out.append(self.minus(set(self.vertices) - comp))
-        return out
+        """The connected components, ordered by least vertex."""
+        return [self.minus_mask(self.mask & ~c) for c in components_masked(self.graph, self.mask)]
 
 
 @dataclass(frozen=True)
@@ -233,19 +232,17 @@ def _max_matching_simple(n: int, adj: list[list[int]]) -> list[int]:
 
 def _blowup(h: WeightedGraph) -> tuple[int, list[list[int]], list[int]]:
     clone_of: list[int] = []
-    start: dict[int, int] = {}
+    clones: list[range] = []  # the clone indices of each vertex, by vertex index
     for v, w in zip(h.vertices, h.weights):
-        start[v] = len(clone_of)
+        clones.append(range(len(clone_of), len(clone_of) + w))
         clone_of.extend([v] * w)
-    size = len(clone_of)
-    adj: list[list[int]] = [[] for _ in range(size)]
-    wm = h.weight_map
-    for u, v in sorted(h.edges):
-        for i in range(start[u], start[u] + wm[u]):
-            for j in range(start[v], start[v] + wm[v]):
+    adj: list[list[int]] = [[] for _ in clone_of]
+    for p, q in h._adjacent_pairs():
+        for i in clones[p]:
+            for j in clones[q]:
                 adj[i].append(j)
                 adj[j].append(i)
-    return size, adj, clone_of
+    return len(clone_of), adj, clone_of
 
 
 def maximum_matching(h: WeightedGraph) -> Matching:

@@ -10,7 +10,7 @@ of the ambient graph.
 from __future__ import annotations
 
 from itertools import combinations, product
-from typing import Collection, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .graphs import (
     SimpleGraph,
@@ -49,19 +49,17 @@ def in_power(g: SimpleGraph, a: Sequence[int], t: int) -> bool:
     return nu(weighted_graph(g, a)) >= t
 
 
-def _inequality_holds(h: WeightedGraph, drop: Collection[int], t: int) -> bool:
-    """nu(H - N) >= t - w(N), with w(N) the weight on the vertex set N of H."""
-    w = sum(h.weight_map[v] for v in drop)
-    return w >= t or nu(h.minus(drop)) >= t - w
+def _inequality_holds(h: WeightedGraph, drop: int, t: int) -> bool:
+    """nu(H - N) >= t - w(N), with w(N) the weight on the vertex mask N."""
+    w = sum(h.a[v - 1] for v in iter_bits(drop))
+    return w >= t or nu(h.minus_mask(drop)) >= t - w
 
 
-def _inequalities_hold_at(
-    g: SimpleGraph, h: WeightedGraph, t: int, vertices: Iterable[int]
-) -> bool:
-    """The saturation inequality at each of `vertices`, N being the vertex's
-    neighbourhood inside the support of h."""
-    sup = set(h.vertices)
-    return all(_inequality_holds(h, [v for v in g.adj[i] if v in sup], t) for i in vertices)
+def _inequalities_hold_at(h: WeightedGraph, t: int, vertices: Iterable[int]) -> bool:
+    """The saturation inequality at each of `vertices` of the ambient graph,
+    N being the vertex's neighbourhood inside the support of h."""
+    adj = h.graph.adj_bits
+    return all(_inequality_holds(h, adj[i - 1] & h.mask, t) for i in vertices)
 
 
 def _membership(g: SimpleGraph, a: Sequence[int], t: int) -> tuple[bool, bool]:
@@ -71,7 +69,7 @@ def _membership(g: SimpleGraph, a: Sequence[int], t: int) -> tuple[bool, bool]:
     h = weighted_graph(g, a)
     if nu(h) >= t:
         return True, True
-    return False, _inequalities_hold_at(g, h, t, range(1, g.n + 1))
+    return False, _inequalities_hold_at(h, t, range(1, g.n + 1))
 
 
 def in_saturation(g: SimpleGraph, a: Sequence[int], t: int) -> bool:
@@ -94,7 +92,7 @@ def is_t_saturating(h: WeightedGraph, t: int) -> bool:
     _check_t(t)
     if not h.vertices or nu(h) >= t:
         return False
-    return all(_inequality_holds(h, h.adjacency[i], t) for i in h.vertices)
+    return _inequalities_hold_at(h, t, h.vertices)
 
 
 def is_strongly_t_saturating(h: WeightedGraph, t: int) -> bool:
@@ -102,7 +100,7 @@ def is_strongly_t_saturating(h: WeightedGraph, t: int) -> bool:
     _check_t(t)
     if not h.vertices or nu(h) >= t:
         return False
-    return all(_inequality_holds(h, (j,), t) for j in h.vertices)
+    return all(_inequality_holds(h, 1 << (j - 1), t) for j in h.vertices)
 
 
 def _unit_drop_moving_nu(g: SimpleGraph, b: Sequence[int], level: int) -> int | None:

@@ -227,9 +227,24 @@ class TestGoldenOutput:
             ("ass_infinity_bowtie", ["ass-infinity", "--json", "--edges", BOWTIE]),
             ("astab_bound_bowtie", ["astab-bound", "--json", "--edges", BOWTIE]),
             ("sat_triangle_t2", ["sat", "--json", "--edges", "1-2,1-3,2-3", "2", "1,1,1"]),
+            ("nu_g10_weighted", ["nu", "--json", "--edges", G10, "2,1,2,1,2,1,2,1,2,1"]),
+            (
+                "facets_bowtie_tail",
+                ["facets", "--json", "--edges", BOWTIE + ",5-6", "2", "0,0,0,0,1,-1"],
+            ),
         ],
     )
     def test_matches_golden_file(self, capsys, name, argv):
         code, out = run(capsys, *argv)
         assert code == 0
         assert out.encode() == (DATA / f"{name}.json").read_bytes()
+
+
+class TestCensusSample:
+    def test_sample_beyond_eleven_vertices(self, capsys):
+        code, out = run(capsys, "census", "--json", "12", "1", "--sample", "2", "--seed", "0")
+        payload = json.loads(out)
+        assert code == 0 and payload["graphs_checked"] == 2 and payload["mismatches"] == []
+
+    def test_negative_sample_is_a_usage_error(self, capsys):
+        assert main(["census", "12", "1", "--sample", "-1"]) == 2

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 from itertools import combinations
 
@@ -231,3 +232,16 @@ class TestTextFormat:
             SimpleGraph(3, frozenset({(1, 4)}))
         with pytest.raises(ValueError):
             SimpleGraph(65, frozenset())
+
+
+class TestRandomGraphs:
+    def test_twelve_vertices(self):
+        gs = random_graphs(12, 3, seed=0)
+        assert len(set(gs)) == 3 and all(g.n == 12 for g in gs)
+
+    def test_draws_up_to_eleven_vertices_are_pinned(self):
+        # sha256 of the edge lists drawn before graphs beyond 11 vertices were supported
+        drawn = repr([sorted(g.edges) for g in random_graphs(6, 500, seed=2024)])
+        assert hashlib.sha256(drawn.encode()).hexdigest() == (
+            "98ed91e016ecb03b9f6faf429fb14ab7bb7800623f5183d54a0896f5f8178238"
+        )

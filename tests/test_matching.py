@@ -7,8 +7,8 @@ from itertools import combinations, product
 
 import pytest
 
-from edgesat.census import all_graphs
-from edgesat.graphs import SimpleGraph
+from edgesat.census import all_graphs, all_graphs_upto
+from edgesat.graphs import SimpleGraph, connected_components
 from edgesat.matching import (
     Matching,
     WeightedGraph,
@@ -188,3 +188,80 @@ class TestInvariantsSampled:
                     lifted = list(weights)
                     lifted[i - 1] += deg
                     assert nu(wg(g, *lifted)) == deg + nu(h.minus(h.adjacency[i]))
+
+
+def _reference_views(g: SimpleGraph, a: tuple[int, ...]) -> dict:
+    """The views of the weighted graph of a, built from g.edges and a."""
+    verts = tuple(v for v in range(1, g.n + 1) if a[v - 1] > 0)
+    edges = frozenset((u, v) for u, v in g.edges if a[u - 1] > 0 and a[v - 1] > 0)
+    adjacency = {v: frozenset(u for e in edges if v in e for u in e if u != v) for v in verts}
+    idx = {v: i for i, v in enumerate(verts)}
+    bits = 0
+    for u, v in edges:
+        bits |= 1 << (idx[u] * len(verts) + idx[v])
+    weights = tuple(a[v - 1] for v in verts)
+    return {
+        "vertices": verts,
+        "weights": weights,
+        "edges": edges,
+        "weight_map": dict(zip(verts, weights)),
+        "adjacency": adjacency,
+        "total_weight": sum(weights),
+        "degrees": {v: sum(a[u - 1] for u in adjacency[v]) for v in verts},
+        "cache_key": (weights, bits),
+    }
+
+
+def _views(h: WeightedGraph) -> dict:
+    return {
+        "vertices": h.vertices,
+        "weights": h.weights,
+        "edges": h.edges,
+        "weight_map": h.weight_map,
+        "adjacency": h.adjacency,
+        "total_weight": h.total_weight,
+        "degrees": {v: h.weighted_degree(v) for v in h.vertices},
+        "cache_key": h.cache_key,
+    }
+
+
+class TestRepresentation:
+    """The weighted graph of a is the pair (g, a); every view is derived from it."""
+
+    def test_views_subgraphs_and_keys_exhaustive_n4(self):
+        for g in all_graphs_upto(4):
+            for a in product(range(3), repeat=g.n):
+                h = wg(g, *a)
+                assert _views(h) == _reference_views(g, a)
+                for size in range(g.n + 1):
+                    for s in combinations(range(1, g.n + 1), size):
+                        zeroed = tuple(0 if v in s else a[v - 1] for v in range(1, g.n + 1))
+                        assert h.minus(s) == wg(g, *zeroed)
+                        assert _views(h.minus(s)) == _reference_views(g, zeroed)
+                induced = SimpleGraph.from_edges(g.n, _reference_views(g, a)["edges"])
+                comps = [c for c in connected_components(induced) if min(c) in h.vertices]
+                assert [frozenset(p.vertices) for p in h.components()] == comps
+                assert [p.weight_map for p in h.components()] == [
+                    {v: a[v - 1] for v in sorted(c)} for c in comps
+                ]
+                # the key ignores labels and vertices outside the support
+                shift = 2
+                big = SimpleGraph.from_edges(
+                    g.n + shift + 1,
+                    [(u + shift, v + shift) for u, v in g.edges] + [(1, g.n + shift + 1)],
+                )
+                assert wg(big, 0, 0, *a, 0).cache_key == h.cache_key
+
+    def test_build(self):
+        h = WeightedGraph.build({2: 3, 5: 1}, [(5, 2)])
+        assert (h.vertices, h.weights, h.edges) == ((2, 5), (3, 1), frozenset({(2, 5)}))
+        for weights, edges in (
+            ({1: 0}, []),  # weights must be positive
+            ({1: 1, 2: 1}, [(1, 3)]),  # an edge off the weighted vertices
+            ({1: 1, 3: 1}, [(1, 2)]),
+            ({1: 1, 2: 1}, [(1, 1)]),  # a self-loop
+            ({0: 1}, []),  # labels start at 1
+            ({65: 1}, []),  # and end at 64
+        ):
+            with pytest.raises(ValueError):
+                WeightedGraph.build(weights, edges)
