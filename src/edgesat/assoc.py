@@ -16,11 +16,12 @@ from typing import Iterable, Iterator
 from .graphs import (
     SimpleGraph,
     _core_mask,
+    _covers_edges,
     _odd_cycle_components,
+    _vertex_mask,
     closed_neighborhood,
     components_masked,
     covers_minimal_over,
-    is_cover,
     is_dominating,
     is_minimal_cover,
     is_minimal_over,
@@ -109,13 +110,14 @@ def is_associated(g: SimpleGraph, f: Iterable[int], t: int) -> AssPrimeReport | 
     f = frozenset(f)
     if t < 1:
         raise ValueError("t must be at least 1")
-    if not is_cover(g, f):
+    fm = _vertex_mask(g, f)
+    if not _covers_edges(g, fm):
         raise ValueError("is_associated requires a vertex cover")
     if is_minimal_cover(g, f):
         return AssPrimeReport(f, "minimal", {"type": "minimal-cover"})
     if t == 1:
         return None  # Ass(I) is exactly the minimal covers
-    for sup, a, h in _saturating_graphs(g, t, _core_mask(g, mask_of(f))):
+    for sup, a, h in _saturating_graphs(g, t, _core_mask(g, fm)):
         if is_minimal_over(g, f, closed_neighborhood(g, sup)) and _core_inequalities_hold(
             g, f, h, t
         ):

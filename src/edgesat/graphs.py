@@ -128,6 +128,16 @@ def induced_subgraph(g: SimpleGraph, u: Iterable[int]) -> tuple[SimpleGraph, dic
     return SimpleGraph(len(order), edges), relabel
 
 
+def _vertex_mask(g: SimpleGraph, vertices: Iterable[int]) -> int:
+    """The mask of a set of vertices of g, refusing a label outside 1..n."""
+    m = 0
+    for v in vertices:
+        if not 1 <= v <= g.n:
+            raise ValueError(f"vertex {v} is not in 1..{g.n}")
+        m |= 1 << (v - 1)
+    return m
+
+
 def _covers_edges(g: SimpleGraph, m: int) -> bool:
     return all(em & m for em in g.edge_masks)
 
@@ -158,7 +168,7 @@ def is_minimal_cover(g: SimpleGraph, s: Iterable[int]) -> bool:
 
 def core_of_cover(g: SimpleGraph, f: Iterable[int]) -> VertexSet:
     """core(F): vertices of the cover F with no neighbour outside F."""
-    m = mask_of(f)
+    m = _vertex_mask(g, f)
     if not _covers_edges(g, m):
         raise ValueError("core_of_cover requires a vertex cover")
     return set_of(_core_mask(g, m))

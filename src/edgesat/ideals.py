@@ -1,10 +1,11 @@
 """Brute-force monomial ideal arithmetic: the ground-truth side of every check.
 
 Ideals are stored by their unique minimal generating sets, as small integer
-matrices.  All operations are purely combinatorial (componentwise min/max and
-divisibility); saturation and colon-by-the-maximal-ideal additionally use a
-membership bitmap over the bounded exponent box spanned by the generators.
-No Groebner machinery anywhere.
+matrices.  Powers, colons by a monomial and intersections are purely
+combinatorial (componentwise min/max and divisibility).  The colon by the
+maximal ideal, the saturation and the witness sweep for associated primes all
+read one membership table over the exponent box spanned by the generators.
+No Groebner machinery anywhere, and no matching theory.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .graphs import SimpleGraph
-
-_SWEEP_CHUNK = 8192  # divisors per block of the witness sweep; bounds its memory
 
 
 def _minimal_rows(arr: np.ndarray) -> np.ndarray:
@@ -170,67 +169,52 @@ def membership_box(j: MonomialIdeal, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _bitmap(j: MonomialIdeal) -> np.ndarray:
-    """Membership table over the exponent box spanned by the generators.
-
-    Membership outside this box follows by clamping (exponents above the
-    per-variable maximum are absorbing).
-    """
-    rho = j.gens.max(axis=0) if not j.is_zero else np.zeros(j.n, dtype=np.int64)
-    return membership_box(j, tuple(int(r) + 1 for r in rho))
+    """Membership table over the exponent box spanned by the generators; the
+    top slice of each axis is absorbing, so membership outside follows by clamping."""
+    return membership_box(j, tuple(int(r) + 1 for r in j.gens.max(axis=0, initial=0)))
 
 
 def _gens_from_upset(n: int, box: np.ndarray) -> MonomialIdeal:
-    """Minimal elements of an upward-closed membership table."""
-    dominated = np.zeros_like(box)
+    """Minimal elements of an upward-closed membership table: the members w
+    with w - e_i outside it along every axis i where w_i > 0."""
+    minimal = box.copy()
     for axis in range(n):
-        if box.shape[axis] == 1:
-            continue
-        pad_shape = list(box.shape)
-        pad_shape[axis] = 1
-        pad = np.zeros(pad_shape, dtype=bool)
-        shifted = np.concatenate(
-            [pad, np.take(box, range(box.shape[axis] - 1), axis=axis)], axis=axis
-        )
-        dominated |= shifted
-    minimal = box & ~dominated
+        lead = (slice(None),) * axis
+        minimal[lead + (slice(1, None),)] &= ~box[lead + (slice(None, -1),)]
     return MonomialIdeal(n, np.argwhere(minimal).astype(np.int64))
 
 
-def colon_maximal(j: MonomialIdeal) -> MonomialIdeal:
-    """j : m, the intersection of the colons by each variable.
+def _shift(box: np.ndarray, axis: int) -> np.ndarray:
+    """The table of w -> [w + e_axis in j] from the table of j; the top slice
+    of the box is absorbing."""
+    s = box.shape[axis]
+    return np.take(box, np.minimum(np.arange(1, s + 1), s - 1), axis=axis)
 
-    Computed on the bounded-box membership table: w is in j:x_i exactly when
-    w + e_i is in j, and the box top is absorbing.
-    """
-    if j.n < 1:
+
+def _colon_table(box: np.ndarray) -> np.ndarray:
+    """The table of j : m, the AND of the shifts along every axis."""
+    if box.ndim < 1:
         raise ValueError("colon_maximal needs at least one variable")
-    if j.is_zero or j.is_unit:
-        return j
-    box = _bitmap(j)
-    out = None
-    for axis in range(j.n):
-        if box.shape[axis] == 1:
-            quot = box
-        else:
-            top = np.take(box, [box.shape[axis] - 1], axis=axis)
-            rest = np.take(box, range(1, box.shape[axis]), axis=axis)
-            quot = np.concatenate([rest, top], axis=axis)
-        out = quot if out is None else out & quot
-    return _gens_from_upset(j.n, out)
+    return np.logical_and.reduce([_shift(box, axis) for axis in range(box.ndim)])
+
+
+def colon_maximal(j: MonomialIdeal) -> MonomialIdeal:
+    """j : m, the intersection of the colons j : x_i, read off the table of j."""
+    return _gens_from_upset(j.n, _colon_table(_bitmap(j)))
 
 
 def saturate(j: MonomialIdeal) -> MonomialIdeal:
-    """The saturation: iterate K <- K : m until the fixpoint is reached.
+    """The saturation: iterate K <- K : m on the table of j to its fixpoint.
 
-    Each step only grows the ideal inside the fixed exponent box, so the
-    fixpoint arrives within the sum of the generator degree bounds.
+    The generators of every K lie in the box of j, so the table stays exact,
+    and each step only grows it until it stops changing.
     """
-    k = j
+    box = _bitmap(j)
     while True:
-        nxt = colon_maximal(k)
-        if nxt == k:
-            return k
-        k = nxt
+        nxt = _colon_table(box)
+        if np.array_equal(nxt, box):
+            return _gens_from_upset(j.n, box)
+        box = nxt
 
 
 def lcm_exponents(j: MonomialIdeal) -> np.ndarray:
@@ -243,25 +227,17 @@ def ass_primes_oracle(j: MonomialIdeal) -> list[frozenset[int]]:
     """Associated primes of R/j by the witness sweep.
 
     P is associated exactly when P = j : w for a monomial w dividing the lcm
-    of the generators; the sweep tests every such divisor and keeps those w
-    for which the colon reduces to an ideal of variables.
+    of the generators.  The variables in j : w are F(w) = {i : w + e_i in j},
+    and j : w = P_F exactly when w, with every exponent outside F raised to the
+    top of the box, is still not in j: membership does not change above the
+    top, so no monomial in the variables outside F lies in j : w.
     """
     if j.is_zero:
         raise ValueError("associated primes of the zero ideal are not swept")
-    rho = lcm_exponents(j)
-    gens16 = j.gens.astype(np.int16)
-    grid = np.indices(tuple(int(r) + 1 for r in rho)).reshape(j.n, -1).T.astype(np.int16)
-    found: set[frozenset[int]] = set()
-    for lo in range(0, grid.shape[0], _SWEEP_CHUNK):
-        d = grid[lo:lo + _SWEEP_CHUNK]
-        reduced = gens16[None, :, :] - d[:, None, :]
-        np.clip(reduced, 0, None, out=reduced)
-        degs = reduced.sum(axis=2)
-        proper = ~(degs == 0).any(axis=1)  # w not in j, else colon is the unit ideal
-        units = degs == 1
-        evars = ((reduced == 1) & units[:, :, None]).any(axis=1)
-        covered = ((reduced > 0) & evars[:, None, :]).any(axis=2).all(axis=1)
-        ok = proper & covered & evars.any(axis=1)
-        for row in np.nonzero(ok)[0]:
-            found.add(frozenset(int(i) + 1 for i in np.nonzero(evars[row])[0]))
+    box = _bitmap(j)
+    inside = np.stack([_shift(box, axis) for axis in range(j.n)], axis=-1).reshape(-1, j.n)
+    grid = np.indices(box.shape).reshape(j.n, -1).T
+    raised = np.where(inside, grid, np.array(box.shape) - 1)
+    masks = np.unique(inside[~box[tuple(raised.T)]], axis=0)
+    found = [frozenset(int(i) + 1 for i in np.flatnonzero(f)) for f in masks]
     return sorted(found, key=lambda s: (len(s), sorted(s)))

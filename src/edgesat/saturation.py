@@ -43,10 +43,17 @@ def _check_t(t: int) -> None:
         raise ValueError("power exponent t must be at least 1")
 
 
+def _capped_graph(g: SimpleGraph, a: Sequence[int], t: int) -> WeightedGraph:
+    """The weighted graph of x^a with each exponent capped at t, which decides
+    membership in I^t and sat(I^t) alike: a matching of size t uses no vertex
+    more than t times, and a weight of t or more on N already gives w(N) >= t."""
+    _check_t(t)
+    return weighted_graph(g, [min(x, t) for x in a])
+
+
 def in_power(g: SimpleGraph, a: Sequence[int], t: int) -> bool:
     """x^a lies in I^t exactly when nu of its weighted graph is at least t."""
-    _check_t(t)
-    return nu(weighted_graph(g, a)) >= t
+    return nu(_capped_graph(g, a, t)) >= t
 
 
 def _inequality_holds(h: WeightedGraph, drop: int, t: int) -> bool:
@@ -65,8 +72,7 @@ def _inequalities_hold_at(h: WeightedGraph, t: int, vertices: Iterable[int]) -> 
 def _membership(g: SimpleGraph, a: Sequence[int], t: int) -> tuple[bool, bool]:
     """Whether x^a lies in I^t and in sat(I^t): the latter is the inequality at
     every vertex of g, which members of I^t satisfy automatically."""
-    _check_t(t)
-    h = weighted_graph(g, a)
+    h = _capped_graph(g, a, t)
     if nu(h) >= t:
         return True, True
     return False, _inequalities_hold_at(h, t, range(1, g.n + 1))

@@ -59,6 +59,11 @@ class TestIsAssociated:
         with pytest.raises(ValueError):
             is_associated(triangle, {1}, 2)
 
+    @pytest.mark.parametrize("bad", [7, 0])
+    def test_rejects_labels_outside_the_graph(self, triangle, bad):
+        with pytest.raises(ValueError, match=f"vertex {bad} is not in 1..3"):
+            is_associated(triangle, {1, 2, 3, bad}, 2)
+
     def test_witness_reverifiable(self, triangle):
         from edgesat.graphs import induced_subgraph
 

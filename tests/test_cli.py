@@ -246,6 +246,10 @@ class TestGoldenOutput:
             ("ass_c9_t5", ["ass", "--json", "--edges", C9, "5"]),
             ("ass_c11_t5", ["ass", "--json", "--edges", C11, "5"]),
             ("ass_c15_t7", ["ass", "--json", "--edges", C15, "7"]),
+            (
+                "ass_oracle_bowtie_tail_t3",
+                ["ass", "--json", "--edges", BOWTIE + ",5-6", "3", "--method", "oracle"],
+            ),
         ],
     )
     def test_matches_golden_file(self, capsys, name, argv):

@@ -84,6 +84,11 @@ class TestCovers:
         with pytest.raises(ValueError):
             core_of_cover(triangle, {1})
 
+    @pytest.mark.parametrize("bad", [7, 0])
+    def test_core_rejects_labels_outside_the_graph(self, triangle, bad):
+        with pytest.raises(ValueError, match=f"vertex {bad} is not in 1..3"):
+            core_of_cover(triangle, {1, 2, 3, bad})
+
     def test_is_cover(self, triangle, tailed_triangle):
         assert not is_cover(triangle, {1})
         assert is_cover(triangle, {1, 2}) and is_minimal_cover(triangle, {1, 2})

@@ -30,6 +30,34 @@ def ideal(n: int, *gens) -> MonomialIdeal:
     return MonomialIdeal.from_gens(n, gens)
 
 
+def _random_ideals(seed: int, count: int) -> list[MonomialIdeal]:
+    """Seeded monomial ideals that are not edge ideals: n <= 4, exponents <= 3,
+    with the unit ideal and ideals missing a variable (a box axis of size 1)."""
+    rng = random.Random(seed)
+    out = [ideal(3, (0, 0, 0)), ideal(2, (2, 0), (1, 1)), ideal(4, (1, 0, 3, 0), (0, 2, 1, 0))]
+    for _ in range(count):
+        n = rng.randint(1, 4)
+        gens = [[rng.randint(0, 3) for _ in range(n)] for _ in range(rng.randint(1, 5))]
+        if rng.random() < 0.3:
+            missing = rng.randrange(n)
+            for row in gens:
+                row[missing] = 0
+        out.append(MonomialIdeal.from_gens(n, gens))
+    return out
+
+
+def _prime_cover(k: MonomialIdeal) -> frozenset[int] | None:
+    """F when k is the prime generated by the variables indexed by F, else None."""
+    if k.is_zero or not (k.gens.sum(axis=1) == 1).all():
+        return None
+    return frozenset(int(np.flatnonzero(row)[0]) + 1 for row in k.gens)
+
+
+def _colon_by_variables(j: MonomialIdeal) -> MonomialIdeal:
+    units = [tuple(int(i == k) for i in range(j.n)) for k in range(j.n)]
+    return reduce(intersect, (colon_monomial(j, e) for e in units))
+
+
 class TestBasics:
     def test_edge_ideal_triangle(self, triangle):
         assert edge_ideal(triangle).to_lists() == [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
@@ -109,12 +137,10 @@ class TestColonAndSaturation:
 
     def test_colon_maximal_equals_intersection_of_colons(self):
         rng = random.Random(9)
-        for g in rng.sample([g for g in all_graphs(4) if g.edges], 12):
-            for t in (1, 2):
-                j = power(edge_ideal(g), t)
-                units = [tuple(int(i == k) for i in range(4)) for k in range(4)]
-                expected = reduce(intersect, (colon_monomial(j, e) for e in units))
-                assert colon_maximal(j) == expected
+        graphs = rng.sample([g for g in all_graphs(4) if g.edges], 12)
+        powers = [power(edge_ideal(g), t) for g in graphs for t in (1, 2)]
+        for j in powers + _random_ideals(51, 200):
+            assert colon_maximal(j) == _colon_by_variables(j), j
 
 
 class TestAssPrimesOracle:
@@ -136,6 +162,31 @@ class TestAssPrimesOracle:
 
     def test_oracle_ass_edgeless(self):
         assert oracle_ass(graph(3), 2) == {frozenset()}
+
+
+class TestGeneratorLevelDefinitions:
+    """The box-table oracle against colons and intersections of generators."""
+
+    IDEALS = _random_ideals(51, 200)
+
+    def test_sample_reaches_the_edge_cases(self):
+        assert any(j.is_unit for j in self.IDEALS)
+        assert any((j.gens.max(axis=0) == 0).any() and not j.is_unit for j in self.IDEALS)
+        assert any(len(ass_primes_oracle(j)) > 1 for j in self.IDEALS)
+
+    def test_ass_primes_are_the_prime_colons(self):
+        for j in self.IDEALS:
+            divisors = product(*(range(int(r) + 1) for r in j.gens.max(axis=0)))
+            colons = (_prime_cover(colon_monomial(j, w)) for w in divisors)
+            expected = {f for f in colons if f is not None}
+            assert ass_primes_oracle(j) == sorted(expected, key=lambda f: (len(f), sorted(f))), j
+
+    def test_saturate_is_the_fixpoint_of_that_intersection(self):
+        for j in self.IDEALS:
+            k = j
+            while (nxt := _colon_by_variables(k)) != k:
+                k = nxt
+            assert saturate(j) == k, j
 
 
 class TestInvariants:

@@ -67,6 +67,25 @@ class TestInPower:
             in_power(triangle, (1, 1, 1), 0)
 
 
+class TestLargeExponents:
+    @pytest.mark.parametrize("t", [2, 3])
+    def test_membership_near_a_million(self, triangle, pentagon, t):
+        """Exponents far above t answer as their cap at t does, and as the
+        oracle does; the matching route never sees the large weights."""
+        rng = random.Random(t)
+        for g in (triangle, pentagon):
+            jt = power(edge_ideal(g), t)
+            sat = saturate(jt)
+            draws = [[rng.choice((0, 1, 10**6 - rng.randrange(3))) for _ in range(g.n)]
+                     for _ in range(12)]
+            for a in [[1] * g.n, [10**6, *[1] * (g.n - 1)], *draws]:
+                capped = [min(x, t) for x in a]
+                in_pow, in_sat = membership(jt, a), membership(sat, a)
+                assert in_power(g, a, t) == in_power(g, capped, t) == in_pow
+                assert in_saturation(g, a, t) == in_saturation(g, capped, t) == in_sat
+                assert in_sat_minus_power(g, a, t) == (in_sat and not in_pow)
+
+
 class TestInSaturation:
     def test_triangle_all_ones(self, triangle):
         assert in_saturation(triangle, (1, 1, 1), 2)
