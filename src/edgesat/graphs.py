@@ -95,10 +95,20 @@ class SimpleGraph:
         return (min(u, v), max(u, v)) in self.edges
 
 
+def _vertex_mask(g: SimpleGraph, vertices: Iterable[int]) -> int:
+    """The mask of a set of vertices of g, refusing a label outside 1..n."""
+    m = 0
+    for v in vertices:
+        if not 1 <= v <= g.n:
+            raise ValueError(f"vertex {v} is not in 1..{g.n}")
+        m |= 1 << (v - 1)
+    return m
+
+
 def open_neighborhood(g: SimpleGraph, u: Iterable[int]) -> VertexSet:
     """N(U): vertices adjacent to some vertex of U (may intersect U)."""
     m = 0
-    for v in u:
+    for v in iter_bits(_vertex_mask(g, u)):
         m |= g.adj_bits[v - 1]
     return set_of(m)
 
@@ -111,7 +121,7 @@ def _closed_mask(g: SimpleGraph, m: int) -> int:
 
 def closed_neighborhood(g: SimpleGraph, u: Iterable[int]) -> VertexSet:
     """N[U] = U together with N(U)."""
-    return set_of(_closed_mask(g, mask_of(u)))
+    return set_of(_closed_mask(g, _vertex_mask(g, u)))
 
 
 def induced_subgraph(g: SimpleGraph, u: Iterable[int]) -> tuple[SimpleGraph, dict[int, int]]:
@@ -128,16 +138,6 @@ def induced_subgraph(g: SimpleGraph, u: Iterable[int]) -> tuple[SimpleGraph, dic
     return SimpleGraph(len(order), edges), relabel
 
 
-def _vertex_mask(g: SimpleGraph, vertices: Iterable[int]) -> int:
-    """The mask of a set of vertices of g, refusing a label outside 1..n."""
-    m = 0
-    for v in vertices:
-        if not 1 <= v <= g.n:
-            raise ValueError(f"vertex {v} is not in 1..{g.n}")
-        m |= 1 << (v - 1)
-    return m
-
-
 def _covers_edges(g: SimpleGraph, m: int) -> bool:
     return all(em & m for em in g.edge_masks)
 
@@ -150,12 +150,12 @@ def _core_mask(g: SimpleGraph, m: int) -> int:
 
 def is_cover(g: SimpleGraph, s: Iterable[int]) -> bool:
     """Does s meet every edge of g?"""
-    return _covers_edges(g, mask_of(s))
+    return _covers_edges(g, _vertex_mask(g, s))
 
 
 def is_minimal_over(g: SimpleGraph, f: Iterable[int], s: Iterable[int]) -> bool:
     """Is f minimal among the covers of g containing s?"""
-    fm, sm = mask_of(f), mask_of(s)
+    fm, sm = _vertex_mask(g, f), _vertex_mask(g, s)
     if sm & ~fm or not _covers_edges(g, fm):
         return False
     return all(not _covers_edges(g, fm & ~(1 << (v - 1))) for v in iter_bits(fm & ~sm))
@@ -254,7 +254,7 @@ def connected_components(g: SimpleGraph) -> list[VertexSet]:
 
 def is_dominating(g: SimpleGraph, u: Iterable[int]) -> bool:
     """Is every vertex outside u adjacent to a vertex of u?"""
-    return _closed_mask(g, mask_of(u)) == g.full_mask
+    return _closed_mask(g, _vertex_mask(g, u)) == g.full_mask
 
 
 def _has_odd_cycle(g: SimpleGraph, comp: int) -> bool:

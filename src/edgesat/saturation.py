@@ -4,12 +4,15 @@ For an exponent vector a, the weighted graph of the monomial x^a is the
 induced subgraph on the support with vertex i weighted a_i.  Membership in
 the t-th power is nu >= t; membership in the saturation is the system of
 matching inequalities nu(G_a - N_a(i)) >= t - deg_a(i) over all vertices i
-of the ambient graph.
+of the ambient graph.  Every check of them goes through one kernel: the plan
+of each inequality (the support indices outside N and the edge bits of H - N)
+is made once per support, and each weight tuple meets the `nu` cache by key.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+from operator import mul, sub
 from typing import Iterable, Iterator, Sequence
 
 from .graphs import (
@@ -23,7 +26,7 @@ from .graphs import (
     mask_of,
     set_of,
 )
-from .matching import WeightedGraph, nu
+from .matching import WeightedGraph, _edge_bits, _nu_of_key, nu
 
 ExponentVector = tuple[int, ...]
 
@@ -56,17 +59,31 @@ def in_power(g: SimpleGraph, a: Sequence[int], t: int) -> bool:
     return nu(_capped_graph(g, a, t)) >= t
 
 
-def _inequality_holds(h: WeightedGraph, drop: int, t: int) -> bool:
-    """nu(H - N) >= t - w(N), with w(N) the weight on the vertex mask N."""
-    w = sum(h.a[v - 1] for v in iter_bits(drop))
-    return w >= t or nu(h.minus_mask(drop)) >= t - w
+def _drop_plans(h: WeightedGraph, drops: Iterable[int]) -> Iterator[tuple[list[int], int]]:
+    """For each vertex mask N, the plan of H - N: the indices into h.weights of
+    the support outside N, and the edge bits of the `cache_key` of H - N."""
+    for drop in drops:
+        outside = [p for p, v in enumerate(h.vertices) if not drop >> (v - 1) & 1]
+        yield outside, _edge_bits(h.graph, [h.vertices[p] for p in outside])
+
+
+def _inequalities_hold(w: tuple[int, ...], t: int, plans: Iterable[tuple[list[int], int]]) -> bool:
+    """nu(H - N) >= t - w(N) for each plan, H carrying the support weights w;
+    nu(H - N) is at most half the weight of H - N."""
+    total = sum(w)
+    for outside, bits in plans:
+        rest = tuple([w[q] for q in outside])
+        need = t - total + sum(rest)  # t - w(N)
+        if need > 0 and (sum(rest) < 2 * need or _nu_of_key((rest, bits)) < need):
+            return False
+    return True
 
 
 def _inequalities_hold_at(h: WeightedGraph, t: int, vertices: Iterable[int]) -> bool:
     """The saturation inequality at each of `vertices` of the ambient graph,
     N being the vertex's neighbourhood inside the support of h."""
     adj = h.graph.adj_bits
-    return all(_inequality_holds(h, adj[i - 1] & h.mask, t) for i in vertices)
+    return _inequalities_hold(h.weights, t, _drop_plans(h, (adj[i - 1] & h.mask for i in vertices)))
 
 
 def _membership(g: SimpleGraph, a: Sequence[int], t: int) -> tuple[bool, bool]:
@@ -96,17 +113,14 @@ def is_t_saturating(h: WeightedGraph, t: int) -> bool:
     cycle, and the corresponding monomial is 1).
     """
     _check_t(t)
-    if not h.vertices or nu(h) >= t:
-        return False
-    return _inequalities_hold_at(h, t, h.vertices)
+    return bool(h.vertices) and nu(h) < t and _inequalities_hold_at(h, t, h.vertices)
 
 
 def is_strongly_t_saturating(h: WeightedGraph, t: int) -> bool:
     """nu(H) < t and nu(H - j) >= t - a_j for every vertex j of H."""
     _check_t(t)
-    if not h.vertices or nu(h) >= t:
-        return False
-    return all(_inequality_holds(h, 1 << (j - 1), t) for j in h.vertices)
+    drops = (1 << (j - 1) for j in h.vertices)
+    return bool(h.vertices) and nu(h) < t and _inequalities_hold(h.weights, t, _drop_plans(h, drops))
 
 
 def _unit_drop_moving_nu(g: SimpleGraph, b: Sequence[int], level: int) -> int | None:
@@ -193,12 +207,7 @@ def build_strong(g: SimpleGraph, u: Iterable[int], seed: Iterable[int]) -> Expon
     current = tuple(a)
     while support(current) != useq:
         sup = support(current)
-        candidates = sorted(
-            (j, h)
-            for h, j_set in ((x, g.adj[x]) for x in sup)
-            for j in j_set
-            if j in useq and j not in sup
-        )
+        candidates = sorted((j, h) for h in sup for j in g.adj[h] if j in useq and j not in sup)
         if not candidates:
             raise ValueError("u is not reachable from the seed inside u")
         j, h = candidates[0]
@@ -216,35 +225,47 @@ def _saturating_graphs(
     complete: weights below t, weight sum at most 3(t-1), and every component
     of the support containing an odd cycle.  Its bound of 2t-1 on the length
     of those odd cycles needs no filter of its own: a longer odd cycle carries
-    t disjoint edges, so nu >= t and `is_t_saturating` rejects the graph.
+    t disjoint edges, so nu >= t and the support is dropped.
+
+    No `WeightedGraph` is built per weight tuple w.  nu(w) < t holds without a
+    call when w sums to less than 2t, and fails without one when some earlier
+    w - e_p on the support failed, nu being monotone in the weights.
     """
     total_bound = 3 * (t - 1)
     verts = list(iter_bits(region))
     for size in range(1, min(len(verts), total_bound) + 1):
+        place = [t**p for p in range(size)]  # w as a number in base t
         for sup in combinations(verts, size):
-            if _odd_cycle_components(g, mask_of(sup)) is None:
+            mask = mask_of(sup)
+            if _odd_cycle_components(g, mask) is None:
                 continue
+            unit = weighted_graph(g, [mask >> i & 1 for i in range(g.n)])
+            if size >= 2 * t and nu(unit) >= t:
+                continue  # every weighting of the support has nu >= t
+            bits = unit.cache_key[1]
+            plans = list(_drop_plans(unit, (g.adj_bits[v - 1] & mask for v in sup)))
+            failed: set[int] = set()  # the weights with nu >= t so far
             # The weights are the steps of increasing partial sums up to the
             # sum bound, and both run in lexicographic order.
             for sums in combinations(range(1, total_bound + 1), size):
-                weights = [s - r for r, s in zip((0, *sums), sums)]
-                if max(weights) >= t:
+                w = tuple(map(sub, sums, (0, *sums)))
+                if max(w) >= t:
                     continue
-                a = [0] * g.n
-                for v, w in zip(sup, weights):
-                    a[v - 1] = w
-                h = weighted_graph(g, a)
-                if is_t_saturating(h, t):
-                    yield sup, tuple(a), h
+                code = sum(map(mul, w, place))
+                if sums[-1] >= 2 * t and (
+                    not failed.isdisjoint([code - b for x, b in zip(w, place) if x > 1])
+                    or _nu_of_key((w, bits)) >= t
+                ):
+                    failed.add(code)
+                elif _inequalities_hold(w, t, plans):
+                    on_support = dict(zip(sup, w))
+                    a = tuple(on_support.get(v, 0) for v in range(1, g.n + 1))
+                    yield sup, a, weighted_graph(g, a)
 
 
 def saturating_vectors(g: SimpleGraph, t: int) -> list[ExponentVector]:
-    """All exponent vectors whose weighted graph is t-saturating, sorted.
-
-    The search is `_saturating_graphs` over all of g: weights below t, weight
-    sum at most 3(t-1), and supports whose components each contain an odd
-    cycle (one longer than 2t-1 already gives nu >= t).
-    """
+    """All exponent vectors whose weighted graph is t-saturating, sorted: the
+    search `_saturating_graphs` over all of g."""
     if t < 2:
         raise ValueError("saturating graphs require t >= 2")
     return sorted(a for _, a, _ in _saturating_graphs(g, t, g.full_mask))

@@ -250,6 +250,7 @@ class TestGoldenOutput:
                 "ass_oracle_bowtie_tail_t3",
                 ["ass", "--json", "--edges", BOWTIE + ",5-6", "3", "--method", "oracle"],
             ),
+            ("ass_g10_t4_formula", ["ass", "--json", "--edges", G10, "4", "--method", "formula"]),
         ],
     )
     def test_matches_golden_file(self, capsys, name, argv):

@@ -89,6 +89,23 @@ class TestCovers:
         with pytest.raises(ValueError, match=f"vertex {bad} is not in 1..3"):
             core_of_cover(triangle, {1, 2, 3, bad})
 
+    @pytest.mark.parametrize("bad", [7, 0])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda g, bad: is_cover(g, {1, 2, 3, bad}),
+            lambda g, bad: is_minimal_cover(g, {1, 2, bad}),
+            lambda g, bad: is_minimal_over(g, {1, 2, 3}, {1, bad}),
+            lambda g, bad: closed_neighborhood(g, {1, bad}),
+            lambda g, bad: open_neighborhood(g, {1, bad}),
+            lambda g, bad: is_dominating(g, {1, bad}),
+        ],
+        ids=["is_cover", "is_minimal_cover", "is_minimal_over", "closed", "open", "dominating"],
+    )
+    def test_vertex_sets_reject_labels_outside_the_graph(self, triangle, call, bad):
+        with pytest.raises(ValueError, match=f"vertex {bad} is not in 1..3"):
+            call(triangle, bad)
+
     def test_is_cover(self, triangle, tailed_triangle):
         assert not is_cover(triangle, {1})
         assert is_cover(triangle, {1, 2}) and is_minimal_cover(triangle, {1, 2})

@@ -11,7 +11,7 @@ import pytest
 from edgesat.census import all_graphs, all_graphs_upto
 from edgesat.graphs import SimpleGraph, is_dominating, shortest_odd_cycle
 from edgesat.ideals import MonomialIdeal, edge_ideal, membership, power, saturate
-from edgesat.matching import WeightedGraph, nu
+from edgesat.matching import WeightedGraph, nu, nu_bruteforce
 from edgesat.saturation import (
     build_strong,
     extend_by_edge,
@@ -44,6 +44,26 @@ def _unpruned(g: SimpleGraph, t: int, top: int) -> list[tuple[int, ...]]:
         for a in product(range(top + 1), repeat=g.n)
         if any(a) and is_t_saturating(weighted_graph(g, a), t)
     ]
+
+
+def _saturating_by_brute_force(h: WeightedGraph, t: int, memo: dict) -> bool:
+    """nu(H) < t and nu(H - N(i)) >= t - w(N(i)) at every vertex i of H, with
+    each nu from `nu_bruteforce`, memoised on the weighted edge set."""
+
+    def nu_bf(x: WeightedGraph) -> int:
+        key = (tuple(sorted(x.weight_map.items())), x.edges)
+        if key not in memo:
+            memo[key] = nu_bruteforce(x)
+        return memo[key]
+
+    if not h.vertices or nu_bf(h) >= t:
+        return False
+    for i in h.vertices:
+        nbrs = h.graph.adj[i] & set(h.vertices)
+        w = sum(h.a[j - 1] for j in nbrs)
+        if w < t and nu_bf(h.minus(nbrs)) < t - w:
+            return False
+    return True
 
 
 def disjoint_triangles(k: int) -> SimpleGraph:
@@ -134,6 +154,16 @@ class TestSaturatingPredicates:
         h = WeightedGraph.build({}, [])
         assert not is_t_saturating(h, 2)
         assert not is_strongly_t_saturating(h, 2)
+
+    @pytest.mark.parametrize("t", [2, 3])
+    def test_equals_brute_force_on_every_small_graph(self, t):
+        """Every graph with n <= 5 and every a in {0..t-1}^n: the kernel against
+        an independent route (total weight at most 10, under the cutoff 14)."""
+        memo: dict = {}
+        for g in all_graphs_upto(5):
+            for a in product(range(t), repeat=g.n):
+                h = weighted_graph(g, a)
+                assert is_t_saturating(h, t) == _saturating_by_brute_force(h, t, memo), (g.edges, a)
 
     @pytest.mark.parametrize("t", [2, 3, 4])
     def test_disjoint_triangles_strongly(self, t):
