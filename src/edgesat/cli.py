@@ -10,7 +10,7 @@ from typing import Sequence
 
 from . import assoc, census, saturation
 from .graphs import SimpleGraph, parse_graph_text
-from .matching import WeightedGraph, maximum_matching, nu
+from .matching import WeightedGraph, maximum_matching
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -103,7 +103,7 @@ def cmd_nu(args: argparse.Namespace) -> int:
     weights = _parse_vector(args.weights, g.n)
     h = WeightedGraph.from_exponents(g, weights)
     witness = maximum_matching(h)
-    value = nu(h)
+    value = len(witness)
     _emit(
         args,
         {

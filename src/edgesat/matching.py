@@ -244,7 +244,7 @@ def _blowup(weights: tuple[int, ...], bits: int) -> tuple[int, list[list[int]], 
                 nbrs[p].extend(range(first[q], first[q + 1]))
                 nbrs[q].extend(range(first[p], first[p + 1]))
     owner = [p for p, w in enumerate(weights) for _ in range(w)]
-    return first[k], [nbrs[p] for p in owner], owner
+    return len(owner), [nbrs[p] for p in owner], owner
 
 
 def maximum_matching(h: WeightedGraph) -> Matching:
@@ -268,13 +268,8 @@ def _nu_of_key(key: tuple[tuple[int, ...], int]) -> int:
 
 
 def nu(h: WeightedGraph) -> int:
-    """The matching number nu(H), from the cache `_nu_of_key` shares.  A miss
-    runs `maximum_matching`, so the benchmark's spans see this blossom run."""
-    key = h.cache_key
-    val = _NU_CACHE.get(key)
-    if val is None:
-        val = _NU_CACHE[key] = len(maximum_matching(h))
-    return val
+    """The matching number nu(H)."""
+    return _nu_of_key(h.cache_key)
 
 
 def nu_minus(h: WeightedGraph, drop: Iterable[int]) -> int:

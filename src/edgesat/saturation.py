@@ -59,12 +59,14 @@ def in_power(g: SimpleGraph, a: Sequence[int], t: int) -> bool:
     return nu(_capped_graph(g, a, t)) >= t
 
 
-def _drop_plans(h: WeightedGraph, drops: Iterable[int]) -> Iterator[tuple[list[int], int]]:
-    """For each vertex mask N, the plan of H - N: the indices into h.weights of
-    the support outside N, and the edge bits of the `cache_key` of H - N."""
+def _drop_plans(
+    g: SimpleGraph, verts: Sequence[int], drops: Iterable[int]
+) -> Iterator[tuple[list[int], int]]:
+    """For each vertex mask N, the plan of H - N, H on the increasing labels
+    `verts` of g: the indices into `verts` outside N, and the edge bits of H - N."""
     for drop in drops:
-        outside = [p for p, v in enumerate(h.vertices) if not drop >> (v - 1) & 1]
-        yield outside, _edge_bits(h.graph, [h.vertices[p] for p in outside])
+        outside = [p for p, v in enumerate(verts) if not drop >> (v - 1) & 1]
+        yield outside, _edge_bits(g, [verts[p] for p in outside])
 
 
 def _inequalities_hold(w: tuple[int, ...], t: int, plans: Iterable[tuple[list[int], int]]) -> bool:
@@ -83,7 +85,8 @@ def _inequalities_hold_at(h: WeightedGraph, t: int, vertices: Iterable[int]) -> 
     """The saturation inequality at each of `vertices` of the ambient graph,
     N being the vertex's neighbourhood inside the support of h."""
     adj = h.graph.adj_bits
-    return _inequalities_hold(h.weights, t, _drop_plans(h, (adj[i - 1] & h.mask for i in vertices)))
+    plans = _drop_plans(h.graph, h.vertices, (adj[i - 1] & h.mask for i in vertices))
+    return _inequalities_hold(h.weights, t, plans)
 
 
 def _membership(g: SimpleGraph, a: Sequence[int], t: int) -> tuple[bool, bool]:
@@ -120,7 +123,8 @@ def is_strongly_t_saturating(h: WeightedGraph, t: int) -> bool:
     """nu(H) < t and nu(H - j) >= t - a_j for every vertex j of H."""
     _check_t(t)
     drops = (1 << (j - 1) for j in h.vertices)
-    return bool(h.vertices) and nu(h) < t and _inequalities_hold(h.weights, t, _drop_plans(h, drops))
+    plans = _drop_plans(h.graph, h.vertices, drops)
+    return bool(h.vertices) and nu(h) < t and _inequalities_hold(h.weights, t, plans)
 
 
 def _unit_drop_moving_nu(g: SimpleGraph, b: Sequence[int], level: int) -> int | None:
@@ -207,7 +211,12 @@ def build_strong(g: SimpleGraph, u: Iterable[int], seed: Iterable[int]) -> Expon
     current = tuple(a)
     while support(current) != useq:
         sup = support(current)
-        candidates = sorted((j, h) for h in sup for j in g.adj[h] if j in useq and j not in sup)
+        candidates = sorted(
+            (j, h)
+            for h, j_set in ((x, g.adj[x]) for x in sup)
+            for j in j_set
+            if j in useq and j not in sup
+        )
         if not candidates:
             raise ValueError("u is not reachable from the seed inside u")
         j, h = candidates[0]
@@ -239,11 +248,10 @@ def _saturating_graphs(
             mask = mask_of(sup)
             if _odd_cycle_components(g, mask) is None:
                 continue
-            unit = weighted_graph(g, [mask >> i & 1 for i in range(g.n)])
-            if size >= 2 * t and nu(unit) >= t:
+            if size >= 2 * t and nu(weighted_graph(g, [mask >> i & 1 for i in range(g.n)])) >= t:
                 continue  # every weighting of the support has nu >= t
-            bits = unit.cache_key[1]
-            plans = list(_drop_plans(unit, (g.adj_bits[v - 1] & mask for v in sup)))
+            bits = _edge_bits(g, sup)
+            plans = list(_drop_plans(g, sup, (g.adj_bits[v - 1] & mask for v in sup)))
             failed: set[int] = set()  # the weights with nu >= t so far
             # The weights are the steps of increasing partial sums up to the
             # sum bound, and both run in lexicographic order.
@@ -264,8 +272,12 @@ def _saturating_graphs(
 
 
 def saturating_vectors(g: SimpleGraph, t: int) -> list[ExponentVector]:
-    """All exponent vectors whose weighted graph is t-saturating, sorted: the
-    search `_saturating_graphs` over all of g."""
+    """All exponent vectors whose weighted graph is t-saturating, sorted.
+
+    The search is `_saturating_graphs` over all of g: weights below t, weight
+    sum at most 3(t-1), and supports whose components each contain an odd
+    cycle (one longer than 2t-1 already gives nu >= t).
+    """
     if t < 2:
         raise ValueError("saturating graphs require t >= 2")
     return sorted(a for _, a, _ in _saturating_graphs(g, t, g.full_mask))

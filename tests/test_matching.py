@@ -84,6 +84,14 @@ class TestNu:
         assert len(m) == nu(h)
         assert list(m.edges) == sorted(m.edges)
 
+    def test_numpy_exponents_give_and_cache_a_python_int(self, triangle):
+        np = pytest.importorskip("numpy")
+        # weights no other test uses, so the numpy call fills the cache entry
+        first = nu(WeightedGraph.from_exponents(triangle, np.array([7, 5, 9], dtype=np.int64)))
+        again = nu(wg(triangle, 7, 5, 9))
+        assert first == again == 10
+        assert type(first) is int and type(again) is int
+
 
 class TestNuMinus:
     def test_triangle_drop_neighborhood(self, triangle):
