@@ -7,7 +7,6 @@ import sys
 import time
 from dataclasses import dataclass, field
 from itertools import combinations
-from multiprocessing import Pool
 from typing import Iterable, Iterator
 
 from . import assoc, ideals
@@ -142,6 +141,8 @@ def run_census(
             if bad is not None:
                 mismatches.append(bad)
     else:
+        from multiprocessing import Pool  # only a threaded census pays for this import
+
         jobs = ((g.n, t, g.sorted_edges) for g in graphs)
         with Pool(threads) as pool:
             for bad in pool.imap_unordered(_worker, jobs, chunksize=64):

@@ -2,15 +2,17 @@
 
 Ideals are stored by their unique minimal generating sets, as small integer
 matrices.  Powers, colons by a monomial and intersections are purely
-combinatorial (componentwise min/max and divisibility).  The colon by the
-maximal ideal, the saturation and the witness sweep for associated primes all
-read one membership table over the exponent box spanned by the generators.
+combinatorial (componentwise min/max and divisibility, checked degree class
+by degree class, since a proper divisor has strictly smaller total degree).
+The colon by the maximal ideal, the saturation and the witness sweep for
+associated primes all read one membership table over the exponent box spanned
+by the generators, seeded at them and closed upward by slice sweeps.
 No Groebner machinery anywhere, and no matching theory.
 """
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -18,27 +20,27 @@ import numpy as np
 from .graphs import SimpleGraph
 
 
+_BLOCK = 2048  # rows per side of one divisibility test: at most _BLOCK**2 * n booleans
+
+
 def _minimal_rows(arr: np.ndarray) -> np.ndarray:
-    """Drop rows divisible by another row (the antichain of minimal elements)."""
-    if arr.shape[0] == 0:
-        return arr
+    """Drop rows divisible by another row (the antichain of minimal elements).
+
+    After deduplication a divisor of a row is a proper divisor, of strictly
+    smaller total degree, so each degree class is compared only with the kept
+    rows of the lower classes.  For a power of an edge ideal (all generators
+    of degree 2t) that leaves `np.unique` alone.
+    """
     arr = np.unique(arr, axis=0)
-    k = arr.shape[0]
-    if k == 1:
-        return arr
-    if k <= 2048:
-        le = (arr[:, None, :] <= arr[None, :, :]).all(axis=2)
-        np.fill_diagonal(le, False)
-        keep = ~le.any(axis=0)
-        return arr[keep]
-    # degree-ordered incremental sweep for very large inputs
-    order = np.argsort(arr.sum(axis=1), kind="stable")
-    arr = arr[order]
-    kept: list[np.ndarray] = []
-    for row in arr:
-        if not kept or not (np.array(kept) <= row).all(axis=1).any():
-            kept.append(row)
-    return np.unique(np.array(kept, dtype=arr.dtype), axis=0)
+    deg = arr.sum(axis=1)
+    keep = np.ones(arr.shape[0], dtype=bool)
+    for d in np.unique(deg)[1:]:
+        rows, lower = np.flatnonzero(deg == d), arr[keep & (deg < d)]
+        for i, k in product(range(0, len(rows), _BLOCK), range(0, len(lower), _BLOCK)):
+            block = rows[i : i + _BLOCK]
+            le = lower[None, k : k + _BLOCK] <= arr[block, None]
+            keep[block] &= ~le.all(axis=2).any(axis=1)
+    return arr[keep]
 
 
 class MonomialIdeal:
@@ -53,12 +55,8 @@ class MonomialIdeal:
             raise ValueError("generators must form a minimal antichain")
 
     def _is_antichain(self) -> bool:
-        g = self.gens
-        if g.shape[0] <= 1:
-            return True
-        le = (g[:, None, :] <= g[None, :, :]).all(axis=2)
-        np.fill_diagonal(le, False)
-        return not le.any()
+        # distinct rows, none dividing another: minimalising drops nothing
+        return self.gens.shape[0] <= 1 or _minimal_rows(self.gens).shape[0] == self.gens.shape[0]
 
     @classmethod
     def from_gens(cls, n: int, vectors: Iterable[Sequence[int]]) -> "MonomialIdeal":
@@ -155,16 +153,17 @@ def intersect(j1: MonomialIdeal, j2: MonomialIdeal) -> MonomialIdeal:
 def membership_box(j: MonomialIdeal, shape: tuple[int, ...]) -> np.ndarray:
     """Membership table of j over the exponent box of the given shape.
 
-    The generators are seeded as points and closed upward with one
-    accumulating pass per axis, so the cost is box size times n.
+    The generators inside the box (one outside divides nothing inside) are
+    seeded as points in one assignment, and the box is closed upward by slice
+    sweeps, slice k |= slice k - 1 along each axis: box size times n.
     """
     box = np.zeros(shape, dtype=bool)
-    for row in j.gens:
-        if all(int(e) < s for e, s in zip(row, shape)):
-            box[tuple(int(e) for e in row)] = True
-        # a generator outside the box divides nothing inside it
-    for axis in range(j.n):
-        np.logical_or.accumulate(box, axis=axis, out=box)
+    inside = j.gens[(j.gens < np.array(shape, dtype=np.int64)).all(axis=1)]
+    if inside.shape[0]:  # with n = 0 an empty index would select the whole box
+        box[tuple(inside.T)] = True
+    for view in (np.moveaxis(box, axis, 0) for axis in range(j.n)):
+        for k in range(1, view.shape[0]):
+            view[k] |= view[k - 1]
     return box
 
 

@@ -219,6 +219,8 @@ BOWTIE = "1-2,1-3,2-3,1-4,1-5,4-5"
 C9 = ",".join(f"{i}-{i % 9 + 1}" for i in range(1, 10))
 C11 = ",".join(f"{i}-{i % 11 + 1}" for i in range(1, 12))
 C15 = ",".join(f"{i}-{i % 15 + 1}" for i in range(1, 16))
+# 16 edges on 8 vertices: I^4 has 2,099 minimal generators
+N8 = "1-2,1-4,1-5,1-6,2-3,2-4,2-7,3-4,3-6,3-7,3-8,4-5,4-6,4-7,4-8,6-8"
 
 
 class TestGoldenOutput:
@@ -251,6 +253,7 @@ class TestGoldenOutput:
                 ["ass", "--json", "--edges", BOWTIE + ",5-6", "3", "--method", "oracle"],
             ),
             ("ass_g10_t4_formula", ["ass", "--json", "--edges", G10, "4", "--method", "formula"]),
+            ("ass_oracle_n8_t4", ["ass", "--json", "--edges", N8, "4", "--method", "oracle"]),
         ],
     )
     def test_matches_golden_file(self, capsys, name, argv):

@@ -12,12 +12,14 @@ import pytest
 from edgesat.census import all_graphs, oracle_ass
 from edgesat.ideals import (
     MonomialIdeal,
+    _minimal_rows,
     ass_primes_oracle,
     colon_maximal,
     colon_monomial,
     edge_ideal,
     intersect,
     membership,
+    membership_box,
     membership_many,
     power,
     saturate,
@@ -56,6 +58,45 @@ def _prime_cover(k: MonomialIdeal) -> frozenset[int] | None:
 def _colon_by_variables(j: MonomialIdeal) -> MonomialIdeal:
     units = [tuple(int(i == k) for i in range(j.n)) for k in range(j.n)]
     return reduce(intersect, (colon_monomial(j, e) for e in units))
+
+
+def _divisibility_inputs(seed: int) -> list[np.ndarray]:
+    """Seeded integer arrays with n = 1..5: mixed degrees, repeated rows, zero
+    rows, empty arrays, and one input whose degree-15 class and the minimal
+    rows below it both pass 2,048 rows, so both are compared in blocks."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for n in range(1, 6):
+        for _ in range(60):
+            arr = rng.integers(0, 4, size=(int(rng.integers(0, 25)), n))
+            if arr.shape[0] and rng.random() < 0.4:
+                arr = np.vstack([arr, arr[: int(rng.integers(1, arr.shape[0] + 1))]])
+            if rng.random() < 0.2:
+                arr = np.vstack([arr, np.zeros((1, n), dtype=arr.dtype)])
+            out.append(arr.astype(np.int64))
+    cube = np.array(list(product(range(10), repeat=5)), dtype=np.int64)
+    layers = [cube[cube.sum(axis=1) == d] for d in (14, 15)] + [cube[cube.sum(axis=1) > 15]]
+    out.append(np.vstack([layer[rng.choice(len(layer), 2500, replace=False)] for layer in layers]))
+    return out
+
+
+def _all_pairs_minimal(arr: np.ndarray) -> np.ndarray:
+    """Reference: the distinct rows, in lexicographic order, that no other
+    distinct row divides."""
+    rows = np.array(sorted(set(map(tuple, arr.tolist()))), dtype=np.int64)
+    rows = rows.reshape(-1, arr.shape[1])
+    return rows[np.array([(rows <= r).all(axis=1).sum() == 1 for r in rows], dtype=bool)]
+
+
+def _all_pairs_antichain(arr: np.ndarray) -> bool:
+    """Reference: no two rows are equal and none divides another."""
+    return all((arr <= r).all(axis=1).sum() == 1 for r in arr)
+
+
+def _box_reference(j: MonomialIdeal, shape: tuple[int, ...]) -> np.ndarray:
+    """Per-cell definition: w is in the table when some generator is <= w."""
+    cells = [bool((j.gens <= np.array(w)).all(axis=1).any()) for w in np.ndindex(*shape)]
+    return np.array(cells, dtype=bool).reshape(shape)
 
 
 class TestBasics:
@@ -201,3 +242,55 @@ class TestInvariants:
         for w in ((1, 0, 0, 0, 0), (1, 1, 1, 0, 0), (2, 2, 0, 0, 1)):
             k = colon_monomial(j2, w)
             assert all(membership(k, tuple(row)) for row in j2.gens)
+
+
+class TestKernels:
+    """The degree-ordered minimalisation and the slice-swept table against
+    their definitions."""
+
+    INPUTS = _divisibility_inputs(8)
+
+    def test_inputs_reach_the_edge_cases(self):
+        big = np.unique(self.INPUTS[-1], axis=0)
+        deg = big.sum(axis=1)
+        assert (deg == 15).sum() > 2048 and len(_all_pairs_minimal(big[deg < 15])) > 2048
+        assert any(a.shape[0] == 0 for a in self.INPUTS)
+        assert any(len(np.unique(a, axis=0)) < a.shape[0] for a in self.INPUTS)
+        assert any(not a.any(axis=1).all() for a in self.INPUTS if a.shape[0] > 1)
+
+    def test_minimal_rows_matches_all_pairs(self):
+        for arr in self.INPUTS:
+            got = _minimal_rows(arr)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, _all_pairs_minimal(arr)), arr.shape
+
+    def test_antichain_verdict_matches_all_pairs(self):
+        verdicts = []
+        for arr in self.INPUTS:
+            for cand in (arr, _minimal_rows(arr)):
+                expected = _all_pairs_antichain(cand)
+                verdicts.append(expected)
+                if expected:
+                    assert MonomialIdeal(cand.shape[1], cand)._is_antichain()
+                else:
+                    with pytest.raises(ValueError, match="minimal antichain"):
+                        MonomialIdeal(cand.shape[1], cand)
+        assert True in verdicts and False in verdicts
+
+    def test_membership_box_matches_cells(self):
+        rng = random.Random(17)
+        for j in _random_ideals(52, 150):
+            top = j.gens.max(axis=0, initial=0)
+            truncated = tuple(rng.randint(0, int(r)) for r in top)
+            random_shape = tuple(rng.randint(0, 5) for _ in range(j.n))
+            for shape in (truncated, random_shape, tuple(int(r) + 2 for r in top)):
+                got = membership_box(j, shape)
+                assert np.array_equal(got, _box_reference(j, shape)), (j, shape)
+
+    def test_membership_box_zero_unit_and_outside(self):
+        outside = ideal(2, (5, 0), (1, 2), (0, 4))
+        unit, zero = ideal(3, (0, 0, 0)), MonomialIdeal.from_gens(3, [])
+        for j, shape in ((outside, (3, 3)), (outside, (6, 5)), (unit, (2, 3, 1)),
+                         (unit, (2, 0, 3)), (zero, (2, 3, 1)), (zero, (1, 1, 1))):
+            assert np.array_equal(membership_box(j, shape), _box_reference(j, shape)), (j, shape)
+        assert membership_box(unit, (2, 3, 1)).all() and not membership_box(zero, (2, 3, 1)).any()
