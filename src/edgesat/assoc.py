@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .graphs import (
     SimpleGraph,
@@ -95,8 +95,9 @@ def _reports_over(
     return _sort_reports(reports)
 
 
-def _core_inequalities_hold(g: SimpleGraph, f: Iterable[int], h: WeightedGraph, t: int) -> bool:
-    """The saturation inequality at each vertex of core(F) outside the support of h."""
+def _core_inequalities_hold(g: SimpleGraph, f: Iterable[int], a: Sequence[int], t: int) -> bool:
+    """The saturation inequality at each vertex of core(F) outside the support of a."""
+    h = weighted_graph(g, a)
     return _inequalities_hold_at(h, t, iter_bits(_core_mask(g, mask_of(f)) & ~h.mask))
 
 
@@ -117,9 +118,9 @@ def is_associated(g: SimpleGraph, f: Iterable[int], t: int) -> AssPrimeReport | 
         return AssPrimeReport(f, "minimal", {"type": "minimal-cover"})
     if t == 1:
         return None  # Ass(I) is exactly the minimal covers
-    for sup, a, h in _saturating_graphs(g, t, _core_mask(g, fm)):
+    for sup, a in _saturating_graphs(g, t, _core_mask(g, fm)):
         if is_minimal_over(g, f, closed_neighborhood(g, sup)) and _core_inequalities_hold(
-            g, f, h, t
+            g, f, a, t
         ):
             return AssPrimeReport(f, "embedded", {"type": "witness", "exponents": list(a)})
     return None
@@ -134,9 +135,9 @@ def ass_primes(g: SimpleGraph, t: int) -> list[AssPrimeReport]:
     if t >= 2:
         seen = prime_sets(reports)
         found = sorted(_saturating_graphs(g, t, g.full_mask), key=lambda x: x[1])
-        for sup, a, h in found:
+        for sup, a in found:
             for f in covers_minimal_over(g, closed_neighborhood(g, sup)):
-                if f not in seen and _core_inequalities_hold(g, f, h, t):
+                if f not in seen and _core_inequalities_hold(g, f, a, t):
                     seen.add(f)
                     reports.append(
                         AssPrimeReport(

@@ -2,12 +2,11 @@
 
 Ideals are stored by their unique minimal generating sets, as small integer
 matrices.  Powers, colons by a monomial and intersections are purely
-combinatorial (componentwise min/max and divisibility, checked degree class
-by degree class, since a proper divisor has strictly smaller total degree).
-The colon by the maximal ideal, the saturation and the witness sweep for
-associated primes all read one membership table over the exponent box spanned
-by the generators, seeded at them and closed upward by slice sweeps.
-No Groebner machinery anywhere, and no matching theory.
+combinatorial: componentwise min/max, a lexsort that drops repeated rows, and
+divisibility checked degree class by degree class.  The colon by the maximal
+ideal, the saturation (the AND of the table's top slices, in one pass) and the
+witness sweep for associated primes read one membership table over the box
+spanned by the generators.  No Groebner machinery, and no matching theory.
 """
 
 from __future__ import annotations
@@ -23,23 +22,37 @@ from .graphs import SimpleGraph
 _BLOCK = 2048  # rows per side of one divisibility test: at most _BLOCK**2 * n booleans
 
 
+def _unique_rows(arr: np.ndarray) -> np.ndarray:
+    """The distinct rows in lexicographic order: a lexsort over the columns
+    (with none, all rows are equal), then a drop of each repeated row."""
+    arr = arr[np.lexsort(arr.T[::-1])] if arr.shape[1] else arr
+    keep = np.ones(arr.shape[0], dtype=bool)
+    keep[1:] = (arr[1:] != arr[:-1]).any(axis=1)
+    return arr[keep]
+
+
+def _divides(low: np.ndarray, high: np.ndarray) -> np.ndarray:
+    """The table [low[p] divides high[q]] over (q, p), built column by column:
+    numpy reduces a short last axis slowly."""
+    le = [lo <= hi[:, None] for hi, lo in zip(high.T, low.T)]
+    return np.logical_and.reduce(le) if le else np.ones((len(high), len(low)), dtype=bool)
+
+
 def _minimal_rows(arr: np.ndarray) -> np.ndarray:
     """Drop rows divisible by another row (the antichain of minimal elements).
 
     After deduplication a divisor of a row is a proper divisor, of strictly
     smaller total degree, so each degree class is compared only with the kept
-    rows of the lower classes.  For a power of an edge ideal (all generators
-    of degree 2t) that leaves `np.unique` alone.
+    rows of the lower classes (none for a power of an edge ideal).
     """
-    arr = np.unique(arr, axis=0)
+    arr = _unique_rows(arr)
     deg = arr.sum(axis=1)
     keep = np.ones(arr.shape[0], dtype=bool)
     for d in np.unique(deg)[1:]:
         rows, lower = np.flatnonzero(deg == d), arr[keep & (deg < d)]
         for i, k in product(range(0, len(rows), _BLOCK), range(0, len(lower), _BLOCK)):
             block = rows[i : i + _BLOCK]
-            le = lower[None, k : k + _BLOCK] <= arr[block, None]
-            keep[block] &= ~le.all(axis=2).any(axis=1)
+            keep[block] &= ~_divides(lower[k : k + _BLOCK], arr[block]).any(axis=1)
     return arr[keep]
 
 
@@ -84,9 +97,7 @@ class MonomialIdeal:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MonomialIdeal):
             return NotImplemented
-        return self.n == other.n and self.gens.shape == other.gens.shape and bool(
-            (self.gens == other.gens).all()
-        )
+        return self.n == other.n and np.array_equal(self.gens, other.gens)
 
     def __hash__(self) -> int:
         return hash((self.n, self.gens.shape, self.gens.tobytes()))
@@ -112,32 +123,38 @@ def power(j: MonomialIdeal, t: int) -> MonomialIdeal:
         raise ValueError("power requires t >= 1")
     if t == 1 or j.is_zero:
         return j
-    k = j.gens.shape[0]
-    combos = np.array(list(combinations_with_replacement(range(k), t)), dtype=np.int64)
+    combos = np.array(list(combinations_with_replacement(range(len(j.gens)), t)), dtype=np.int64)
     rows = j.gens[combos].sum(axis=1)
     return MonomialIdeal(j.n, _minimal_rows(rows))
 
 
+def _exponent_rows(n: int, rows) -> np.ndarray:
+    """`rows` as an int64 matrix of exponent vectors, refusing a vector whose
+    length is not n or a negative entry."""
+    arr = np.asarray(rows, dtype=np.int64)
+    if arr.ndim != 2:
+        raise ValueError("exponent vectors must be the rows of a matrix")
+    if arr.shape[1] != n:
+        raise ValueError(f"exponent vector has length {arr.shape[1]}, expected {n}")
+    if (arr < 0).any():
+        raise ValueError("exponents must be non-negative")
+    return arr
+
+
 def membership(j: MonomialIdeal, a: Sequence[int]) -> bool:
     """Does some generator divide x^a?"""
-    if j.is_zero:
-        return False
-    return bool((j.gens <= np.asarray(a, dtype=np.int64)).all(axis=1).any())
+    return bool(membership_many(j, [a])[0])
 
 
 def membership_many(j: MonomialIdeal, a_matrix: np.ndarray) -> np.ndarray:
-    """Vectorised membership for many exponent vectors at once."""
-    if j.is_zero:
-        return np.zeros(a_matrix.shape[0], dtype=bool)
-    return (j.gens[None, :, :] <= a_matrix[:, None, :]).all(axis=2).any(axis=1)
+    """Vectorised membership for many exponent vectors (the rows) at once."""
+    return _divides(j.gens, _exponent_rows(j.n, a_matrix)).any(axis=1)
 
 
 def colon_monomial(j: MonomialIdeal, w: Sequence[int]) -> MonomialIdeal:
     """j : x^w, by clipping each generator below w."""
-    if j.is_zero:
-        return j
-    arr = np.clip(j.gens - np.asarray(w, dtype=np.int64), 0, None)
-    return MonomialIdeal(j.n, _minimal_rows(arr))
+    w = _exponent_rows(j.n, [w])[0]
+    return MonomialIdeal(j.n, _minimal_rows(np.clip(j.gens - w, 0, None)))
 
 
 def intersect(j1: MonomialIdeal, j2: MonomialIdeal) -> MonomialIdeal:
@@ -151,14 +168,11 @@ def intersect(j1: MonomialIdeal, j2: MonomialIdeal) -> MonomialIdeal:
 
 
 def membership_box(j: MonomialIdeal, shape: tuple[int, ...]) -> np.ndarray:
-    """Membership table of j over the exponent box of the given shape.
-
-    The generators inside the box (one outside divides nothing inside) are
-    seeded as points in one assignment, and the box is closed upward by slice
-    sweeps, slice k |= slice k - 1 along each axis: box size times n.
-    """
+    """Membership table of j over a box of the given shape: the generators inside
+    it seeded at once, then closed upward by slice k |= slice k - 1 on each axis."""
+    top = _exponent_rows(j.n, [shape])[0]
     box = np.zeros(shape, dtype=bool)
-    inside = j.gens[(j.gens < np.array(shape, dtype=np.int64)).all(axis=1)]
+    inside = j.gens[(j.gens < top).all(axis=1)]
     if inside.shape[0]:  # with n = 0 an empty index would select the whole box
         box[tuple(inside.T)] = True
     for view in (np.moveaxis(box, axis, 0) for axis in range(j.n)):
@@ -174,18 +188,17 @@ def _bitmap(j: MonomialIdeal) -> np.ndarray:
 
 
 def _gens_from_upset(n: int, box: np.ndarray) -> MonomialIdeal:
-    """Minimal elements of an upward-closed membership table: the members w
-    with w - e_i outside it along every axis i where w_i > 0."""
+    """Minimal members w of an upward-closed table: w - e_i is outside for each w_i > 0."""
     minimal = box.copy()
     for axis in range(n):
         lead = (slice(None),) * axis
         minimal[lead + (slice(1, None),)] &= ~box[lead + (slice(None, -1),)]
-    return MonomialIdeal(n, np.argwhere(minimal).astype(np.int64))
+    cells = np.unravel_index(np.flatnonzero(minimal), box.shape)  # np.argwhere, but faster
+    return MonomialIdeal(n, np.stack(cells, axis=-1).astype(np.int64))
 
 
 def _shift(box: np.ndarray, axis: int) -> np.ndarray:
-    """The table of w -> [w + e_axis in j] from the table of j; the top slice
-    of the box is absorbing."""
+    """The table of w -> [w + e_axis in j] from that of j (top slice absorbing)."""
     s = box.shape[axis]
     return np.take(box, np.minimum(np.arange(1, s + 1), s - 1), axis=axis)
 
@@ -203,17 +216,16 @@ def colon_maximal(j: MonomialIdeal) -> MonomialIdeal:
 
 
 def saturate(j: MonomialIdeal) -> MonomialIdeal:
-    """The saturation: iterate K <- K : m on the table of j to its fixpoint.
-
-    The generators of every K lie in the box of j, so the table stays exact,
-    and each step only grows it until it stops changing.
-    """
+    """sat(j), the intersection of the colons j : x_i^inf, in one pass: w is in
+    j : x_i^inf exactly when w raised to the top of axis i is in j (the top
+    slice is absorbing), so its table is the AND of the top slices of j's."""
+    if j.n < 1:
+        raise ValueError("colon_maximal needs at least one variable")
     box = _bitmap(j)
-    while True:
-        nxt = _colon_table(box)
-        if np.array_equal(nxt, box):
-            return _gens_from_upset(j.n, box)
-        box = nxt
+    sat = np.ones(box.shape, dtype=bool)
+    for axis in range(j.n):
+        sat &= box[(slice(None),) * axis + (slice(-1, None),)]
+    return _gens_from_upset(j.n, sat)
 
 
 def lcm_exponents(j: MonomialIdeal) -> np.ndarray:
@@ -237,6 +249,6 @@ def ass_primes_oracle(j: MonomialIdeal) -> list[frozenset[int]]:
     inside = np.stack([_shift(box, axis) for axis in range(j.n)], axis=-1).reshape(-1, j.n)
     grid = np.indices(box.shape).reshape(j.n, -1).T
     raised = np.where(inside, grid, np.array(box.shape) - 1)
-    masks = np.unique(inside[~box[tuple(raised.T)]], axis=0)
+    masks = _unique_rows(inside[~box[tuple(raised.T)]])
     found = [frozenset(int(i) + 1 for i in np.flatnonzero(f)) for f in masks]
     return sorted(found, key=lambda s: (len(s), sorted(s)))

@@ -3,6 +3,8 @@
 The weighted graph G_a of a monomial x^a is the ambient `SimpleGraph` with
 the exponent vector a: the induced subgraph on the support of a (a bit mask),
 vertex i weighted a_i; `minus` and `components` set entries of a to zero.
+It is immutable, and computes what every `nu` call reads, the support and
+its canonical key, once when it is built.
 A matching is an edge multiset in which every vertex appears at most its
 weight many times; nu is the maximum size of one.
 The canonical algorithm blows each vertex up into weight-many clones and
@@ -36,12 +38,53 @@ def _edge_bits(g: SimpleGraph, verts: Sequence[int]) -> int:
     return bits
 
 
-@dataclass(frozen=True)
 class WeightedGraph:
-    """The weighted graph G_a: the ambient graph and an exponent vector a."""
+    """The weighted graph G_a: the ambient graph and an exponent vector a.
 
-    graph: SimpleGraph
-    a: tuple[int, ...]
+    Immutable, and equal, hashed and shown as the pair (graph, a).  The views
+    every `nu` call reads, the support's vertices and weights, its mask and
+    the canonical key, are computed once in the constructor; `edges`,
+    `weight_map`, `adjacency` and `total_weight` are computed on each access.
+    """
+
+    __slots__ = ("graph", "a", "vertices", "weights", "mask", "cache_key")
+
+    def __init__(self, graph: SimpleGraph, a: tuple[int, ...]):
+        vertices, weights, mask = [], [], 0
+        for i, x in enumerate(a):
+            if x:
+                vertices.append(i + 1)
+                weights.append(x)
+                mask |= 1 << i
+        vertices, weights = tuple(vertices), tuple(weights)
+        init = object.__setattr__  # the class refuses assignment
+        init(self, "graph", graph)
+        init(self, "a", a)
+        init(self, "vertices", vertices)
+        init(self, "weights", weights)
+        init(self, "mask", mask)  # the support of a
+        # canonical after relabelling the vertices to 0..k-1
+        init(self, "cache_key", (weights, _edge_bits(graph, vertices)))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.graph, self.a) == (other.graph, other.a)
+
+    def __hash__(self) -> int:
+        return hash((self.graph, self.a))
+
+    def __repr__(self) -> str:
+        return f"WeightedGraph(graph={self.graph!r}, a={self.a!r})"
+
+    def __reduce__(self) -> tuple:
+        return WeightedGraph, (self.graph, self.a)
 
     @classmethod
     def build(cls, weights: Mapping[int, int], edges: Iterable[tuple[int, int]]) -> "WeightedGraph":
@@ -62,48 +105,30 @@ class WeightedGraph:
         a = tuple(a)
         if len(a) != g.n:
             raise ValueError(f"exponent vector has length {len(a)}, expected {g.n}")
-        if any(x < 0 for x in a):
+        if a and min(a) < 0:
             raise ValueError("exponents must be non-negative")
         return cls(g, a)
 
-    @cached_property
-    def vertices(self) -> tuple[int, ...]:
-        return tuple(i + 1 for i, x in enumerate(self.a) if x)
-
-    @cached_property
-    def weights(self) -> tuple[int, ...]:
-        return tuple(x for x in self.a if x)
-
-    @cached_property
-    def mask(self) -> int:
-        """The support of a, as a vertex mask."""
-        return mask_of(self.vertices)
-
-    @cached_property
+    @property
     def edges(self) -> frozenset[tuple[int, int]]:
         m = self.mask
         return frozenset((u, v) for u, v in self.graph.edges if m >> (u - 1) & m >> (v - 1) & 1)
 
-    @cached_property
+    @property
     def weight_map(self) -> dict[int, int]:
         return dict(zip(self.vertices, self.weights))
 
-    @cached_property
+    @property
     def adjacency(self) -> dict[int, frozenset[int]]:
         return {v: set_of(self.graph.adj_bits[v - 1] & self.mask) for v in self.vertices}
 
-    @cached_property
+    @property
     def total_weight(self) -> int:
         return sum(self.a)
 
-    @cached_property
-    def cache_key(self) -> tuple:
-        """Canonical key after relabelling the vertices to 0..k-1."""
-        return self.weights, _edge_bits(self.graph, self.vertices)
-
     def weighted_degree(self, v: int) -> int:
         """Sum of the weights of the neighbours of v."""
-        return sum(self.weight_map[u] for u in self.adjacency[v])
+        return sum(self.a[u - 1] for u in self.adjacency[v])
 
     def minus_mask(self, drop: int) -> "WeightedGraph":
         """Induced weighted subgraph on the support outside the mask `drop`."""
@@ -142,12 +167,13 @@ class Matching:
 
 
 def validate_matching(h: WeightedGraph, m: Matching) -> None:
+    edges, weight_map = h.edges, h.weight_map
     for e in m.edges:
-        if e not in h.edges:
+        if e not in edges:
             raise ValueError(f"matching uses non-edge {e}")
     for v, c in m.usage.items():
-        if c > h.weight_map[v]:
-            raise ValueError(f"vertex {v} used {c} times, weight {h.weight_map[v]}")
+        if c > weight_map[v]:
+            raise ValueError(f"vertex {v} used {c} times, weight {weight_map[v]}")
 
 
 # ---------------------------------------------------------------------------
@@ -328,9 +354,9 @@ def has_augmenting_walk(h: WeightedGraph, m: Matching) -> bool:
     validate_matching(h, m)
     verts = h.vertices
     index = {v: i for i, v in enumerate(verts)}
-    weights = h.weights
+    weights, weight_map = h.weights, h.weight_map
     used0 = m.usage
-    unmatched = [v for v in verts if used0.get(v, 0) < h.weight_map[v]]
+    unmatched = [v for v in verts if used0.get(v, 0) < weight_map[v]]
     if not unmatched:
         return False
     adj = h.adjacency
@@ -340,7 +366,7 @@ def has_augmenting_walk(h: WeightedGraph, m: Matching) -> bool:
     def dfs(v: int, parity: int, usage: tuple[int, ...], slots: tuple[tuple[int, int], ...]) -> bool:
         # parity = number of edges taken so far, mod 2
         if parity == 1:
-            spare = h.weight_map[v] - used0.get(v, 0)
+            spare = weight_map[v] - used0.get(v, 0)
             if spare >= (2 if v == start else 1):
                 return True
         state = (v, parity, usage, slots)

@@ -51,7 +51,7 @@ def _capped_graph(g: SimpleGraph, a: Sequence[int], t: int) -> WeightedGraph:
     membership in I^t and sat(I^t) alike: a matching of size t uses no vertex
     more than t times, and a weight of t or more on N already gives w(N) >= t."""
     _check_t(t)
-    return weighted_graph(g, [min(x, t) for x in a])
+    return weighted_graph(g, [x if x < t else t for x in a])
 
 
 def in_power(g: SimpleGraph, a: Sequence[int], t: int) -> bool:
@@ -226,8 +226,8 @@ def build_strong(g: SimpleGraph, u: Iterable[int], seed: Iterable[int]) -> Expon
 
 def _saturating_graphs(
     g: SimpleGraph, t: int, region: int
-) -> Iterator[tuple[tuple[int, ...], ExponentVector, WeightedGraph]]:
-    """The t-saturating weighted graphs supported in `region`, as (support, a, h).
+) -> Iterator[tuple[tuple[int, ...], ExponentVector]]:
+    """The t-saturating weighted graphs supported in `region`, as (support, a).
 
     Supports come by size, then in lexicographic order, and the weights on
     each support in lexicographic order.  The paper's bounds make the search
@@ -236,9 +236,10 @@ def _saturating_graphs(
     of those odd cycles needs no filter of its own: a longer odd cycle carries
     t disjoint edges, so nu >= t and the support is dropped.
 
-    No `WeightedGraph` is built per weight tuple w.  nu(w) < t holds without a
-    call when w sums to less than 2t, and fails without one when some earlier
-    w - e_p on the support failed, nu being monotone in the weights.
+    No `WeightedGraph` is built per weight tuple w, nor for the vectors
+    yielded, which most callers never need as graphs.  nu(w) < t holds without
+    a call when w sums to less than 2t, and fails without one when some
+    earlier w - e_p on the support failed, nu being monotone in the weights.
     """
     total_bound = 3 * (t - 1)
     verts = list(iter_bits(region))
@@ -268,7 +269,7 @@ def _saturating_graphs(
                 elif _inequalities_hold(w, t, plans):
                     on_support = dict(zip(sup, w))
                     a = tuple(on_support.get(v, 0) for v in range(1, g.n + 1))
-                    yield sup, a, weighted_graph(g, a)
+                    yield sup, a
 
 
 def saturating_vectors(g: SimpleGraph, t: int) -> list[ExponentVector]:
@@ -280,7 +281,7 @@ def saturating_vectors(g: SimpleGraph, t: int) -> list[ExponentVector]:
     """
     if t < 2:
         raise ValueError("saturating graphs require t >= 2")
-    return sorted(a for _, a, _ in _saturating_graphs(g, t, g.full_mask))
+    return sorted(a for _, a in _saturating_graphs(g, t, g.full_mask))
 
 
 def facets_delta(g: SimpleGraph, a: Sequence[int], t: int) -> list[frozenset[int]]:

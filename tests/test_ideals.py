@@ -9,10 +9,11 @@ from itertools import product
 import numpy as np
 import pytest
 
-from edgesat.census import all_graphs, oracle_ass
+from edgesat.census import all_graphs, all_graphs_upto, oracle_ass
 from edgesat.ideals import (
     MonomialIdeal,
     _minimal_rows,
+    _unique_rows,
     ass_primes_oracle,
     colon_maximal,
     colon_monomial,
@@ -88,6 +89,14 @@ def _all_pairs_minimal(arr: np.ndarray) -> np.ndarray:
     return rows[np.array([(rows <= r).all(axis=1).sum() == 1 for r in rows], dtype=bool)]
 
 
+def _fixpoint_saturation(j: MonomialIdeal) -> MonomialIdeal:
+    """Reference: iterate K <- K : m to its fixpoint."""
+    k = j
+    while (nxt := colon_maximal(k)) != k:
+        k = nxt
+    return k
+
+
 def _all_pairs_antichain(arr: np.ndarray) -> bool:
     """Reference: no two rows are equal and none divides another."""
     return all((arr <= r).all(axis=1).sum() == 1 for r in arr)
@@ -136,11 +145,48 @@ class TestMembership:
         assert not membership(power(j, 2), (1, 1, 1))
 
     def test_membership_many_matches_scalar(self, tailed_triangle):
-        j = power(edge_ideal(tailed_triangle), 2)
-        vecs = np.array(list(product(range(3), repeat=5)), dtype=np.int64)
-        bulk = membership_many(j, vecs)
-        for row, got in zip(vecs, bulk):
-            assert membership(j, tuple(row)) == bool(got)
+        """Both against the definition: some generator is <= x^a entrywise."""
+        rng = random.Random(23)
+        j2 = power(edge_ideal(tailed_triangle), 2)
+        zeros = [MonomialIdeal.from_gens(n, []) for n in range(1, 5)]
+        cases = [(j2, list(product(range(3), repeat=5)))] + [
+            (j, [tuple(rng.randint(0, 4) for _ in range(j.n)) for _ in range(12)])
+            for j in _random_ideals(53, 120) + zeros
+        ]
+        for j, vecs in cases:
+            want = [any(all(g <= x for g, x in zip(row, a)) for row in j.to_lists()) for a in vecs]
+            assert membership_many(j, np.array(vecs, dtype=np.int64)).tolist() == want, j
+            got = [membership(j, a) for a in vecs]
+            assert got == want and all(type(x) is bool for x in got), j
+
+
+class TestInputChecks:
+    """Exponent vectors of the wrong length or with a negative entry are
+    refused with the matching side's messages, not broadcast."""
+
+    @pytest.mark.parametrize("bad, message", [
+        ([1], "exponent vector has length 1, expected 3"),
+        ([1, 1, 1, 1], "exponent vector has length 4, expected 3"),
+        ([1, -1, 1], "exponents must be non-negative"),
+    ])
+    def test_membership_and_colon(self, triangle, bad, message):
+        j = edge_ideal(triangle)
+        with pytest.raises(ValueError, match=message):
+            membership(j, bad)
+        with pytest.raises(ValueError, match=message):
+            colon_monomial(j, bad)
+        with pytest.raises(ValueError, match=message):
+            membership_many(j, np.array([bad, bad], dtype=np.int64))
+        with pytest.raises(ValueError, match=message):
+            membership_box(j, tuple(bad))
+        with pytest.raises(ValueError, match=message):  # the zero ideal is checked too
+            membership(MonomialIdeal.from_gens(3, []), bad)
+
+    def test_membership_many_needs_a_matrix(self, triangle):
+        j = edge_ideal(triangle)
+        with pytest.raises(ValueError, match="rows of a matrix"):
+            membership_many(j, np.array([1, 1, 0], dtype=np.int64))
+        assert membership_many(j, np.zeros((0, 3), dtype=np.int64)).shape == (0,)
 
 
 class TestColonAndSaturation:
@@ -222,6 +268,17 @@ class TestGeneratorLevelDefinitions:
             expected = {f for f in colons if f is not None}
             assert ass_primes_oracle(j) == sorted(expected, key=lambda f: (len(f), sorted(f))), j
 
+    def test_saturate_is_the_fixpoint_of_colon_maximal(self):
+        zeros = [MonomialIdeal.from_gens(n, []) for n in range(1, 5)]
+        units = [ideal(n, (0,) * n) for n in range(1, 5)]
+        sample = self.IDEALS + _random_ideals(54, 300) + zeros + units
+        for j in [power(edge_ideal(g), t) for g in all_graphs_upto(5) for t in range(1, 5)] + sample:
+            assert saturate(j) == _fixpoint_saturation(j), j
+
+    def test_saturate_refuses_no_variables(self):
+        with pytest.raises(ValueError, match="at least one variable"):
+            saturate(MonomialIdeal.from_gens(0, [()]))
+
     def test_saturate_is_the_fixpoint_of_that_intersection(self):
         for j in self.IDEALS:
             k = j
@@ -263,6 +320,17 @@ class TestKernels:
             got = _minimal_rows(arr)
             assert got.dtype == np.int64
             assert np.array_equal(got, _all_pairs_minimal(arr)), arr.shape
+
+    def test_rows_come_out_in_numpy_unique_order(self):
+        bools = [a > 1 for a in self.INPUTS[:100]]
+        no_columns = [np.zeros((k, 0), dtype=np.int64) for k in range(3)]
+        for arr in self.INPUTS + bools + no_columns:
+            want = np.unique(arr, axis=0)
+            got = _unique_rows(arr)
+            assert got.dtype == want.dtype and np.array_equal(got, want), arr.shape
+            if arr.dtype == np.int64 and arr.shape[1]:
+                kept = np.array([(want <= r).all(axis=1).sum() == 1 for r in want], dtype=bool)
+                assert np.array_equal(_minimal_rows(arr), want[kept])
 
     def test_antichain_verdict_matches_all_pairs(self):
         verdicts = []

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
+from dataclasses import dataclass
 from itertools import combinations, product
 
 import pytest
@@ -12,6 +15,7 @@ from edgesat.graphs import SimpleGraph, connected_components
 from edgesat.matching import (
     Matching,
     WeightedGraph,
+    _edge_bits,
     has_augmenting_walk,
     maximum_matching,
     nu,
@@ -233,6 +237,25 @@ def _views(h: WeightedGraph) -> dict:
     }
 
 
+@dataclass(frozen=True)
+class _FrozenPair:
+    """The earlier frozen-dataclass form of a weighted graph: equality, hash
+    and repr over (graph, a)."""
+
+    graph: SimpleGraph
+    a: tuple[int, ...]
+
+
+def _assert_pair_semantics(h: WeightedGraph) -> None:
+    ref = _FrozenPair(h.graph, h.a)
+    twin = WeightedGraph(h.graph, h.a)
+    assert twin == h and twin is not h and not twin != h
+    assert hash(h) == hash(ref) == hash(twin)
+    assert repr(h) == repr(ref).replace("_FrozenPair", "WeightedGraph")
+    assert h != ref and h != (h.graph, h.a)
+    assert pickle.loads(pickle.dumps(h)) == h and copy.deepcopy(h) == h
+
+
 class TestRepresentation:
     """The weighted graph of a is the pair (g, a); every view is derived from it."""
 
@@ -259,6 +282,20 @@ class TestRepresentation:
                     [(u + shift, v + shift) for u, v in g.edges] + [(1, g.n + shift + 1)],
                 )
                 assert wg(big, 0, 0, *a, 0).cache_key == h.cache_key
+                assert h.cache_key == (h.weights, _edge_bits(g, h.vertices))
+                assert h.mask == sum(1 << (v - 1) for v in h.vertices)
+                _assert_pair_semantics(h)
+
+    def test_immutable(self, triangle):
+        h = wg(triangle, 2, 0, 1)
+        for name in ("graph", "a", "vertices", "weights", "mask", "cache_key", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(h, name, None)
+            with pytest.raises(AttributeError):
+                delattr(h, name)
+        assert (h.a, h.vertices, h.weights, h.mask) == ((2, 0, 1), (1, 3), (2, 1), 0b101)
+        assert h.cache_key == ((2, 1), 0b10)  # vertices 1 and 3 relabelled 0 and 1
+        assert h != wg(triangle, 2, 0, 2) and h != wg(graph(3), 2, 0, 1)
 
     def test_build(self):
         h = WeightedGraph.build({2: 3, 5: 1}, [(5, 2)])

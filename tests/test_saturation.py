@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from edgesat.census import all_graphs, all_graphs_upto
+from edgesat.cli import main
 from edgesat.graphs import SimpleGraph, is_dominating, shortest_odd_cycle
 from edgesat.ideals import MonomialIdeal, edge_ideal, membership, power, saturate
-from edgesat.matching import WeightedGraph, nu, nu_bruteforce
+from edgesat.matching import _NU_CACHE, WeightedGraph, nu, nu_bruteforce
 from edgesat.saturation import (
     build_strong,
     extend_by_edge,
@@ -85,6 +86,51 @@ class TestInPower:
     def test_requires_positive_t(self, triangle):
         with pytest.raises(ValueError):
             in_power(triangle, (1, 1, 1), 0)
+
+
+PREDICATES = (in_power, in_saturation, in_sat_minus_power)
+
+
+class TestPredicateInputs:
+    """The three membership predicates take numpy rows and keep their messages."""
+
+    def test_numpy_rows_give_python_bools_and_int_cache_values(self, pentagon):
+        jt = power(edge_ideal(pentagon), 3)
+        sat = saturate(jt)
+        rows = np.array(list(product(range(4), repeat=5))[::7] + [[70, 3, 0, 2, 9]], dtype=np.int64)
+        for row in rows:
+            got = [p(pentagon, row, 3) for p in PREDICATES]
+            assert all(type(x) is bool for x in got), row
+            in_pow, in_sat = membership(jt, row), membership(sat, row)
+            assert got == [in_pow, in_sat, in_sat and not in_pow], row
+        assert _NU_CACHE and all(type(v) is int for v in _NU_CACHE.values())
+
+    @pytest.mark.parametrize("a, t, message", [
+        ((1, 1), 2, "exponent vector has length 2, expected 3"),
+        ((1, 1, 1, 1), 2, "exponent vector has length 4, expected 3"),
+        (np.array([1, 1]), 2, "exponent vector has length 2, expected 3"),
+        ((1, -1, 1), 2, "exponents must be non-negative"),
+        ((1, 1, 1), 0, "power exponent t must be at least 1"),
+        ((1, 1), 0, "power exponent t must be at least 1"),  # t is checked first
+    ])
+    def test_messages(self, triangle, a, t, message):
+        for predicate in PREDICATES:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                predicate(triangle, a, t)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["2", "1,1"], "error: vector has 2 entries, the graph has 3 vertices"),
+        (["2", "1,-1,1"], "error: exponents must be non-negative here"),
+    ])
+    def test_cli_messages(self, capsys, argv, message):
+        assert main(["sat", "--edges", "1-2,1-3,2-3", *argv]) == 2
+        assert capsys.readouterr().err.strip() == message
+
+    def test_cli_refuses_t_below_one(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sat", "--edges", "1-2,1-3,2-3", "0", "1,1,1"])
+        assert exc.value.code == 2
+        assert "argument t: the power exponent must be at least 1, got 0" in capsys.readouterr().err
 
 
 class TestLargeExponents:
