@@ -18,6 +18,7 @@ from .graphs import (
     _core_mask,
     _covers_edges,
     _odd_cycle_components,
+    _set_order,
     _vertex_mask,
     closed_neighborhood,
     components_masked,
@@ -66,7 +67,7 @@ class AssPrimeReport:
 
 
 def _sort_reports(reports: Iterable[AssPrimeReport]) -> list[AssPrimeReport]:
-    return sorted(reports, key=lambda r: (len(r.vertices), sorted(r.vertices)))
+    return sorted(reports, key=lambda r: _set_order(r.vertices))
 
 
 def prime_sets(reports: Iterable[AssPrimeReport]) -> set[frozenset[int]]:

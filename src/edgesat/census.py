@@ -10,7 +10,7 @@ from itertools import combinations
 from typing import Iterable, Iterator
 
 from . import assoc, ideals
-from .graphs import SimpleGraph, graph_to_text
+from .graphs import SimpleGraph, _set_order, graph_to_text
 
 
 def all_graphs(n: int) -> Iterator[SimpleGraph]:
@@ -96,7 +96,7 @@ class CensusReport:
 
 
 def _primes_sorted(primes: Iterable[frozenset[int]]) -> list[list[int]]:
-    return [sorted(p) for p in sorted(primes, key=lambda s: (len(s), sorted(s)))]
+    return [sorted(p) for p in sorted(primes, key=_set_order)]
 
 
 def check_graph(g: SimpleGraph, t: int) -> dict | None:

@@ -9,7 +9,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import assoc, census, saturation
-from .graphs import SimpleGraph, parse_graph_text
+from .graphs import SimpleGraph, _set_order, parse_graph_text
 from .matching import WeightedGraph, maximum_matching
 
 EXIT_OK = 0
@@ -137,7 +137,7 @@ def cmd_ass(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     t = args.t
     if args.method == "oracle":
-        primes = sorted(census.oracle_ass(g, t), key=lambda s: (len(s), sorted(s)))
+        primes = sorted(census.oracle_ass(g, t), key=_set_order)
         reports = [
             assoc.AssPrimeReport(p, "oracle", {"type": "colon-witness-sweep"})
             for p in primes

@@ -6,7 +6,6 @@ masks (bit k-1 <-> vertex k), which caps the vertex count at 64.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -69,11 +68,7 @@ class SimpleGraph:
 
     @cached_property
     def adj(self) -> dict[int, VertexSet]:
-        nbrs: dict[int, set[int]] = {v: set() for v in range(1, self.n + 1)}
-        for u, v in self.edges:
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        return {v: frozenset(s) for v, s in nbrs.items()}
+        return {v: set_of(b) for v, b in enumerate(self.adj_bits, 1)}
 
     @cached_property
     def adj_bits(self) -> tuple[int, ...]:
@@ -105,18 +100,21 @@ def _vertex_mask(g: SimpleGraph, vertices: Iterable[int]) -> int:
     return m
 
 
+def _nbrs(g: SimpleGraph, m: int) -> int:
+    """N(m) as a mask: the OR of the adjacency bits of the vertices of m."""
+    out = 0
+    for v in iter_bits(m):
+        out |= g.adj_bits[v - 1]
+    return out
+
+
 def open_neighborhood(g: SimpleGraph, u: Iterable[int]) -> VertexSet:
     """N(U): vertices adjacent to some vertex of U (may intersect U)."""
-    m = 0
-    for v in iter_bits(_vertex_mask(g, u)):
-        m |= g.adj_bits[v - 1]
-    return set_of(m)
+    return set_of(_nbrs(g, _vertex_mask(g, u)))
 
 
 def _closed_mask(g: SimpleGraph, m: int) -> int:
-    for v in iter_bits(m):
-        m |= g.adj_bits[v - 1]
-    return m
+    return m | _nbrs(g, m)
 
 
 def closed_neighborhood(g: SimpleGraph, u: Iterable[int]) -> VertexSet:
@@ -204,9 +202,13 @@ def maximal_independent_sets(g: SimpleGraph, region: int | None = None) -> list[
     return out
 
 
+def _set_order(s: VertexSet) -> tuple[int, list[int]]:
+    """Sort key of vertex sets: by size, then lexicographically."""
+    return (len(s), sorted(s))
+
+
 def _sorted_sets(masks: Iterable[int]) -> list[VertexSet]:
-    sets = {set_of(m) for m in masks}
-    return sorted(sets, key=lambda s: (len(s), sorted(s)))
+    return sorted({set_of(m) for m in masks}, key=_set_order)
 
 
 def minimal_covers(g: SimpleGraph) -> list[VertexSet]:
@@ -228,23 +230,40 @@ def covers_minimal_over(g: SimpleGraph, s: Iterable[int]) -> list[VertexSet]:
     return _sorted_sets(sm | (rest ^ m) for m in maximal_independent_sets(g, rest))
 
 
+def _layers(g: SimpleGraph, region: int, start: int) -> Iterator[tuple[int, int]]:
+    """Breadth-first layers of `region` from the mask `start`, each with its
+    neighbourhood N(layer).
+
+    Every edge of the component joins a layer to itself or to the next one,
+    so the component is bipartite exactly when no layer meets its own
+    neighbourhood; the first that does, at depth d, closes an odd walk of
+    length 2d+1.
+    """
+    layer = seen = start
+    while layer:
+        nbrs = _nbrs(g, layer)
+        yield layer, nbrs
+        layer = nbrs & region & ~seen
+        seen |= layer
+
+
+def _components(g: SimpleGraph, region: int) -> list[tuple[int, bool]]:
+    """Components of the induced subgraph on `region`, ordered by least vertex,
+    as (mask, whether it contains an odd cycle)."""
+    out = []
+    while region:
+        comp, odd = 0, False
+        for layer, nbrs in _layers(g, region, region & -region):
+            comp |= layer
+            odd = odd or bool(nbrs & layer)
+        out.append((comp, odd))
+        region &= ~comp
+    return out
+
+
 def components_masked(g: SimpleGraph, region: int) -> list[int]:
     """Connected components of the induced subgraph on `region`, as masks."""
-    comps = []
-    todo = region
-    while todo:
-        start = todo & -todo
-        seen = start
-        frontier = start
-        while frontier:
-            nxt = 0
-            for v in iter_bits(frontier):
-                nxt |= g.adj_bits[v - 1] & region
-            frontier = nxt & ~seen
-            seen |= frontier
-        comps.append(seen)
-        todo &= ~seen
-    return comps
+    return [comp for comp, _ in _components(g, region)]
 
 
 def connected_components(g: SimpleGraph) -> list[VertexSet]:
@@ -257,86 +276,55 @@ def is_dominating(g: SimpleGraph, u: Iterable[int]) -> bool:
     return _closed_mask(g, _vertex_mask(g, u)) == g.full_mask
 
 
-def _has_odd_cycle(g: SimpleGraph, comp: int) -> bool:
-    """Whether the connected vertex set `comp` spans an odd cycle, that is,
-    whether some layer of a breadth-first layering meets its own neighbourhood."""
-    layer = seen = comp & -comp
-    while layer:
-        nbrs = 0
-        for v in iter_bits(layer):
-            nbrs |= g.adj_bits[v - 1]
-        if nbrs & layer:
-            return True
-        layer = nbrs & comp & ~seen
-        seen |= layer
-    return False
-
-
 def _odd_cycle_components(g: SimpleGraph, region: int) -> list[int] | None:
     """The components of `region`, as masks, when each contains an odd cycle, else None."""
-    comps = components_masked(g, region)
-    return comps if all(_has_odd_cycle(g, c) for c in comps) else None
+    comps = _components(g, region)
+    return [comp for comp, _ in comps] if all(odd for _, odd in comps) else None
 
 
 def is_bipartite(g: SimpleGraph) -> bool:
-    return not any(_has_odd_cycle(g, c) for c in components_masked(g, g.full_mask))
+    return not any(odd for _, odd in _components(g, g.full_mask))
 
 
 def shortest_odd_cycle_masked(g: SimpleGraph, region: int) -> int | None:
     """Length of a shortest odd cycle within `region`, or None if bipartite.
 
-    Breadth-first layerings from every vertex; an edge joining two vertices of
-    equal depth closes a shortest odd closed walk, which at the global minimum
-    is a simple cycle.  The witness cycle is reconstructed and checked.
+    From each root, the first layer meeting its own neighbourhood, at depth d,
+    closes an odd walk of length 2d+1; the least such over all roots is a
+    simple cycle.  The witness is rebuilt from the layers of that root: from
+    each end of an edge inside the last layer, step back through the least
+    neighbour in each earlier layer.  At the minimum the two halves share only
+    the root, and the cycle is checked.
     """
-    best: tuple[int, int, int, int] | None = None  # (length, source, u, v)
+    best: list[int] | None = None  # layers 0..d of the best root
     for s in iter_bits(region):
-        dist = {s: 0}
-        q = deque([s])
-        while q:
-            v = q.popleft()
-            for w in iter_bits(g.adj_bits[v - 1] & region):
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    q.append(w)
-        for u, v in g.sorted_edges:
-            if u in dist and v in dist and dist[u] == dist[v]:
-                cand = dist[u] + dist[v] + 1
-                if best is None or cand < best[0]:
-                    best = (cand, s, u, v)
+        layers = []
+        for layer, nbrs in _layers(g, region, 1 << (s - 1)):
+            layers.append(layer)
+            if nbrs & layer:
+                if best is None or len(layers) < len(best):
+                    best = layers
+                break
     if best is None:
         return None
-    length, s, u, v = best
-    _validate_odd_cycle(g, region, s, u, v, length)
-    return length
-
-
-def _validate_odd_cycle(g: SimpleGraph, region: int, s: int, u: int, v: int, length: int) -> None:
-    parent: dict[int, int | None] = {s: None}
-    q = deque([s])
-    while q:
-        x = q.popleft()
-        for w in iter_bits(g.adj_bits[x - 1] & region):
-            if w not in parent:
-                parent[w] = x
-                q.append(w)
-
-    def path_to_root(x: int) -> list[int]:
-        out = [x]
-        while parent[out[-1]] is not None:
-            out.append(parent[out[-1]])  # type: ignore[arg-type]
-        return out
-
-    pu = path_to_root(u)
-    pv = path_to_root(v)
-    cycle = pu[::-1] + pv[:-1]  # s .. u, then v .. (child of s)
+    length = 2 * len(best) - 1
+    last = best[-1]
+    u = next(x for x in iter_bits(last) if g.adj_bits[x - 1] & last)
+    halves = []
+    for end in (u, next(iter_bits(g.adj_bits[u - 1] & last))):
+        path = [end]
+        for layer in reversed(best[:-1]):
+            step = g.adj_bits[path[-1] - 1] & layer
+            path.append((step & -step).bit_length())
+        halves.append(path)
+    cycle = halves[0][::-1] + halves[1][:-1]  # root .. u, then v .. (child of root)
     if (
         len(cycle) != length
         or len(set(cycle)) != length
-        or length % 2 == 0
         or not all(g.has_edge(a, b) for a, b in zip(cycle, cycle[1:] + cycle[:1]))
     ):
         raise RuntimeError(f"bad odd-cycle witness {cycle} for length {length}")
+    return length
 
 
 def shortest_odd_cycle(g: SimpleGraph) -> int | None:

@@ -220,7 +220,7 @@ def saturate(j: MonomialIdeal) -> MonomialIdeal:
     j : x_i^inf exactly when w raised to the top of axis i is in j (the top
     slice is absorbing), so its table is the AND of the top slices of j's."""
     if j.n < 1:
-        raise ValueError("colon_maximal needs at least one variable")
+        raise ValueError("saturate needs at least one variable")
     box = _bitmap(j)
     sat = np.ones(box.shape, dtype=bool)
     for axis in range(j.n):

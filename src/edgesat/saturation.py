@@ -20,6 +20,7 @@ from .graphs import (
     _core_mask,
     _covers_edges,
     _odd_cycle_components,
+    _set_order,
     components_masked,
     induced_subgraph,
     iter_bits,
@@ -317,4 +318,4 @@ def facets_delta(g: SimpleGraph, a: Sequence[int], t: int) -> list[frozenset[int
         if sub == free:
             break
         sub = (sub - free) & free
-    return sorted(facets, key=lambda f: (len(f), sorted(f)))
+    return sorted(facets, key=_set_order)

@@ -6,6 +6,7 @@ import hashlib
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from edgesat.graphs import (
@@ -22,6 +23,7 @@ from edgesat.graphs import (
     is_dominating,
     is_minimal_cover,
     is_minimal_over,
+    iter_bits,
     minimal_covers,
     open_neighborhood,
     parse_graph_text,
@@ -33,6 +35,47 @@ from edgesat.graphs import (
 from edgesat.census import all_graphs, all_graphs_upto, random_graphs
 
 from conftest import graph
+
+
+def _numpy_components_and_odd_girths(g: SimpleGraph, region: int) -> tuple[list[int], list[int | None]]:
+    """Reference by matrix powers: the components of `region` from the reachability
+    of I + A, ordered by least vertex, and for each the least odd k <= its size
+    with trace(A^k) > 0 (an odd closed walk, so an odd cycle), or None."""
+    full = np.array([[b >> c & 1 for c in range(g.n)] for b in g.adj_bits], dtype=np.int64)
+
+    def sub(vs: list[int]) -> np.ndarray:
+        idx = [v - 1 for v in vs]
+        return full[np.ix_(idx, idx)]
+
+    verts = list(iter_bits(region))
+    reach = np.eye(len(verts), dtype=np.int64) + sub(verts)
+    for _ in range(len(verts).bit_length()):
+        reach = np.minimum(reach @ reach, 1)
+    comps, girths, todo = [], [], list(range(len(verts)))
+    while todo:
+        comp = [verts[i] for i in todo if reach[todo[0], i]]
+        todo = [i for i in todo if not reach[todo[0], i]]
+        comps.append(sum(1 << (v - 1) for v in comp))
+        a = sub(comp)
+        walk, girth = a, None
+        for k in range(1, len(comp) + 1, 2):
+            if np.trace(walk) > 0:
+                girth = k
+                break
+            walk = walk @ a @ a
+        girths.append(girth)
+    return comps, girths
+
+
+def _check_against_numpy(g: SimpleGraph, region: int) -> None:
+    comps, girths = _numpy_components_and_odd_girths(g, region)
+    odd = [k for k in girths if k is not None]
+    assert components_masked(g, region) == comps, (g.edges, region)
+    assert shortest_odd_cycle_masked(g, region) == min(odd, default=None), (g.edges, region)
+    expected = comps if len(odd) == len(comps) else None
+    assert _odd_cycle_components(g, region) == expected, (g.edges, region)
+    if region == g.full_mask:
+        assert is_bipartite(g) == (not odd), g.edges
 
 
 class TestNeighborhoods:
@@ -184,11 +227,33 @@ class TestComponentsAndCycles:
             assert (shortest_odd_cycle(g) is None) == is_bipartite(g)
 
     def test_odd_cycle_components_exhaustive(self):
+        # every region of every graph with n <= 5, against matrix powers
         for g in all_graphs_upto(5):
             for m in range(1 << g.n):
-                comps = components_masked(g, m)
-                odd = all(shortest_odd_cycle_masked(g, c) is not None for c in comps)
-                assert _odd_cycle_components(g, m) == (comps if odd else None), (g.edges, m)
+                _check_against_numpy(g, m)
+
+    def test_odd_cycles_and_components_sampled_to_eleven(self):
+        # seeded graphs of varied density on 7..11 vertices, plus the odd cycles
+        # C7, C9, C11, each on the whole vertex set and on random regions
+        rng = random.Random(7411)
+        gs = [graph(n, *((i, i + 1) for i in range(1, n)), (1, n)) for n in (7, 9, 11)]
+        for n in range(7, 12):
+            for _ in range(60):
+                p = rng.uniform(0.1, 0.5)
+                gs.append(graph(n, *((u, v) for u, v in combinations(range(1, n + 1), 2) if rng.random() < p)))
+        for g in gs:
+            for m in [g.full_mask] + [rng.getrandbits(g.n) for _ in range(8)]:
+                _check_against_numpy(g, m)
+
+    def test_adj_matches_the_edge_built_dict(self):
+        for g in all_graphs_upto(5):
+            nbrs: dict[int, set[int]] = {v: set() for v in range(1, g.n + 1)}
+            for u, v in g.edges:
+                nbrs[u].add(v)
+                nbrs[v].add(u)
+            assert g.adj == {v: frozenset(s) for v, s in nbrs.items()}
+            assert list(g.adj) == list(range(1, g.n + 1))
+            assert all(type(s) is frozenset for s in g.adj.values())
 
     def test_pentagon_with_chord_still_five(self, bowtie):
         # bowtie has triangles, so 3

@@ -276,8 +276,12 @@ class TestGeneratorLevelDefinitions:
             assert saturate(j) == _fixpoint_saturation(j), j
 
     def test_saturate_refuses_no_variables(self):
-        with pytest.raises(ValueError, match="at least one variable"):
+        with pytest.raises(ValueError, match="at least one variable") as caught:
             saturate(MonomialIdeal.from_gens(0, [()]))
+        assert str(caught.value) == "saturate needs at least one variable"
+        with pytest.raises(ValueError, match="at least one variable") as caught:
+            colon_maximal(MonomialIdeal.from_gens(0, [()]))
+        assert str(caught.value) == "colon_maximal needs at least one variable"
 
     def test_saturate_is_the_fixpoint_of_that_intersection(self):
         for j in self.IDEALS:
