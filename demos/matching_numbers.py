@@ -13,7 +13,6 @@ from edgesat import (
     maximum_matching,
     nu,
     nu_bruteforce,
-    nu_minus,
 )
 
 triangle = SimpleGraph.from_edges(3, [(1, 2), (1, 3), (2, 3)])
@@ -30,7 +29,7 @@ print("  exhaustive cross-check:", nu_bruteforce(h))
 print()
 
 print("removing the neighbourhood of a vertex:")
-print("  nu(triangle - N(1)) =", nu_minus(WeightedGraph.from_exponents(triangle, (1, 1, 1)), {2, 3}))
+print("  nu(triangle - N(1)) =", nu(WeightedGraph.from_exponents(triangle, (1, 0, 0))))
 print()
 
 print("Berge's certificate, weighted version:")

@@ -49,7 +49,6 @@ from .matching import (
     maximum_matching,
     nu,
     nu_bruteforce,
-    nu_minus,
 )
 from .saturation import (
     build_strong,

@@ -37,7 +37,6 @@ from .saturation import (
     _inequalities_hold_at,
     _saturating_graphs,
     is_strongly_t_saturating,
-    weighted_graph,
 )
 
 THREE_SATURATING_CASES = (
@@ -98,7 +97,7 @@ def _reports_over(
 
 def _core_inequalities_hold(g: SimpleGraph, f: Iterable[int], a: Sequence[int], t: int) -> bool:
     """The saturation inequality at each vertex of core(F) outside the support of a."""
-    h = weighted_graph(g, a)
+    h = WeightedGraph.from_exponents(g, a)
     return _inequalities_hold_at(h, t, iter_bits(_core_mask(g, mask_of(f)) & ~h.mask))
 
 
@@ -310,7 +309,7 @@ def _component_strong_level(g: SimpleGraph, comp: frozenset[int]) -> int:
             a = [0] * g.n
             for v in w:
                 a[v - 1] = 1
-            if is_strongly_t_saturating(weighted_graph(g, a), s):
+            if is_strongly_t_saturating(WeightedGraph.from_exponents(g, a), s):
                 return s
     return 0
 

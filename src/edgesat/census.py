@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import random
 import sys
 import time
@@ -13,12 +14,16 @@ from . import assoc, ideals
 from .graphs import SimpleGraph, _set_order, graph_to_text
 
 
+def _graph_of_mask(n: int, slots: list[tuple[int, int]], mask: int) -> SimpleGraph:
+    """The graph on n vertices with the edge slots whose bits are set in `mask`."""
+    return SimpleGraph(n, frozenset(slots[i] for i in range(len(slots)) if mask >> i & 1))
+
+
 def all_graphs(n: int) -> Iterator[SimpleGraph]:
     """All 2^(n choose 2) labelled graphs on exactly n vertices."""
     slots = list(combinations(range(1, n + 1), 2))
     for mask in range(1 << len(slots)):
-        edges = [slots[i] for i in range(len(slots)) if mask >> i & 1]
-        yield SimpleGraph(n, frozenset(edges))
+        yield _graph_of_mask(n, slots, mask)
 
 
 def all_graphs_upto(n: int) -> Iterator[SimpleGraph]:
@@ -40,11 +45,7 @@ def random_graphs(n: int, count: int, seed: int) -> list[SimpleGraph]:
         while len(drawn) < count:
             drawn[rng.randrange(total)] = None
         masks = list(drawn)
-    out = []
-    for mask in masks:
-        edges = [slots[i] for i in range(len(slots)) if mask >> i & 1]
-        out.append(SimpleGraph(n, frozenset(edges)))
-    return out
+    return [_graph_of_mask(n, slots, mask) for mask in masks]
 
 
 def oracle_ass(g: SimpleGraph, t: int) -> set[frozenset[int]]:
@@ -144,7 +145,8 @@ def run_census(
         from multiprocessing import Pool  # only a threaded census pays for this import
 
         jobs = ((g.n, t, g.sorted_edges) for g in graphs)
-        with Pool(threads) as pool:
+        # the answers do not depend on the pool size
+        with Pool(min(threads, os.cpu_count() or 1)) as pool:
             for bad in pool.imap_unordered(_worker, jobs, chunksize=64):
                 count += 1
                 if bad is not None:

@@ -22,6 +22,8 @@ class InputError(Exception):
 
 
 def _load_graph(args: argparse.Namespace) -> SimpleGraph:
+    if args.graph is not None and (args.edges is not None or args.n is not None):
+        raise InputError("--edges and --n do not combine with a graph file")
     if args.edges is not None:
         pairs = []
         for chunk in args.edges.split(","):

@@ -2,9 +2,9 @@
 
 The weighted graph G_a of a monomial x^a is the ambient `SimpleGraph` with
 the exponent vector a: the induced subgraph on the support of a (a bit mask),
-vertex i weighted a_i; `minus` and `components` set entries of a to zero.
-It is immutable, and computes what every `nu` call reads, the support and
-its canonical key, once when it is built.
+vertex i weighted a_i.  It is a frozen dataclass over (graph, a), and
+computes what every `nu` call reads, the support and its canonical key, once
+when it is built.
 A matching is an edge multiset in which every vertex appears at most its
 weight many times; nu is the maximum size of one.
 The canonical algorithm blows each vertex up into weight-many clones and
@@ -17,12 +17,12 @@ directly via the weighted version of Berge's theorem.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
-from .graphs import SimpleGraph, components_masked, mask_of, set_of
+from .graphs import SimpleGraph, set_of
 
 
 def _edge_bits(g: SimpleGraph, verts: Sequence[int]) -> int:
@@ -38,65 +38,35 @@ def _edge_bits(g: SimpleGraph, verts: Sequence[int]) -> int:
     return bits
 
 
+@dataclass(frozen=True)
 class WeightedGraph:
     """The weighted graph G_a: the ambient graph and an exponent vector a.
 
-    Immutable, and equal, hashed and shown as the pair (graph, a).  The views
-    every `nu` call reads, the support's vertices and weights, its mask and
-    the canonical key, are computed once in the constructor; `edges`,
-    `weight_map`, `adjacency` and `total_weight` are computed on each access.
+    Equal, hashed and shown as the pair (graph, a).  The views every `nu`
+    call reads, the support's vertices and weights, its mask and the
+    canonical key, are computed once when it is built; `edges`, `weight_map`,
+    `adjacency` and `total_weight` are computed on each access.
     """
 
-    __slots__ = ("graph", "a", "vertices", "weights", "mask", "cache_key")
+    graph: SimpleGraph
+    a: tuple[int, ...]
+    vertices: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    weights: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    mask: int = field(init=False, repr=False, compare=False)  # the support of a
+    # canonical after relabelling the vertices to 0..k-1
+    cache_key: tuple[tuple[int, ...], int] = field(init=False, repr=False, compare=False)
 
-    def __init__(self, graph: SimpleGraph, a: tuple[int, ...]):
+    def __post_init__(self) -> None:
         vertices, weights, mask = [], [], 0
-        for i, x in enumerate(a):
+        for i, x in enumerate(self.a):
             if x:
                 vertices.append(i + 1)
                 weights.append(x)
                 mask |= 1 << i
         vertices, weights = tuple(vertices), tuple(weights)
-        init = object.__setattr__  # the class refuses assignment
-        init(self, "graph", graph)
-        init(self, "a", a)
-        init(self, "vertices", vertices)
-        init(self, "weights", weights)
-        init(self, "mask", mask)  # the support of a
-        # canonical after relabelling the vertices to 0..k-1
-        init(self, "cache_key", (weights, _edge_bits(graph, vertices)))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.graph, self.a) == (other.graph, other.a)
-
-    def __hash__(self) -> int:
-        return hash((self.graph, self.a))
-
-    def __repr__(self) -> str:
-        return f"WeightedGraph(graph={self.graph!r}, a={self.a!r})"
-
-    def __reduce__(self) -> tuple:
-        return WeightedGraph, (self.graph, self.a)
-
-    @classmethod
-    def build(cls, weights: Mapping[int, int], edges: Iterable[tuple[int, int]]) -> "WeightedGraph":
-        """The weighted graph on the vertices of `weights`, labelled in 1..64,
-        with the given edges between them."""
-        if any(v < 1 or w < 1 for v, w in weights.items()):
-            raise ValueError("weights must be positive and vertex labels at least 1")
-        g = SimpleGraph.from_edges(max(weights, default=0), edges)
-        h = cls(g, tuple(weights.get(v, 0) for v in range(1, g.n + 1)))
-        if h.edges != g.edges:
-            raise ValueError("every edge must join two weighted vertices")
-        return h
+        key = (weights, _edge_bits(self.graph, vertices))
+        # written to the instance dict: the frozen dataclass refuses assignment
+        self.__dict__.update(vertices=vertices, weights=weights, mask=mask, cache_key=key)
 
     @classmethod
     def from_exponents(cls, g: SimpleGraph, a: Iterable[int]) -> "WeightedGraph":
@@ -125,23 +95,6 @@ class WeightedGraph:
     @property
     def total_weight(self) -> int:
         return sum(self.a)
-
-    def weighted_degree(self, v: int) -> int:
-        """Sum of the weights of the neighbours of v."""
-        return sum(self.a[u - 1] for u in self.adjacency[v])
-
-    def minus_mask(self, drop: int) -> "WeightedGraph":
-        """Induced weighted subgraph on the support outside the mask `drop`."""
-        a = tuple(0 if drop >> i & 1 else x for i, x in enumerate(self.a))
-        return WeightedGraph(self.graph, a)
-
-    def minus(self, drop: Iterable[int]) -> "WeightedGraph":
-        """Induced weighted subgraph on the vertices not in `drop`."""
-        return self.minus_mask(mask_of(drop))
-
-    def components(self) -> list["WeightedGraph"]:
-        """The connected components, ordered by least vertex."""
-        return [self.minus_mask(self.mask & ~c) for c in components_masked(self.graph, self.mask)]
 
 
 @dataclass(frozen=True)
@@ -296,11 +249,6 @@ def _nu_of_key(key: tuple[tuple[int, ...], int]) -> int:
 def nu(h: WeightedGraph) -> int:
     """The matching number nu(H)."""
     return _nu_of_key(h.cache_key)
-
-
-def nu_minus(h: WeightedGraph, drop: Iterable[int]) -> int:
-    """nu(H - N): matching number after removing a vertex set."""
-    return nu(h.minus(drop))
 
 
 def nu_bruteforce(h: WeightedGraph, cutoff: int = 14) -> int:

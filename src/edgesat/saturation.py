@@ -37,11 +37,6 @@ def support(a: Sequence[int]) -> frozenset[int]:
     return frozenset(i + 1 for i, x in enumerate(a) if x > 0)
 
 
-def weighted_graph(g: SimpleGraph, a: Sequence[int]) -> WeightedGraph:
-    """The weighted graph of the monomial x^a."""
-    return WeightedGraph.from_exponents(g, a)
-
-
 def _check_t(t: int) -> None:
     if t < 1:
         raise ValueError("power exponent t must be at least 1")
@@ -52,7 +47,7 @@ def _capped_graph(g: SimpleGraph, a: Sequence[int], t: int) -> WeightedGraph:
     membership in I^t and sat(I^t) alike: a matching of size t uses no vertex
     more than t times, and a weight of t or more on N already gives w(N) >= t."""
     _check_t(t)
-    return weighted_graph(g, [x if x < t else t for x in a])
+    return WeightedGraph.from_exponents(g, [x if x < t else t for x in a])
 
 
 def in_power(g: SimpleGraph, a: Sequence[int], t: int) -> bool:
@@ -134,7 +129,7 @@ def _unit_drop_moving_nu(g: SimpleGraph, b: Sequence[int], level: int) -> int | 
     for i in support(b):
         bm = list(b)
         bm[i - 1] -= 1
-        if nu(weighted_graph(g, bm)) != level:
+        if nu(WeightedGraph.from_exponents(g, bm)) != level:
             return i
     return None
 
@@ -145,7 +140,7 @@ def _strong_chain_level(g: SimpleGraph, b: Sequence[int]) -> int:
     if total % 2 == 0:
         raise ValueError("exponent sum must be odd (2t-1)")
     t = (total + 1) // 2
-    hb = weighted_graph(g, b)
+    hb = WeightedGraph.from_exponents(g, b)
     if not is_strongly_t_saturating(hb, t):
         raise ValueError(f"base weighted graph is not strongly {t}-saturating")
     if nu(hb) != t - 1:
@@ -176,7 +171,7 @@ def extend_by_edge(g: SimpleGraph, b: Sequence[int], edge: tuple[int, int]) -> E
     a = list(b)
     a[u - 1] += 1
     a[v - 1] += 1
-    ha = weighted_graph(g, a)
+    ha = WeightedGraph.from_exponents(g, a)
     if (
         sum(a) != 2 * t + 1
         or not is_strongly_t_saturating(ha, t + 1)
@@ -207,7 +202,7 @@ def build_strong(g: SimpleGraph, u: Iterable[int], seed: Iterable[int]) -> Expon
     a = [0] * g.n
     for v in sseq:
         a[v - 1] = 1
-    if not is_strongly_t_saturating(weighted_graph(g, a), s):
+    if not is_strongly_t_saturating(WeightedGraph.from_exponents(g, a), s):
         raise ValueError(f"the seed does not induce a strongly {s}-saturating graph")
     current = tuple(a)
     while support(current) != useq:
@@ -250,7 +245,9 @@ def _saturating_graphs(
             mask = mask_of(sup)
             if _odd_cycle_components(g, mask) is None:
                 continue
-            if size >= 2 * t and nu(weighted_graph(g, [mask >> i & 1 for i in range(g.n)])) >= t:
+            if size >= 2 * t and nu(
+                WeightedGraph.from_exponents(g, [mask >> i & 1 for i in range(g.n)])
+            ) >= t:
                 continue  # every weighting of the support has nu >= t
             bits = _edge_bits(g, sup)
             plans = list(_drop_plans(g, sup, (g.adj_bits[v - 1] & mask for v in sup)))

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from typing import Iterable
+
 import pytest
 
 from edgesat.graphs import SimpleGraph
+from edgesat.matching import WeightedGraph
 
 _acceptance_lines: list[str] = []
 
@@ -22,6 +25,11 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 def graph(n: int, *edges: tuple[int, int]) -> SimpleGraph:
     return SimpleGraph.from_edges(n, edges)
+
+
+def minus(h: WeightedGraph, drop: Iterable[int]) -> WeightedGraph:
+    """H - N: the weighted graph of h's exponent vector zeroed on `drop`."""
+    return WeightedGraph.from_exponents(h.graph, (0 if v in drop else x for v, x in enumerate(h.a, 1)))
 
 
 @pytest.fixture

@@ -25,7 +25,6 @@ from edgesat.matching import WeightedGraph
 from edgesat.saturation import (
     in_sat_minus_power,
     is_strongly_t_saturating,
-    weighted_graph,
 )
 
 from conftest import graph
@@ -192,7 +191,7 @@ class TestClassify:
         rng = random.Random(61)
         for g in rng.sample(list(all_graphs(5)), 40):
             for a in rng.sample(list(product(range(3), repeat=5)), 40):
-                h = weighted_graph(g, a)
+                h = WeightedGraph.from_exponents(g, a)
                 tag = classify_3_saturating(h, g)
                 assert (tag is not None) == in_sat_minus_power(g, a, 3), (g.edges, a)
 
@@ -273,7 +272,7 @@ class TestStrongSufficiency:
                             a = [0] * 4
                             for v, w in zip(sup, weights):
                                 a[v - 1] = w
-                            if is_strongly_t_saturating(weighted_graph(g, a), t):
+                            if is_strongly_t_saturating(WeightedGraph.from_exponents(g, a), t):
                                 found = tuple(a)
                                 break
                         if found is None:

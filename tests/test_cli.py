@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
 from pathlib import Path
 
 import pytest
@@ -150,6 +152,29 @@ class TestCensus:
         code, out = run(capsys, "census", "--json", "4", "2", "--threads", "2")
         assert code == 0 and json.loads(out)["graphs_checked"] == 64
 
+    def test_pool_size_capped_at_cpu_count(self, capsys, monkeypatch):
+        sizes = []
+
+        class FakePool:  # records the size it is asked for and starts no process
+            def __init__(self, size):
+                sizes.append(size)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap_unordered(self, fn, jobs, chunksize=1):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+        for cpus, threads in ((3, "1000000"), (3, "2"), (None, "5")):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            code, out = run(capsys, "census", "--json", "4", "2", "--threads", threads)
+            assert code == 0 and json.loads(out)["graphs_checked"] == 64
+        assert sizes == [3, 2, 1]
+
 
 class TestDeterminism:
     def test_json_byte_identical(self, capsys, tailed_triangle_file):
@@ -190,6 +215,20 @@ class TestParseErrors:
 
     def test_bad_inline_edges(self, capsys):
         assert main(["nu", "--edges", "1+2", "1,1"]) == 2
+
+    def test_graph_file_with_inline_edges(self, capsys, tmp_path):
+        p = tmp_path / "g.txt"
+        p.write_text("3 3\n1 2\n1 3\n2 3\n")
+        code = main(["ass", "--edges", "1-2", str(p), "2"])
+        captured = capsys.readouterr()
+        assert code == 2 and "--edges" in captured.err and captured.out == ""
+
+    def test_graph_file_with_vertex_count(self, capsys, tmp_path):
+        p = tmp_path / "g.txt"
+        p.write_text("3 3\n1 2\n1 3\n2 3\n")
+        code = main(["nu", "--n", "4", str(p), "1,1,1"])
+        captured = capsys.readouterr()
+        assert code == 2 and "--n" in captured.err and captured.out == ""
 
     def test_usage_error_is_2(self):
         with pytest.raises(SystemExit) as exc:

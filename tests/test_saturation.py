@@ -10,7 +10,7 @@ import pytest
 
 from edgesat.census import all_graphs, all_graphs_upto
 from edgesat.cli import main
-from edgesat.graphs import SimpleGraph, is_dominating, shortest_odd_cycle
+from edgesat.graphs import SimpleGraph, components_masked, is_dominating, set_of, shortest_odd_cycle
 from edgesat.ideals import MonomialIdeal, edge_ideal, membership, power, saturate
 from edgesat.matching import _NU_CACHE, WeightedGraph, nu, nu_bruteforce
 from edgesat.saturation import (
@@ -24,10 +24,9 @@ from edgesat.saturation import (
     is_t_saturating,
     saturating_vectors,
     support,
-    weighted_graph,
 )
 
-from conftest import graph
+from conftest import graph, minus
 
 
 def wg(g: SimpleGraph, *weights: int) -> WeightedGraph:
@@ -43,7 +42,7 @@ def _unpruned(g: SimpleGraph, t: int, top: int) -> list[tuple[int, ...]]:
     return [
         a
         for a in product(range(top + 1), repeat=g.n)
-        if any(a) and is_t_saturating(weighted_graph(g, a), t)
+        if any(a) and is_t_saturating(WeightedGraph.from_exponents(g, a), t)
     ]
 
 
@@ -62,7 +61,7 @@ def _saturating_by_brute_force(h: WeightedGraph, t: int, memo: dict) -> bool:
     for i in h.vertices:
         nbrs = h.graph.adj[i] & set(h.vertices)
         w = sum(h.a[j - 1] for j in nbrs)
-        if w < t and nu_bf(h.minus(nbrs)) < t - w:
+        if w < t and nu_bf(minus(h, nbrs)) < t - w:
             return False
     return True
 
@@ -197,7 +196,7 @@ class TestSaturatingPredicates:
         assert is_t_saturating(wg(triangle, 2, 2, 1), 3)
 
     def test_empty_graph_not_saturating(self):
-        h = WeightedGraph.build({}, [])
+        h = wg(graph(0))
         assert not is_t_saturating(h, 2)
         assert not is_strongly_t_saturating(h, 2)
 
@@ -208,7 +207,7 @@ class TestSaturatingPredicates:
         memo: dict = {}
         for g in all_graphs_upto(5):
             for a in product(range(t), repeat=g.n):
-                h = weighted_graph(g, a)
+                h = WeightedGraph.from_exponents(g, a)
                 assert is_t_saturating(h, t) == _saturating_by_brute_force(h, t, memo), (g.edges, a)
 
     @pytest.mark.parametrize("t", [2, 3, 4])
@@ -232,7 +231,7 @@ class TestSaturatingPredicates:
         for g in rng.sample(list(all_graphs(5)), 120):
             for t in (2, 3):
                 for a in saturating_vectors(g, t):
-                    h = weighted_graph(g, a)
+                    h = WeightedGraph.from_exponents(g, a)
                     if is_strongly_t_saturating(h, t):
                         hits += 1
                         assert is_t_saturating(h, t)
@@ -247,7 +246,7 @@ class TestSaturatingPredicates:
         for size in range(1, 7):
             for nset in combinations(h.vertices, size):
                 bound = t - sum(h.weight_map[v] for v in nset)
-                assert nu(h.minus(nset)) >= bound
+                assert nu(minus(h, nset)) >= bound
 
 
 class TestExtendByEdge:
@@ -342,7 +341,7 @@ class TestSaturatingVectors:
         for g in rng.sample(list(all_graphs(5)), 60):
             for t in (2, 3):
                 for a in saturating_vectors(g, t):
-                    h = weighted_graph(g, a)
+                    h = WeightedGraph.from_exponents(g, a)
                     sub = SimpleGraph.from_edges(g.n, h.edges)
                     length = shortest_odd_cycle(sub)
                     assert length is not None and length <= 2 * t - 1
@@ -352,11 +351,11 @@ class TestSaturatingVectors:
         for g in rng.sample(list(all_graphs(5)), 60):
             for t in (2, 3):
                 for a in saturating_vectors(g, t):
-                    h = weighted_graph(g, a)
+                    h = WeightedGraph.from_exponents(g, a)
                     v = nu(h)
                     for i in h.vertices:
                         ai = h.weight_map[i]
-                        assert ai < min(h.weighted_degree(i), v + 1)
+                        assert ai < min(sum(h.a[j - 1] for j in h.adjacency[i]), v + 1)
                         leaves = [
                             j for j in h.adjacency[i] if len(h.adjacency[j]) == 1
                         ]
@@ -370,7 +369,7 @@ class TestSaturatingVectors:
             for weights in rng.sample(list(product(range(1, 3), repeat=5)), 8):
                 h = wg(g, *weights)
                 t = nu(h) + 1
-                parts = h.components()
+                parts = [minus(h, set_of(h.mask & ~c)) for c in components_masked(g, h.mask)]
                 expect = all(is_t_saturating(p, nu(p) + 1) for p in parts)
                 assert is_t_saturating(h, t) == expect
                 expect_strong = all(
