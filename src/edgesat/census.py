@@ -49,7 +49,7 @@ def random_graphs(n: int, count: int, seed: int) -> list[SimpleGraph]:
 
 
 def oracle_ass(g: SimpleGraph, t: int) -> set[frozenset[int]]:
-    """Ass(I^t) by the divisor sweep; the empty cover for the zero ideal."""
+    """Ass(I^t) by the brute-force oracle; the empty cover for the zero ideal."""
     if not g.edges:
         return {frozenset()}
     jt = ideals.power(ideals.edge_ideal(g), t)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -79,11 +80,11 @@ def _prime_name(vertices: frozenset[int], n: int) -> str:
 
 
 def _emit(args: argparse.Namespace, payload: dict, human: list[str]) -> None:
+    """Set the command's output; `main` writes it once the command has its exit status."""
     if args.json:
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+        args.output = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     else:
-        for line in human:
-            print(line)
+        args.output = "\n".join(human)
 
 
 def _report_payload(t: int | None, reports: list[assoc.AssPrimeReport]) -> dict:
@@ -239,6 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Membership and associated primes of powers of graph edge ideals.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.set_defaults(commands=sub.choices)  # for `main`, which parses each one intermixed
 
     p = sub.add_parser("nu", help="matching number of a weighted graph")
     _add_graph_args(p)
@@ -299,14 +301,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # A command's own arguments are parsed intermixed, so that an option may sit
+    # between the graph file and t: argparse alone would hand the file to t.
+    # Help and a missing or unknown command go through the top-level parser.
+    command = parser.get_default("commands").get(argv[0]) if argv else None
+    args = command.parse_intermixed_args(argv[1:]) if command else parser.parse_args(argv)
     if getattr(args, "t", 1) < 1:
         parser.error(f"argument t: the power exponent must be at least 1, got {args.t}")
     try:
-        return args.func(args)
+        code = args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    try:
+        print(args.output)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader has gone: drop the rest, so exit stays quiet too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

@@ -4,8 +4,8 @@ Ideals are stored by their unique minimal generating sets, as small integer
 matrices.  Powers, colons by a monomial and intersections are purely
 combinatorial: componentwise min/max, a lexsort that drops repeated rows, and
 divisibility checked degree class by degree class.  The colon by the maximal
-ideal, the saturation (the AND of the table's top slices, in one pass) and the
-witness sweep for associated primes read one membership table over the box
+ideal, the saturation (the AND of the table's top slices) and the associated
+primes (its socle cells) read one boolean membership table over the box
 spanned by the generators.  No Groebner machinery, and no matching theory.
 """
 
@@ -235,20 +235,19 @@ def lcm_exponents(j: MonomialIdeal) -> np.ndarray:
 
 
 def ass_primes_oracle(j: MonomialIdeal) -> list[frozenset[int]]:
-    """Associated primes of R/j by the witness sweep.
-
-    P is associated exactly when P = j : w for a monomial w dividing the lcm
-    of the generators.  The variables in j : w are F(w) = {i : w + e_i in j},
-    and j : w = P_F exactly when w, with every exponent outside F raised to the
-    top of the box, is still not in j: membership does not change above the
-    top, so no monomial in the variables outside F lies in j : w.
-    """
+    """Associated primes of R/j, read off the socle cells of j's table: P_F
+    is associated exactly when a cell c outside j, at the top of every axis
+    outside F, has c + e_i in j for each i in F.  If j : x^w = P_F, raising w
+    to the top outside F gives such a c; for such a c, j : x^c = P_F, because
+    the top slice is absorbing."""
+    if j.n < 1:
+        raise ValueError("ass_primes_oracle needs at least one variable")
     if j.is_zero:
         raise ValueError("associated primes of the zero ideal are not swept")
     box = _bitmap(j)
-    inside = np.stack([_shift(box, axis) for axis in range(j.n)], axis=-1).reshape(-1, j.n)
-    grid = np.indices(box.shape).reshape(j.n, -1).T
-    raised = np.where(inside, grid, np.array(box.shape) - 1)
-    masks = _unique_rows(inside[~box[tuple(raised.T)]])
+    socle = ~box
+    for lead in ((slice(None),) * axis for axis in range(j.n)):  # the top slice stays
+        socle[lead + (slice(None, -1),)] &= box[lead + (slice(1, None),)]
+    masks = _unique_rows(np.stack(np.nonzero(socle), axis=-1) < np.array(box.shape) - 1)
     found = [frozenset(int(i) + 1 for i in np.flatnonzero(f)) for f in masks]
     return sorted(found, key=lambda s: (len(s), sorted(s)))

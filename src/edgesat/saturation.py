@@ -164,21 +164,17 @@ def extend_by_edge(g: SimpleGraph, b: Sequence[int], edge: tuple[int, int]) -> E
     u, v = edge
     if not g.has_edge(u, v):
         raise ValueError(f"({u},{v}) is not an edge of the graph")
-    t = _strong_chain_level(g, b)
+    _strong_chain_level(g, b)
     sup = support(b)
     if u not in sup and v not in sup:
         raise ValueError("the added edge needs an endpoint in the support")
     a = list(b)
     a[u - 1] += 1
     a[v - 1] += 1
-    ha = WeightedGraph.from_exponents(g, a)
-    if (
-        sum(a) != 2 * t + 1
-        or not is_strongly_t_saturating(ha, t + 1)
-        or nu(ha) != t
-        or _unit_drop_moving_nu(g, a, t) is not None
-    ):
-        raise RuntimeError(f"edge-adding broke the strong-saturation chain at {a}")
+    try:
+        _strong_chain_level(g, a)  # a sums to 2t + 1: the chain's next level
+    except ValueError:
+        raise RuntimeError(f"edge-adding broke the strong-saturation chain at {a}") from None
     return tuple(a)
 
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -236,6 +238,24 @@ class TestParseErrors:
         assert exc.value.code == 2
 
 
+class TestOptionPlacement:
+    """An option before, between or after the positionals parses the same."""
+
+    @pytest.mark.parametrize(
+        "command, rest",
+        [("ass", ["2"]), ("sat", ["2", "1,1,1"]), ("nu", ["2,2,1"]), ("facets", ["2", "1,1,1"])],
+    )
+    def test_option_anywhere_among_the_positionals(self, capsys, triangle_file, command, rest):
+        positionals = [triangle_file, *rest]
+        outputs = {
+            run(capsys, command, *positionals[:k], "--json", *positionals[k:])
+            for k in range(len(positionals) + 1)
+        }
+        assert len(outputs) == 1
+        code, out = outputs.pop()
+        assert code == 0 and json.loads(out)
+
+
 class TestPowerExponent:
     @pytest.mark.parametrize(
         "argv",
@@ -293,6 +313,7 @@ class TestGoldenOutput:
             ),
             ("ass_g10_t4_formula", ["ass", "--json", "--edges", G10, "4", "--method", "formula"]),
             ("ass_oracle_n8_t4", ["ass", "--json", "--edges", N8, "4", "--method", "oracle"]),
+            ("ass_oracle_g10_t5", ["ass", "--json", "--edges", G10, "5", "--method", "oracle"]),
         ],
     )
     def test_matches_golden_file(self, capsys, name, argv):
@@ -309,3 +330,33 @@ class TestCensusSample:
 
     def test_negative_sample_is_a_usage_error(self, capsys):
         assert main(["census", "12", "1", "--sample", "-1"]) == 2
+
+
+class TestClosedStdout:
+    """A reader that has gone away: no traceback, and the command's own exit status."""
+
+    @pytest.mark.parametrize(
+        "argv, status",
+        [
+            (["ass", "--json", "--edges", "1-2,1-3,2-3", "2"], 0),
+            # more than a pipe buffer of output, so the write itself fails
+            (["ass", "--edges", ",".join(f"{i}-{i % 20 + 1}" for i in range(1, 21)), "1"], 0),
+            (["depth", "--edges", "1-2,2-3", "5"], 2),
+        ],
+    )
+    def test_no_traceback(self, argv, status):
+        read, write = os.pipe()
+        os.close(read)
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "edgesat.cli", *argv],
+                stdout=write,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=60,
+            )
+        finally:
+            os.close(write)
+        assert done.returncode == status
+        assert b"Traceback" not in done.stderr and b"Exception ignored" not in done.stderr

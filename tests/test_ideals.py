@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from functools import reduce
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +31,12 @@ from edgesat.ideals import (
 )
 
 from conftest import graph
+
+
+G10 = [  # the 10-vertex, 19-edge graph of the golden CLI cases
+    (1, 2), (1, 5), (1, 10), (2, 3), (2, 7), (2, 10), (3, 6), (3, 7), (4, 5), (4, 7),
+    (4, 8), (5, 6), (5, 7), (5, 8), (5, 10), (6, 7), (7, 8), (8, 9), (8, 10),
+]
 
 
 def ideal(n: int, *gens) -> MonomialIdeal:
@@ -246,6 +256,33 @@ class TestAssPrimesOracle:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             ass_primes_oracle(MonomialIdeal.from_gens(2, []))
+
+    def test_no_variables_refused(self):
+        with pytest.raises(ValueError) as caught:
+            ass_primes_oracle(MonomialIdeal.from_gens(0, [[]]))
+        assert str(caught.value) == "ass_primes_oracle needs at least one variable"
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+    def test_memory_bounded_by_the_table(self):
+        # I^4 of a 10-vertex graph: a 5^10 table of 9.8 MB, allowed 4x plus 100 MB.
+        # The child reports VmHWM, its own peak: ru_maxrss would carry this test
+        # process's peak across the exec.
+        child = (
+            "import re\n"
+            "from edgesat.graphs import SimpleGraph\n"
+            "from edgesat.ideals import ass_primes_oracle, edge_ideal, power\n"
+            f"g = SimpleGraph.from_edges(10, {G10})\n"
+            "primes = ass_primes_oracle(power(edge_ideal(g), 4))\n"
+            "status = open('/proc/self/status').read()\n"
+            "print(len(primes), re.search(r'VmHWM:\\s*(\\d+) kB', status).group(1))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        done = subprocess.run(
+            [sys.executable, "-c", child], capture_output=True, text=True, env=env, timeout=120
+        )
+        primes, peak_kib = map(int, done.stdout.split())
+        assert primes == 23
+        assert peak_kib * 1024 <= 4 * 5**10 + 100 * 10**6
 
     def test_oracle_ass_edgeless(self):
         assert oracle_ass(graph(3), 2) == {frozenset()}

@@ -8,6 +8,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
+from edgesat import saturation
 from edgesat.census import all_graphs, all_graphs_upto
 from edgesat.cli import main
 from edgesat.graphs import SimpleGraph, components_masked, is_dominating, set_of, shortest_odd_cycle
@@ -278,6 +279,14 @@ class TestExtendByEdge:
             extend_by_edge(g, (1, 1, 0, 0), (1, 4))  # even weight sum
         with pytest.raises(ValueError):
             extend_by_edge(g, (1, 1, 1, 2), (1, 4))  # not strongly saturating
+
+    def test_broken_chain_is_a_runtime_error(self, monkeypatch):
+        # the result is re-verified at level t + 1; make that check fail
+        real = saturation.is_strongly_t_saturating
+        monkeypatch.setattr(saturation, "is_strongly_t_saturating", lambda h, t: t < 3 and real(h, t))
+        g = graph(4, (1, 2), (1, 3), (2, 3), (1, 4))
+        with pytest.raises(RuntimeError, match="broke the strong-saturation chain at \\[2, 1, 1, 1\\]"):
+            extend_by_edge(g, (1, 1, 1, 0), (1, 4))
 
 
 class TestBuildStrong:
