@@ -197,17 +197,16 @@ def _gens_from_upset(n: int, box: np.ndarray) -> MonomialIdeal:
     return MonomialIdeal(n, np.stack(cells, axis=-1).astype(np.int64))
 
 
-def _shift(box: np.ndarray, axis: int) -> np.ndarray:
-    """The table of w -> [w + e_axis in j] from that of j (top slice absorbing)."""
-    s = box.shape[axis]
-    return np.take(box, np.minimum(np.arange(1, s + 1), s - 1), axis=axis)
-
-
 def _colon_table(box: np.ndarray) -> np.ndarray:
-    """The table of j : m, the AND of the shifts along every axis."""
+    """The table of j : m: w is in it when each w + e_i is in j, read at the
+    top slice of axis i when w is there (the top slice is absorbing)."""
     if box.ndim < 1:
         raise ValueError("colon_maximal needs at least one variable")
-    return np.logical_and.reduce([_shift(box, axis) for axis in range(box.ndim)])
+    colon = np.ones(box.shape, dtype=bool)
+    for lead in ((slice(None),) * axis for axis in range(box.ndim)):  # in place, slice by slice
+        colon[lead + (slice(None, -1),)] &= box[lead + (slice(1, None),)]
+        colon[lead + (slice(-1, None),)] &= box[lead + (slice(-1, None),)]
+    return colon
 
 
 def colon_maximal(j: MonomialIdeal) -> MonomialIdeal:

@@ -22,19 +22,23 @@ from functools import cached_property
 from itertools import accumulate
 from typing import Iterable, Sequence
 
-from .graphs import SimpleGraph, set_of
+from .graphs import SimpleGraph, mask_of, set_of
 
 
 def _edge_bits(g: SimpleGraph, verts: Sequence[int]) -> int:
     """The edges of g among the increasing labels `verts`, relabelled 0..k-1:
-    bit i*k + j for each edge between verts[i] and verts[j], i < j."""
-    k = len(verts)
+    bit i*k + j for each edge between verts[i] and verts[j], i < j.  Each
+    vertex walks its neighbours above it in the support; a neighbour's index
+    j is the number of support vertices below it."""
+    k, mask = len(verts), mask_of(verts)
     bits = 0
     for i, u in enumerate(verts):
-        nbrs = g.adj_bits[u - 1]
-        for j in range(i + 1, k):
-            if nbrs >> (verts[j] - 1) & 1:
-                bits |= 1 << (i * k + j)
+        above = g.adj_bits[u - 1] & mask >> u << u  # labels u+1 and up
+        row = i * k
+        while above:
+            low = above & -above
+            above ^= low
+            bits |= 1 << (row + (mask & (low - 1)).bit_count())
     return bits
 
 

@@ -216,6 +216,23 @@ def build_strong(g: SimpleGraph, u: Iterable[int], seed: Iterable[int]) -> Expon
     return current
 
 
+def _weight_table(size: int, t: int) -> list[tuple[tuple[int, ...], int, bool, list[int]]]:
+    """The weightings w of a support of `size` vertices in lexicographic order,
+    each with its base-t code, whether it sums to 2t or more, and the codes of
+    the w - e_p that stay on the support.  The weights are the steps below t
+    of increasing partial sums up to the sum bound 3(t-1); both run in
+    lexicographic order."""
+    place = [t**p for p in range(size)]  # w as a number in base t
+    table = []
+    for sums in combinations(range(1, 3 * (t - 1) + 1), size):
+        w = tuple(map(sub, sums, (0, *sums)))
+        if max(w) < t:
+            code = sum(map(mul, w, place))
+            below = [code - b for x, b in zip(w, place) if x > 1]
+            table.append((w, code, sums[-1] >= 2 * t, below))
+    return table
+
+
 def _saturating_graphs(
     g: SimpleGraph, t: int, region: int
 ) -> Iterator[tuple[tuple[int, ...], ExponentVector]]:
@@ -229,14 +246,17 @@ def _saturating_graphs(
     t disjoint edges, so nu >= t and the support is dropped.
 
     No `WeightedGraph` is built per weight tuple w, nor for the vectors
-    yielded, which most callers never need as graphs.  nu(w) < t holds without
-    a call when w sums to less than 2t, and fails without one when some
-    earlier w - e_p on the support failed, nu being monotone in the weights.
+    yielded, which most callers never need as graphs.  Each w is checked in
+    three steps: it fails if some w - e_p on the support already failed (nu
+    is monotone in the weights); then the inequalities, which mostly answer
+    from the `nu` cache; and only then nu(w) < t by a blossom run, skipped
+    when w sums to less than 2t.  Saturating is the AND of the inequalities
+    and nu(w) < t, so the order leaves the answer alone; the prune reads only
+    failures that were found, so it stays sound; the yield order is that of w.
     """
-    total_bound = 3 * (t - 1)
     verts = list(iter_bits(region))
-    for size in range(1, min(len(verts), total_bound) + 1):
-        place = [t**p for p in range(size)]  # w as a number in base t
+    for size in range(1, min(len(verts), 3 * (t - 1)) + 1):
+        table = None  # built at the first support of this size that needs it
         for sup in combinations(verts, size):
             mask = mask_of(sup)
             if _odd_cycle_components(g, mask) is None:
@@ -245,25 +265,19 @@ def _saturating_graphs(
                 WeightedGraph.from_exponents(g, [mask >> i & 1 for i in range(g.n)])
             ) >= t:
                 continue  # every weighting of the support has nu >= t
+            table = table or _weight_table(size, t)
             bits = _edge_bits(g, sup)
             plans = list(_drop_plans(g, sup, (g.adj_bits[v - 1] & mask for v in sup)))
             failed: set[int] = set()  # the weights with nu >= t so far
-            # The weights are the steps of increasing partial sums up to the
-            # sum bound, and both run in lexicographic order.
-            for sums in combinations(range(1, total_bound + 1), size):
-                w = tuple(map(sub, sums, (0, *sums)))
-                if max(w) >= t:
-                    continue
-                code = sum(map(mul, w, place))
-                if sums[-1] >= 2 * t and (
-                    not failed.isdisjoint([code - b for x, b in zip(w, place) if x > 1])
-                    or _nu_of_key((w, bits)) >= t
-                ):
+            for w, code, heavy, below in table:
+                if not failed.isdisjoint(below):
                     failed.add(code)
                 elif _inequalities_hold(w, t, plans):
-                    on_support = dict(zip(sup, w))
-                    a = tuple(on_support.get(v, 0) for v in range(1, g.n + 1))
-                    yield sup, a
+                    if heavy and _nu_of_key((w, bits)) >= t:
+                        failed.add(code)
+                    else:
+                        on_support = dict(zip(sup, w))
+                        yield sup, tuple(on_support.get(v, 0) for v in range(1, g.n + 1))
 
 
 def saturating_vectors(g: SimpleGraph, t: int) -> list[ExponentVector]:

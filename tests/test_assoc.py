@@ -7,6 +7,7 @@ from itertools import combinations, product
 
 import pytest
 
+from edgesat import matching
 from edgesat.assoc import (
     AssPrimeReport,
     ass_infinity,
@@ -28,6 +29,12 @@ from edgesat.saturation import (
 )
 
 from conftest import graph
+
+
+G10 = [  # the 10-vertex, 19-edge graph of the golden CLI cases
+    (1, 2), (1, 5), (1, 10), (2, 3), (2, 7), (2, 10), (3, 6), (3, 7), (4, 5), (4, 7),
+    (4, 8), (5, 6), (5, 7), (5, 8), (5, 10), (6, 7), (7, 8), (8, 9), (8, 10),
+]
 
 
 def primes(reports: list[AssPrimeReport]) -> list[list[int]]:
@@ -120,6 +127,20 @@ class TestAssPrimes:
     def test_t1_is_minimal_covers(self):
         for g in all_graphs_upto(4):
             assert prime_sets(ass_primes(g, 1)) == set(minimal_covers(g))
+
+    def test_blossom_runs_on_g10_t5(self, monkeypatch):
+        # Blossom runs only on weightings that pass the cached inequalities:
+        # 29,079 from an empty `nu` cache, where testing nu(H) < t first made 84,568.
+        real, runs = matching._max_matching_simple, []
+
+        def counted(n, adj):
+            runs.append(n)
+            return real(n, adj)
+
+        monkeypatch.setattr(matching, "_NU_CACHE", {})
+        monkeypatch.setattr(matching, "_max_matching_simple", counted)
+        reports = ass_primes(SimpleGraph.from_edges(10, G10), 5)
+        assert len(reports) == 23 and len(runs) <= 32_000
 
 
 class TestClosedForms:

@@ -314,6 +314,7 @@ class TestGoldenOutput:
             ("ass_g10_t4_formula", ["ass", "--json", "--edges", G10, "4", "--method", "formula"]),
             ("ass_oracle_n8_t4", ["ass", "--json", "--edges", N8, "4", "--method", "oracle"]),
             ("ass_oracle_g10_t5", ["ass", "--json", "--edges", G10, "5", "--method", "oracle"]),
+            ("ass_g10_t5_formula", ["ass", "--json", "--edges", G10, "5", "--method", "formula"]),
         ],
     )
     def test_matches_golden_file(self, capsys, name, argv):

@@ -118,6 +118,28 @@ def _box_reference(j: MonomialIdeal, shape: tuple[int, ...]) -> np.ndarray:
     return np.array(cells, dtype=bool).reshape(shape)
 
 
+def _child_peak_on_g10_fourth_power(expr: str) -> tuple[int, int]:
+    """Evaluate the integer `expr` on j = I^4 of G10 (a 5^10 table of 9.8 MB)
+    in a child process; return it with the child's peak memory in bytes.  The
+    child reports VmHWM, its own peak: ru_maxrss would carry this test
+    process's peak across the exec."""
+    child = (
+        "import re\n"
+        "from edgesat.graphs import SimpleGraph\n"
+        "from edgesat.ideals import ass_primes_oracle, colon_maximal, edge_ideal, power\n"
+        f"j = power(edge_ideal(SimpleGraph.from_edges(10, {G10})), 4)\n"
+        f"value = {expr}\n"
+        "status = open('/proc/self/status').read()\n"
+        "print(value, re.search(r'VmHWM:\\s*(\\d+) kB', status).group(1))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", child], capture_output=True, text=True, env=env, timeout=120
+    )
+    value, peak_kib = map(int, done.stdout.split())
+    return value, peak_kib * 1024
+
+
 class TestBasics:
     def test_edge_ideal_triangle(self, triangle):
         assert edge_ideal(triangle).to_lists() == [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
@@ -239,6 +261,13 @@ class TestColonAndSaturation:
         for j in powers + _random_ideals(51, 200):
             assert colon_maximal(j) == _colon_by_variables(j), j
 
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+    def test_colon_maximal_memory_bounded_by_the_table(self):
+        # one table and its colon, not n shifted copies: allowed 4x plus 100 MB
+        gens, peak = _child_peak_on_g10_fourth_power("len(colon_maximal(j).gens)")
+        assert gens == 3327
+        assert peak <= 4 * 5**10 + 100 * 10**6
+
 
 class TestAssPrimesOracle:
     def test_triangle_radical(self, triangle):
@@ -264,25 +293,9 @@ class TestAssPrimesOracle:
 
     @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
     def test_memory_bounded_by_the_table(self):
-        # I^4 of a 10-vertex graph: a 5^10 table of 9.8 MB, allowed 4x plus 100 MB.
-        # The child reports VmHWM, its own peak: ru_maxrss would carry this test
-        # process's peak across the exec.
-        child = (
-            "import re\n"
-            "from edgesat.graphs import SimpleGraph\n"
-            "from edgesat.ideals import ass_primes_oracle, edge_ideal, power\n"
-            f"g = SimpleGraph.from_edges(10, {G10})\n"
-            "primes = ass_primes_oracle(power(edge_ideal(g), 4))\n"
-            "status = open('/proc/self/status').read()\n"
-            "print(len(primes), re.search(r'VmHWM:\\s*(\\d+) kB', status).group(1))\n"
-        )
-        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-        done = subprocess.run(
-            [sys.executable, "-c", child], capture_output=True, text=True, env=env, timeout=120
-        )
-        primes, peak_kib = map(int, done.stdout.split())
+        primes, peak = _child_peak_on_g10_fourth_power("len(ass_primes_oracle(j))")
         assert primes == 23
-        assert peak_kib * 1024 <= 4 * 5**10 + 100 * 10**6
+        assert peak <= 4 * 5**10 + 100 * 10**6
 
     def test_oracle_ass_edgeless(self):
         assert oracle_ass(graph(3), 2) == {frozenset()}

@@ -271,6 +271,19 @@ class TestRepresentation:
                 assert h.mask == sum(1 << (v - 1) for v in h.vertices)
                 _assert_pair_semantics(h)
 
+    def test_edge_bits_is_the_pairwise_definition_exhaustive_n5(self):
+        for g in all_graphs_upto(5):
+            for sub in range(1 << g.n):
+                verts = [v for v in range(1, g.n + 1) if sub >> (v - 1) & 1]
+                k = len(verts)
+                pairwise = sum(
+                    1 << (i * k + j)
+                    for i in range(k)
+                    for j in range(i + 1, k)
+                    if g.has_edge(verts[i], verts[j])
+                )
+                assert _edge_bits(g, verts) == pairwise, (g.edges, verts)
+
     def test_immutable(self, triangle):
         h = wg(triangle, 2, 0, 1)
         for name in ("graph", "a", "vertices", "weights", "mask", "cache_key", "extra"):
