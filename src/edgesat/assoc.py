@@ -25,7 +25,6 @@ from .graphs import (
     covers_minimal_over,
     is_dominating,
     is_minimal_cover,
-    is_minimal_over,
     iter_bits,
     mask_of,
     minimal_covers,
@@ -107,6 +106,10 @@ def is_associated(g: SimpleGraph, f: Iterable[int], t: int) -> AssPrimeReport | 
     Minimal covers are associated outright.  Otherwise, a witness exponent
     vector supported in core(F) is searched with weights below t and weight
     sum at most 3(t-1); those bounds exhaust the possible saturating graphs.
+    For a support S inside core(F), N[S] lies in F, and a vertex of F outside
+    N[S] can leave the cover exactly when it lies in core(F); so F is minimal
+    over N[S] exactly when core(F) lies in N[S], and the search walks only
+    the supports that dominate core(F).
     """
     f = frozenset(f)
     if t < 1:
@@ -118,10 +121,9 @@ def is_associated(g: SimpleGraph, f: Iterable[int], t: int) -> AssPrimeReport | 
         return AssPrimeReport(f, "minimal", {"type": "minimal-cover"})
     if t == 1:
         return None  # Ass(I) is exactly the minimal covers
-    for sup, a in _saturating_graphs(g, t, _core_mask(g, fm)):
-        if is_minimal_over(g, f, closed_neighborhood(g, sup)) and _core_inequalities_hold(
-            g, f, a, t
-        ):
+    core = _core_mask(g, fm)
+    for _, a in _saturating_graphs(g, t, core, core):
+        if _core_inequalities_hold(g, f, a, t):
             return AssPrimeReport(f, "embedded", {"type": "witness", "exponents": list(a)})
     return None
 

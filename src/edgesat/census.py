@@ -131,11 +131,13 @@ def run_census(
     """Compare Ass(I^t) engines over all (or `sample` random) graphs on n vertices."""
     if sample is None and n > 6:
         raise ValueError("full census is refused for n > 6; pass a sample size")
+    if threads < 1:
+        raise ValueError("the thread count must be at least 1")
     graphs = random_graphs(n, sample, seed) if sample is not None else all_graphs(n)
     start = time.perf_counter()
     mismatches: list[dict] = []
     count = 0
-    if threads <= 1:
+    if threads == 1:
         for g in graphs:
             count += 1
             bad = check_graph(g, t)

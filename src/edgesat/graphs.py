@@ -247,18 +247,16 @@ def _layers(g: SimpleGraph, region: int, start: int) -> Iterator[tuple[int, int]
         seen |= layer
 
 
-def _components(g: SimpleGraph, region: int) -> list[tuple[int, bool]]:
+def _components(g: SimpleGraph, region: int) -> Iterator[tuple[int, bool]]:
     """Components of the induced subgraph on `region`, ordered by least vertex,
-    as (mask, whether it contains an odd cycle)."""
-    out = []
+    as (mask, whether it contains an odd cycle), each layered when it is asked for."""
     while region:
         comp, odd = 0, False
         for layer, nbrs in _layers(g, region, region & -region):
             comp |= layer
             odd = odd or bool(nbrs & layer)
-        out.append((comp, odd))
+        yield comp, odd
         region &= ~comp
-    return out
 
 
 def components_masked(g: SimpleGraph, region: int) -> list[int]:
@@ -277,9 +275,14 @@ def is_dominating(g: SimpleGraph, u: Iterable[int]) -> bool:
 
 
 def _odd_cycle_components(g: SimpleGraph, region: int) -> list[int] | None:
-    """The components of `region`, as masks, when each contains an odd cycle, else None."""
-    comps = _components(g, region)
-    return [comp for comp, _ in comps] if all(odd for _, odd in comps) else None
+    """The components of `region`, as masks, when each contains an odd cycle,
+    else None, returned at the first bipartite component."""
+    comps = []
+    for comp, odd in _components(g, region):
+        if not odd:
+            return None
+        comps.append(comp)
+    return comps
 
 
 def is_bipartite(g: SimpleGraph) -> bool:

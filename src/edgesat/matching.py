@@ -238,6 +238,30 @@ def maximum_matching(h: WeightedGraph) -> Matching:
     return Matching.of((label[i], label[m]) for i, m in enumerate(mate) if m > i)
 
 
+def _degree_order(k: int, bits: int) -> list[tuple[int, int]]:
+    """The edges (p, q), p < q, of the edge bits of a k-vertex key, ordered by
+    the smaller degree of their ends, then the larger, then by (p, q)."""
+    edges = [(p, q) for p in range(k) for q in range(p + 1, k) if bits >> (p * k + q) & 1]
+    deg = [0] * k
+    for p, q in edges:
+        deg[p] += 1
+        deg[q] += 1
+    return sorted(edges, key=lambda e: sorted((deg[e[0]], deg[e[1]])))
+
+
+def _greedy_counts(weights: Sequence[int], edges: Sequence[tuple[int, int]]) -> list[int]:
+    """A greedy b-matching: each edge (p, q) in turn takes as many copies as
+    both of its ends have weight left.  Its size is a lower bound on nu."""
+    left = list(weights)
+    counts = []
+    for p, q in edges:
+        c = left[p] if left[p] < left[q] else left[q]
+        left[p] -= c
+        left[q] -= c
+        counts.append(c)
+    return counts
+
+
 _NU_CACHE: dict[tuple, int] = {}
 
 

@@ -5,18 +5,23 @@ induced subgraph on the support with vertex i weighted a_i.  Membership in
 the t-th power is nu >= t; membership in the saturation is the system of
 matching inequalities nu(G_a - N_a(i)) >= t - deg_a(i) over all vertices i
 of the ambient graph.  Every check of them goes through one kernel: the plan
-of each inequality (the support indices outside N and the edge bits of H - N)
-is made once per support, and each weight tuple meets the `nu` cache by key.
+of each inequality (an `itemgetter` of the support indices outside N and the
+edge bits of H - N) is made once per support, and each weight tuple meets the
+`nu` cache by key.  The search for saturating graphs settles each weighting
+by its cheapest exact test first: the prune (some w - e_p already failed),
+then a greedy b-matching that reaches t, then the inequalities, and only then
+a blossom run for nu(w) < t.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from operator import mul, sub
+from operator import itemgetter, mul, sub
 from typing import Iterable, Iterator, Sequence
 
 from .graphs import (
     SimpleGraph,
+    _closed_mask,
     _core_mask,
     _covers_edges,
     _odd_cycle_components,
@@ -27,7 +32,14 @@ from .graphs import (
     mask_of,
     set_of,
 )
-from .matching import WeightedGraph, _edge_bits, _nu_of_key, nu
+from .matching import (
+    WeightedGraph,
+    _degree_order,
+    _edge_bits,
+    _greedy_counts,
+    _nu_of_key,
+    nu,
+)
 
 ExponentVector = tuple[int, ...]
 
@@ -57,22 +69,30 @@ def in_power(g: SimpleGraph, a: Sequence[int], t: int) -> bool:
 
 def _drop_plans(
     g: SimpleGraph, verts: Sequence[int], drops: Iterable[int]
-) -> Iterator[tuple[list[int], int]]:
+) -> Iterator[tuple[itemgetter, int]]:
     """For each vertex mask N, the plan of H - N, H on the increasing labels
-    `verts` of g: the indices into `verts` outside N, and the edge bits of H - N."""
+    `verts` of g: an `itemgetter` that reads the weights outside N off the
+    support's weight tuple, as a tuple, and the edge bits of H - N."""
     for drop in drops:
         outside = [p for p, v in enumerate(verts) if not drop >> (v - 1) & 1]
-        yield outside, _edge_bits(g, [verts[p] for p in outside])
+        if len(outside) > 1:
+            pick = itemgetter(*outside)
+        else:  # a slice, so that one index or none still reads a tuple
+            pick = itemgetter(slice(outside[0], outside[0] + 1) if outside else slice(0))
+        yield pick, _edge_bits(g, [verts[p] for p in outside])
 
 
-def _inequalities_hold(w: tuple[int, ...], t: int, plans: Iterable[tuple[list[int], int]]) -> bool:
+def _inequalities_hold(
+    w: tuple[int, ...], t: int, plans: Iterable[tuple[itemgetter, int]]
+) -> bool:
     """nu(H - N) >= t - w(N) for each plan, H carrying the support weights w;
     nu(H - N) is at most half the weight of H - N."""
     total = sum(w)
-    for outside, bits in plans:
-        rest = tuple([w[q] for q in outside])
-        need = t - total + sum(rest)  # t - w(N)
-        if need > 0 and (sum(rest) < 2 * need or _nu_of_key((rest, bits)) < need):
+    for pick, bits in plans:
+        rest = pick(w)
+        kept = sum(rest)
+        need = t - total + kept  # t - w(N)
+        if need > 0 and (kept < 2 * need or _nu_of_key((rest, bits)) < need):
             return False
     return True
 
@@ -234,9 +254,10 @@ def _weight_table(size: int, t: int) -> list[tuple[tuple[int, ...], int, bool, l
 
 
 def _saturating_graphs(
-    g: SimpleGraph, t: int, region: int
+    g: SimpleGraph, t: int, region: int, dominated: int = 0
 ) -> Iterator[tuple[tuple[int, ...], ExponentVector]]:
-    """The t-saturating weighted graphs supported in `region`, as (support, a).
+    """The t-saturating weighted graphs supported in `region` whose support's
+    closed neighbourhood contains the mask `dominated`, as (support, a).
 
     Supports come by size, then in lexicographic order, and the weights on
     each support in lexicographic order.  The paper's bounds make the search
@@ -246,19 +267,28 @@ def _saturating_graphs(
     t disjoint edges, so nu >= t and the support is dropped.
 
     No `WeightedGraph` is built per weight tuple w, nor for the vectors
-    yielded, which most callers never need as graphs.  Each w is checked in
-    three steps: it fails if some w - e_p on the support already failed (nu
-    is monotone in the weights); then the inequalities, which mostly answer
-    from the `nu` cache; and only then nu(w) < t by a blossom run, skipped
-    when w sums to less than 2t.  Saturating is the AND of the inequalities
-    and nu(w) < t, so the order leaves the answer alone; the prune reads only
-    failures that were found, so it stays sound; the yield order is that of w.
+    yielded, which most callers never need as graphs.  Each w meets the
+    cheapest exact test first:
+    1. the prune: w fails if some w - e_p on the support already failed (nu
+       is monotone in the weights);
+    2. the greedy: when w sums to 2t or more, a greedy b-matching over the
+       support's edges, ordered once per support by the smaller degree of
+       their ends, fails w if it reaches size t;
+    3. the inequalities, which mostly answer from the `nu` cache;
+    4. nu(w) < t by a blossom run, skipped when w sums to less than 2t.
+    Saturating is the AND of the inequalities and nu(w) < t.  A w with
+    nu >= t satisfies every inequality, so the greedy fails only weightings
+    that step 4 would fail, and the failures that the prune reads are the
+    same whichever step finds them.  The yields and their order are those
+    of w.
     """
     verts = list(iter_bits(region))
     for size in range(1, min(len(verts), 3 * (t - 1)) + 1):
         table = None  # built at the first support of this size that needs it
         for sup in combinations(verts, size):
             mask = mask_of(sup)
+            if dominated and dominated & ~_closed_mask(g, mask):
+                continue
             if _odd_cycle_components(g, mask) is None:
                 continue
             if size >= 2 * t and nu(
@@ -267,10 +297,11 @@ def _saturating_graphs(
                 continue  # every weighting of the support has nu >= t
             table = table or _weight_table(size, t)
             bits = _edge_bits(g, sup)
+            order = _degree_order(size, bits)
             plans = list(_drop_plans(g, sup, (g.adj_bits[v - 1] & mask for v in sup)))
             failed: set[int] = set()  # the weights with nu >= t so far
             for w, code, heavy, below in table:
-                if not failed.isdisjoint(below):
+                if not failed.isdisjoint(below) or heavy and sum(_greedy_counts(w, order)) >= t:
                     failed.add(code)
                 elif _inequalities_hold(w, t, plans):
                     if heavy and _nu_of_key((w, bits)) >= t:

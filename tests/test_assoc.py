@@ -10,6 +10,7 @@ import pytest
 from edgesat import matching
 from edgesat.assoc import (
     AssPrimeReport,
+    _core_inequalities_hold,
     ass_infinity,
     ass_primes,
     ass_primes_2,
@@ -21,9 +22,20 @@ from edgesat.assoc import (
     s_gamma,
 )
 from edgesat.census import all_graphs, all_graphs_upto, oracle_ass, random_graphs
-from edgesat.graphs import SimpleGraph, closed_neighborhood, is_cover, minimal_covers
+from edgesat.graphs import (
+    SimpleGraph,
+    _core_mask,
+    closed_neighborhood,
+    is_cover,
+    is_minimal_cover,
+    is_minimal_over,
+    mask_of,
+    minimal_covers,
+    set_of,
+)
 from edgesat.matching import WeightedGraph
 from edgesat.saturation import (
+    _saturating_graphs,
     in_sat_minus_power,
     is_strongly_t_saturating,
 )
@@ -108,6 +120,31 @@ class TestIsAssociated:
                     assert (is_associated(g, f, t) is not None) == (f in listed), (g.edges, f, t)
         assert cases == 26448
 
+    def test_evidence_matches_the_minimal_over_walk(self):
+        # The domination test keeps the first witness: every cover of every
+        # graph with n <= 5, at t = 2 and t = 3, against the walk over all of
+        # core(F) that checks each yield with `is_minimal_over`.
+        def reference(g: SimpleGraph, f: frozenset[int], t: int) -> AssPrimeReport | None:
+            if is_minimal_cover(g, f):
+                return AssPrimeReport(f, "minimal", {"type": "minimal-cover"})
+            for sup, a in _saturating_graphs(g, t, _core_mask(g, mask_of(f))):
+                if is_minimal_over(g, f, closed_neighborhood(g, sup)) and _core_inequalities_hold(
+                    g, f, a, t
+                ):
+                    return AssPrimeReport(f, "embedded", {"type": "witness", "exponents": list(a)})
+            return None
+
+        embedded = 0
+        for g in all_graphs_upto(5):
+            for m in range(g.full_mask + 1):
+                f = set_of(m)
+                if is_cover(g, f):
+                    for t in (2, 3):
+                        got = is_associated(g, f, t)
+                        assert got == reference(g, f, t), (g.edges, f, t)
+                        embedded += got is not None and got.kind == "embedded"
+        assert embedded > 0
+
 
 class TestAssPrimes:
     def test_triangle_t2(self, triangle):
@@ -129,8 +166,8 @@ class TestAssPrimes:
             assert prime_sets(ass_primes(g, 1)) == set(minimal_covers(g))
 
     def test_blossom_runs_on_g10_t5(self, monkeypatch):
-        # Blossom runs only on weightings that pass the cached inequalities:
-        # 29,079 from an empty `nu` cache, where testing nu(H) < t first made 84,568.
+        # Blossom runs only on weightings that neither the greedy lower bound
+        # nor the cached inequalities settle: 17,108 from an empty `nu` cache.
         real, runs = matching._max_matching_simple, []
 
         def counted(n, adj):
@@ -140,7 +177,7 @@ class TestAssPrimes:
         monkeypatch.setattr(matching, "_NU_CACHE", {})
         monkeypatch.setattr(matching, "_max_matching_simple", counted)
         reports = ass_primes(SimpleGraph.from_edges(10, G10), 5)
-        assert len(reports) == 23 and len(runs) <= 32_000
+        assert len(reports) == 23 and len(runs) <= 20_000
 
 
 class TestClosedForms:

@@ -232,6 +232,12 @@ class TestParseErrors:
         captured = capsys.readouterr()
         assert code == 2 and "--n" in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_census_refuses_fewer_than_one_thread(self, capsys, threads):
+        code = main(["census", "3", "2", "--threads", threads])
+        captured = capsys.readouterr()
+        assert code == 2 and "thread count" in captured.err and captured.out == ""
+
     def test_usage_error_is_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["no-such-command"])

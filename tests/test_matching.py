@@ -10,12 +10,14 @@ from itertools import product
 
 import pytest
 
-from edgesat.census import all_graphs, all_graphs_upto
+from edgesat.census import all_graphs, all_graphs_upto, random_graphs
 from edgesat.graphs import SimpleGraph
 from edgesat.matching import (
     Matching,
     WeightedGraph,
+    _degree_order,
     _edge_bits,
+    _greedy_counts,
     has_augmenting_walk,
     maximum_matching,
     nu,
@@ -162,6 +164,43 @@ class TestBergeExhaustive:
             best = nu_bruteforce(h, cutoff=8)
             for m in all_matchings(h):
                 assert has_augmenting_walk(h, m) == (len(m) < best)
+
+
+def greedy(h: WeightedGraph) -> Matching:
+    """The greedy b-matching of h, relabelled to its vertices, after checking
+    that it walks each edge of h once, by the degrees of its ends, and leaves
+    no edge with spare weight at both ends."""
+    weights, bits = h.cache_key
+    edges = _degree_order(len(weights), bits)
+    label = h.vertices
+    pairs = [(label[p], label[q]) for p, q in edges]
+    degree = {v: sum(v in e for e in pairs) for v in label}
+    keys = [sorted((degree[u], degree[v])) for u, v in pairs]
+    assert set(pairs) == h.edges and len(pairs) == len(h.edges) and keys == sorted(keys)
+    m = Matching.of(
+        e for e, c in zip(pairs, _greedy_counts(weights, edges)) for _ in range(c)
+    )
+    spare = {v: h.weight_map[v] - m.usage.get(v, 0) for v in label}
+    assert not any(spare[u] and spare[v] for u, v in pairs)
+    return m
+
+
+class TestGreedyLowerBound:
+    def test_exhaustive_n4_weights_up_to_3(self):
+        for h in weighted_suite(4, 3):
+            m = greedy(h)
+            validate_matching(h, m)  # only edges of h, no vertex over its weight
+            assert len(m) <= nu_bruteforce(h, cutoff=12)
+
+    def test_seeded_graphs_up_to_n8(self):
+        rng = random.Random(14)
+        for n in range(5, 9):
+            for g in random_graphs(n, 40, n):
+                h = wg(g, *(rng.randrange(4) for _ in range(n)))
+                m = greedy(h)
+                validate_matching(h, m)
+                bound = nu_bruteforce(h) if h.total_weight <= 14 else nu(h)
+                assert len(m) <= bound
 
 
 class TestInvariantsSampled:

@@ -17,3 +17,47 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert sorted(SRC.glob("*.py")) and found == []
+
+
+# Calls whose result is a mutable container.
+MUTABLE_CALLS = {
+    "dict", "list", "set", "bytearray", "defaultdict", "OrderedDict", "Counter", "deque"
+}
+MUTABLE_NODES = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+
+
+def _modules() -> list[tuple[str, ast.Module]]:
+    paths = sorted(SRC.glob("*.py"))
+    assert paths
+    return [(path.stem, ast.parse(path.read_text())) for path in paths]
+
+
+def _is_mutable(value: ast.expr | None) -> bool:
+    if isinstance(value, MUTABLE_NODES):
+        return True
+    if isinstance(value, ast.Call):
+        func = value.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        return name in MUTABLE_CALLS
+    return False
+
+
+def test_the_nu_cache_is_the_only_module_level_state():
+    # No module-global mutable state beyond the `nu` cache: a module-level
+    # container, or a function memoised by functools (imported by name or
+    # reached as an attribute), would carry answers from one graph to the next.
+    containers = []
+    for name, tree in _modules():
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and _is_mutable(node.value):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                containers += [f"{name}.{ast.unparse(t)}" for t in targets]
+    assert containers == ["matching._NU_CACHE"]
+    memoised = [
+        f"{name}:{node.lineno}"
+        for name, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in {"cache", "lru_cache"}
+        or isinstance(node, ast.alias) and node.name in {"cache", "lru_cache"}
+    ]
+    assert memoised == []
