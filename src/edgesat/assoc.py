@@ -11,16 +11,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .graphs import (
     SimpleGraph,
+    _closed_mask,
     _core_mask,
     _covers_edges,
+    _nbrs,
     _odd_cycle_components,
     _set_order,
     _vertex_mask,
-    closed_neighborhood,
     components_masked,
     covers_minimal_over,
     is_dominating,
@@ -80,15 +81,22 @@ def _minimal_reports(g: SimpleGraph) -> list[AssPrimeReport]:
 
 
 def _reports_over(
-    g: SimpleGraph, supports: Iterable[tuple[frozenset[int], dict]]
+    g: SimpleGraph,
+    supports: Iterable[tuple[int, dict]],
+    keep: Callable[[frozenset[int], dict], bool] | None = None,
 ) -> list[AssPrimeReport]:
-    """Minimal covers, then the covers minimal over N[S] for each (S, evidence)
-    pair; a prime keeps the evidence of the first S that gives it."""
+    """Minimal covers, then for each (support mask S, evidence) pair the covers
+    minimal over N[S] that `keep` accepts; a prime keeps the evidence of the
+    first S that gives it.  The covers are found once per distinct N[S]."""
     reports = _minimal_reports(g)
     seen = prime_sets(reports)
+    over: dict[int, list[frozenset[int]]] = {}
     for s, evidence in supports:
-        for f in covers_minimal_over(g, closed_neighborhood(g, s)):
-            if f not in seen:
+        closed = _closed_mask(g, s)
+        if closed not in over:
+            over[closed] = covers_minimal_over(g, iter_bits(closed))
+        for f in over[closed]:
+            if f not in seen and (keep is None or keep(f, evidence)):
                 seen.add(f)
                 reports.append(AssPrimeReport(f, "embedded", dict(evidence)))
     return _sort_reports(reports)
@@ -130,68 +138,33 @@ def is_associated(g: SimpleGraph, f: Iterable[int], t: int) -> AssPrimeReport | 
 
 def ass_primes(g: SimpleGraph, t: int) -> list[AssPrimeReport]:
     """Ass(I^t): minimal covers plus the embedded primes found by enumerating
-    t-saturating weighted graphs, in the order of their exponent vectors."""
+    t-saturating weighted graphs (none at t = 1), in the order of their
+    exponent vectors."""
     if t < 1:
         raise ValueError("t must be at least 1")
-    reports = _minimal_reports(g)
-    if t >= 2:
-        seen = prime_sets(reports)
-        found = sorted(_saturating_graphs(g, t, g.full_mask), key=lambda x: x[1])
-        for sup, a in found:
-            for f in covers_minimal_over(g, closed_neighborhood(g, sup)):
-                if f not in seen and _core_inequalities_hold(g, f, a, t):
-                    seen.add(f)
-                    reports.append(
-                        AssPrimeReport(
-                            f, "embedded", {"type": "witness", "exponents": list(a)}
-                        )
-                    )
-    return _sort_reports(reports)
-
-
-def _shape_reports(
-    g: SimpleGraph, shapes: Iterable[tuple[str, frozenset[int]]]
-) -> list[AssPrimeReport]:
+    found = sorted(_saturating_graphs(g, t, g.full_mask), key=lambda x: x[1])
     return _reports_over(
         g,
-        ((s, {"type": "shape", "shape": tag, "vertices": sorted(s)}) for tag, s in shapes),
+        ((mask_of(sup), {"type": "witness", "exponents": list(a)}) for sup, a in found),
+        lambda f, evidence: _core_inequalities_hold(g, f, evidence["exponents"], t),
     )
+
+
+def _shape_reports(g: SimpleGraph, shapes: Iterable[tuple[str, int]]) -> list[AssPrimeReport]:
+    return _reports_over(
+        g,
+        ((s, {"type": "shape", "shape": tag, "vertices": list(iter_bits(s))}) for tag, s in shapes),
+    )
+
+
+def _triangle_shapes(g: SimpleGraph) -> list[tuple[str, int]]:
+    return [("triangle", mask_of(tri)) for tri in triangles(g)]
 
 
 def ass_primes_2(g: SimpleGraph) -> list[AssPrimeReport]:
     """Ass(I^2) in closed form: minimal covers plus covers minimal over the
     closed neighbourhood of a triangle."""
-    return _shape_reports(
-        g, (("triangle", frozenset(tri)) for tri in triangles(g))
-    )
-
-
-def _triangle_plus_edge_sets(g: SimpleGraph) -> list[frozenset[int]]:
-    out = []
-    for tri in triangles(g):
-        ts = set(tri)
-        attach = set()
-        for v in tri:
-            attach |= g.adj[v]
-        for v in sorted(attach - ts):
-            out.append(frozenset(ts | {v}))
-    return out
-
-
-def _triangle_pair_sets(g: SimpleGraph) -> tuple[list[frozenset[int]], list[frozenset[int]]]:
-    """Vertex sets of two triangles: (disjoint with no joining edge, sharing one vertex)."""
-    tris = triangles(g)
-    nonadjacent = []
-    shared = []
-    for t1, t2 in combinations(tris, 2):
-        s1, s2 = set(t1), set(t2)
-        inter = s1 & s2
-        if not inter:
-            if not any(g.has_edge(u, v) for u in s1 for v in s2):
-                nonadjacent.append(frozenset(s1 | s2))
-        elif len(inter) == 1:
-            shared.append(frozenset(s1 | s2))
-    return nonadjacent, shared
+    return _shape_reports(g, _triangle_shapes(g))
 
 
 def _has_spanning_cycle(g: SimpleGraph, verts: tuple[int, ...]) -> bool:
@@ -206,22 +179,24 @@ def _has_spanning_cycle(g: SimpleGraph, verts: tuple[int, ...]) -> bool:
     return False
 
 
-def _pentagon_sets(g: SimpleGraph) -> list[frozenset[int]]:
-    out = []
-    for verts in combinations(range(1, g.n + 1), 5):
-        if _has_spanning_cycle(g, verts):
-            out.append(frozenset(verts))
-    return out
-
-
-def _three_shapes(g: SimpleGraph) -> list[tuple[str, frozenset[int]]]:
-    shapes: list[tuple[str, frozenset[int]]] = []
-    shapes.extend(("triangle", frozenset(t)) for t in triangles(g))
-    shapes.extend(("edge-plus-triangle", s) for s in _triangle_plus_edge_sets(g))
-    nonadj, shared = _triangle_pair_sets(g)
-    shapes.extend(("two-disjoint-triangles", s) for s in nonadj)
-    shapes.extend(("two-triangles-shared-vertex", s) for s in shared)
-    shapes.extend(("pentagon", s) for s in _pentagon_sets(g))
+def _three_shapes(g: SimpleGraph) -> list[tuple[str, int]]:
+    """The supports of the t = 3 classification, as (tag, vertex mask), in this
+    order: triangles; a triangle plus one neighbour; two disjoint triangles
+    with no joining edge; two triangles sharing one vertex; five vertices on
+    a spanning cycle, chords allowed."""
+    shapes = _triangle_shapes(g)
+    tris = [m for _, m in shapes]
+    pairs = list(combinations(tris, 2))
+    shapes += [
+        ("edge-plus-triangle", m | 1 << (v - 1)) for m in tris for v in iter_bits(_nbrs(g, m) & ~m)
+    ]
+    shapes += [("two-disjoint-triangles", a | b) for a, b in pairs if not _closed_mask(g, a) & b]
+    shapes += [("two-triangles-shared-vertex", a | b) for a, b in pairs if (a & b).bit_count() == 1]
+    shapes += [
+        ("pentagon", mask_of(verts))
+        for verts in combinations(range(1, g.n + 1), 5)
+        if _has_spanning_cycle(g, verts)
+    ]
     return shapes
 
 
@@ -295,22 +270,19 @@ def ass_infinity(g: SimpleGraph) -> list[AssPrimeReport]:
     return _reports_over(
         g,
         (
-            (set_of(um), {"type": "odd-cycle-support", "vertices": list(iter_bits(um))})
+            (um, {"type": "odd-cycle-support", "vertices": list(iter_bits(um))})
             for um, _ in _odd_cycle_supports(g)
         ),
     )
 
 
-def _component_strong_level(g: SimpleGraph, comp: frozenset[int]) -> int:
-    """Largest s with an induced strongly s-saturating subgraph on 2s-1 vertices."""
-    verts = sorted(comp)
-    top = (len(verts) + 1) // 2
-    for s in range(top, 1, -1):
-        size = 2 * s - 1
-        for w in combinations(verts, size):
-            a = [0] * g.n
-            for v in w:
-                a[v - 1] = 1
+def _component_strong_level(g: SimpleGraph, comp: int) -> int:
+    """Largest s with an induced strongly s-saturating subgraph on 2s-1 vertices
+    of the component mask `comp`."""
+    verts = list(iter_bits(comp))
+    for s in range((len(verts) + 1) // 2, 1, -1):
+        for w in map(mask_of, combinations(verts, 2 * s - 1)):
+            a = [w >> i & 1 for i in range(g.n)]
             if is_strongly_t_saturating(WeightedGraph.from_exponents(g, a), s):
                 return s
     return 0
@@ -324,18 +296,16 @@ def s_gamma(g: SimpleGraph) -> int:
     of an induced odd-size subgraph of the i-th component; 1 for bipartite
     graphs.
     """
-    comp_cache: dict[frozenset[int], int] = {}
+    comp_cache: dict[int, int] = {}
     best = 1
     for um, comps in _odd_cycle_supports(g):
         total = 0
         for cm in comps:
-            cset = set_of(cm)
-            level = comp_cache.get(cset)
+            level = comp_cache.get(cm)
             if level is None:
-                level = _component_strong_level(g, cset)
-                comp_cache[cset] = level
+                level = comp_cache[cm] = _component_strong_level(g, cm)
             if level < 2:
-                raise RuntimeError(f"odd-cycle component {sorted(cset)} has no strong level")
+                raise RuntimeError(f"odd-cycle component {list(iter_bits(cm))} has no strong level")
             total += level
         best = max(best, um.bit_count() - total + 1)
     return best
@@ -347,8 +317,7 @@ def depth_positive(g: SimpleGraph, t: int) -> bool:
     Equivalent to the absence of a dominating subgraph of the relevant
     shapes: a triangle for t = 2, the five classification shapes for t = 3.
     """
-    if t == 2:
-        return not any(is_dominating(g, set(tri)) for tri in triangles(g))
-    if t == 3:
-        return not any(is_dominating(g, s) for _, s in _three_shapes(g))
-    raise ValueError("depth criteria are available for t in {2, 3} only")
+    if t not in (2, 3):
+        raise ValueError("depth criteria are available for t in {2, 3} only")
+    shapes = _triangle_shapes(g) if t == 2 else _three_shapes(g)
+    return all(_closed_mask(g, s) != g.full_mask for _, s in shapes)

@@ -360,7 +360,7 @@ def parse_graph_text(text: str) -> SimpleGraph:
         raise ValueError("line 1: expected two integers 'n m'") from None
     if m < 0:
         raise ValueError(f"line 1: negative edge count {m}")
-    edges = []
+    edges: set[tuple[int, int]] = set()
     for i in range(m):
         if i + 1 >= len(lines):
             raise ValueError(f"line {i + 2}: missing edge line")
@@ -373,7 +373,9 @@ def parse_graph_text(text: str) -> SimpleGraph:
             raise ValueError(f"line {i + 2}: expected two integers 'u v'") from None
         if not 1 <= u < v <= n:
             raise ValueError(f"line {i + 2}: edge ({u},{v}) violates 1 <= u < v <= n")
-        edges.append((u, v))
+        if (u, v) in edges:
+            raise ValueError(f"line {i + 2}: repeated edge ({u},{v})")
+        edges.add((u, v))
     for k in range(m + 1, len(lines)):
         if lines[k].strip():
             raise ValueError(f"line {k + 1}: more edge lines than the {m} declared")

@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 import random
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
-from edgesat import matching
+from edgesat import assoc, matching
 from edgesat.assoc import (
     AssPrimeReport,
     _core_inequalities_hold,
+    _odd_cycle_supports,
+    _three_shapes,
     ass_infinity,
     ass_primes,
     ass_primes_2,
@@ -24,6 +26,7 @@ from edgesat.assoc import (
 from edgesat.census import all_graphs, all_graphs_upto, oracle_ass, random_graphs
 from edgesat.graphs import (
     SimpleGraph,
+    _closed_mask,
     _core_mask,
     closed_neighborhood,
     is_cover,
@@ -32,6 +35,7 @@ from edgesat.graphs import (
     mask_of,
     minimal_covers,
     set_of,
+    triangles,
 )
 from edgesat.matching import WeightedGraph
 from edgesat.saturation import (
@@ -178,6 +182,84 @@ class TestAssPrimes:
         monkeypatch.setattr(matching, "_max_matching_simple", counted)
         reports = ass_primes(SimpleGraph.from_edges(10, G10), 5)
         assert len(reports) == 23 and len(runs) <= 20_000
+
+
+class TestReportWalk:
+    @pytest.fixture
+    def cover_calls(self, monkeypatch):
+        real, calls = assoc.covers_minimal_over, []
+
+        def counted(g, s):
+            calls.append(frozenset(s))
+            return real(g, calls[-1])
+
+        monkeypatch.setattr(assoc, "covers_minimal_over", counted)
+        return calls
+
+    @pytest.mark.parametrize("t", [3, 4])
+    def test_covers_once_per_closed_neighbourhood_g10(self, cover_calls, t):
+        # thousands of saturating graphs on G10, but only 11 distinct N[S]
+        assert len(ass_primes(SimpleGraph.from_edges(10, G10), t)) == 23
+        assert len(cover_calls) == len(set(cover_calls)) == 11
+
+    def test_closed_forms_once_per_closed_neighbourhood_g10(self, cover_calls):
+        g = SimpleGraph.from_edges(10, G10)
+        for route, supports in (
+            (ass_primes_3, [m for _, m in _three_shapes(g)]),
+            (ass_infinity, [m for m, _ in _odd_cycle_supports(g)]),
+        ):
+            cover_calls.clear()
+            route(g)
+            closed = {set_of(_closed_mask(g, m)) for m in supports}
+            assert len(cover_calls) == len(set(cover_calls)) and set(cover_calls) == closed
+
+
+def _three_shapes_reference(g: SimpleGraph) -> list[tuple[str, frozenset[int]]]:
+    """The t = 3 shape lists by set algebra on vertex sets, independent of the masks."""
+    tris = [frozenset(t) for t in triangles(g)]
+    shapes = [("triangle", t) for t in tris]
+    for t in tris:
+        attach = set().union(*(g.adj[v] for v in t)) - t
+        shapes += [("edge-plus-triangle", t | {v}) for v in sorted(attach)]
+    nonadjacent, shared = [], []
+    for t1, t2 in combinations(tris, 2):
+        if not t1 & t2:
+            if not any(g.has_edge(u, v) for u in t1 for v in t2):
+                nonadjacent.append(t1 | t2)
+        elif len(t1 & t2) == 1:
+            shared.append(t1 | t2)
+    shapes += [("two-disjoint-triangles", s) for s in nonadjacent]
+    shapes += [("two-triangles-shared-vertex", s) for s in shared]
+    for verts in combinations(range(1, g.n + 1), 5):
+        for perm in permutations(verts[1:]):
+            cycle = (verts[0], *perm)
+            if all(g.has_edge(a, b) for a, b in zip(cycle, cycle[1:] + cycle[:1])):
+                shapes.append(("pentagon", frozenset(verts)))
+                break
+    return shapes
+
+
+# Two disjoint triangles with no joining edge, and a third sharing one vertex
+# with one of them, so that both kinds of triangle pair meet in one list;
+# none of the seeded n = 7 graphs has both.
+TWO_PAIR_KINDS = graph(8, (1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6), (6, 7), (6, 8), (7, 8))
+
+
+class TestThreeShapes:
+    # The first shape that gives a prime keeps its evidence, so the order
+    # of the list is part of the output.
+    @pytest.mark.parametrize("source", ["n<=5", "n=7"])
+    def test_same_shapes_in_the_same_order(self, source):
+        if source == "n<=5":
+            graphs = all_graphs_upto(5)
+        else:
+            graphs = [*random_graphs(7, 300, 3), TWO_PAIR_KINDS]
+        tags = set()
+        for g in graphs:
+            got = [(tag, set_of(m)) for tag, m in _three_shapes(g)]
+            assert got == _three_shapes_reference(g), g.edges
+            tags |= {tag for tag, _ in got}
+        assert len(tags) == (4 if source == "n<=5" else 5)
 
 
 class TestClosedForms:

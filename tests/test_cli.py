@@ -215,6 +215,13 @@ class TestParseErrors:
         captured = capsys.readouterr()
         assert code == 2 and "line 3" in captured.err and captured.out == ""
 
+    def test_repeated_edge_line(self, capsys, tmp_path):
+        p = tmp_path / "repeated.txt"
+        p.write_text("3 2\n1 2\n1 2\n")
+        code = main(["ass", str(p), "2"])
+        captured = capsys.readouterr()
+        assert code == 2 and "line 3: repeated edge (1,2)" in captured.err and captured.out == ""
+
     def test_bad_inline_edges(self, capsys):
         assert main(["nu", "--edges", "1+2", "1,1"]) == 2
 

@@ -325,6 +325,8 @@ class TestTextFormat:
             parse_graph_text("3 1\n1 2\n\n2 3\n")
         with pytest.raises(ValueError, match="line 1"):
             parse_graph_text("3 -1\n")
+        with pytest.raises(ValueError, match=r"^line 3: repeated edge \(1,2\)$"):
+            parse_graph_text("3 2\n1 2\n1 2\n")
         assert parse_graph_text("3 1\n1 2\n\n  \n") == graph(3, (1, 2))
 
     def test_rejects_loops_and_range(self):

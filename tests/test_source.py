@@ -61,3 +61,22 @@ def test_the_nu_cache_is_the_only_module_level_state():
         or isinstance(node, ast.alias) and node.name in {"cache", "lru_cache"}
     ]
     assert memoised == []
+
+
+def test_no_unused_imports():
+    # Every name a module imports is read somewhere in it; a removal that
+    # leaves its import behind fails here.  `__init__` imports to re-export.
+    unused = []
+    for name, tree in _modules():
+        if name == "__init__":
+            continue
+        imported = {
+            (alias.asname or alias.name).split(".")[0]: node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{name}:{line} {alias}" for alias, line in imported.items() if alias not in used]
+    assert unused == []
