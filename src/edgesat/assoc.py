@@ -10,26 +10,24 @@ core vertices outside that support.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .graphs import (
     SimpleGraph,
     _closed_mask,
+    _components,
     _core_mask,
     _covers_edges,
     _nbrs,
     _odd_cycle_components,
     _set_order,
     _vertex_mask,
-    components_masked,
     covers_minimal_over,
-    is_dominating,
     is_minimal_cover,
     iter_bits,
     mask_of,
     minimal_covers,
-    set_of,
     triangles,
 )
 from .matching import WeightedGraph
@@ -65,19 +63,8 @@ class AssPrimeReport:
         }
 
 
-def _sort_reports(reports: Iterable[AssPrimeReport]) -> list[AssPrimeReport]:
-    return sorted(reports, key=lambda r: _set_order(r.vertices))
-
-
 def prime_sets(reports: Iterable[AssPrimeReport]) -> set[frozenset[int]]:
     return {r.vertices for r in reports}
-
-
-def _minimal_reports(g: SimpleGraph) -> list[AssPrimeReport]:
-    return [
-        AssPrimeReport(f, "minimal", {"type": "minimal-cover"})
-        for f in minimal_covers(g)
-    ]
 
 
 def _reports_over(
@@ -88,7 +75,7 @@ def _reports_over(
     """Minimal covers, then for each (support mask S, evidence) pair the covers
     minimal over N[S] that `keep` accepts; a prime keeps the evidence of the
     first S that gives it.  The covers are found once per distinct N[S]."""
-    reports = _minimal_reports(g)
+    reports = [AssPrimeReport(f, "minimal", {"type": "minimal-cover"}) for f in minimal_covers(g)]
     seen = prime_sets(reports)
     over: dict[int, list[frozenset[int]]] = {}
     for s, evidence in supports:
@@ -99,7 +86,7 @@ def _reports_over(
             if f not in seen and (keep is None or keep(f, evidence)):
                 seen.add(f)
                 reports.append(AssPrimeReport(f, "embedded", dict(evidence)))
-    return _sort_reports(reports)
+    return sorted(reports, key=lambda r: _set_order(r.vertices))
 
 
 def _core_inequalities_hold(g: SimpleGraph, f: Iterable[int], a: Sequence[int], t: int) -> bool:
@@ -168,33 +155,36 @@ def ass_primes_2(g: SimpleGraph) -> list[AssPrimeReport]:
 
 
 def _has_spanning_cycle(g: SimpleGraph, verts: tuple[int, ...]) -> bool:
-    """Is there a cycle through all of `verts` (chords ignored)?"""
-    first, rest = verts[0], verts[1:]
-    for perm in permutations(rest):
-        if perm[0] > perm[-1]:
-            continue  # each cycle orientation once
-        cycle = (first, *perm)
-        if all(g.has_edge(cycle[i], cycle[(i + 1) % len(cycle)]) for i in range(len(cycle))):
+    """Is there a cycle through the five `verts` (chords ignored)?  It runs
+    first-a-..-d-first for neighbours a < d of the first vertex, with the two
+    vertices left, x and y, between them in either order."""
+    first, rest = verts[0], mask_of(verts[1:])
+    e = g.has_edge
+    for a, d in combinations(iter_bits(g.adj_bits[first - 1] & rest), 2):
+        x, y = iter_bits(rest & ~mask_of((a, d)))
+        if e(x, y) and (e(a, x) and e(y, d) or e(a, y) and e(x, d)):
             return True
     return False
 
 
-def _three_shapes(g: SimpleGraph) -> list[tuple[str, int]]:
-    """The supports of the t = 3 classification, as (tag, vertex mask), in this
-    order: triangles; a triangle plus one neighbour; two disjoint triangles
-    with no joining edge; two triangles sharing one vertex; five vertices on
-    a spanning cycle, chords allowed."""
-    shapes = _triangle_shapes(g)
+def _three_shapes(g: SimpleGraph, region: int) -> list[tuple[str, int]]:
+    """The supports of the t = 3 classification inside the vertex mask
+    `region`, as (tag, vertex mask), in this order: triangles; a triangle plus
+    one neighbour; two disjoint triangles with no joining edge; two triangles
+    sharing one vertex; five vertices on a spanning cycle, chords allowed."""
+    shapes = [(tag, m) for tag, m in _triangle_shapes(g) if not m & ~region]
     tris = [m for _, m in shapes]
     pairs = list(combinations(tris, 2))
     shapes += [
-        ("edge-plus-triangle", m | 1 << (v - 1)) for m in tris for v in iter_bits(_nbrs(g, m) & ~m)
+        ("edge-plus-triangle", m | 1 << (v - 1))
+        for m in tris
+        for v in iter_bits(_nbrs(g, m) & region & ~m)
     ]
     shapes += [("two-disjoint-triangles", a | b) for a, b in pairs if not _closed_mask(g, a) & b]
     shapes += [("two-triangles-shared-vertex", a | b) for a, b in pairs if (a & b).bit_count() == 1]
     shapes += [
         ("pentagon", mask_of(verts))
-        for verts in combinations(range(1, g.n + 1), 5)
+        for verts in combinations(iter_bits(region), 5)
         if _has_spanning_cycle(g, verts)
     ]
     return shapes
@@ -203,7 +193,17 @@ def _three_shapes(g: SimpleGraph) -> list[tuple[str, int]]:
 def ass_primes_3(g: SimpleGraph) -> list[AssPrimeReport]:
     """Ass(I^3) in closed form: minimal covers plus covers minimal over the
     closed neighbourhood of one of the five subgraph shapes."""
-    return _shape_reports(g, _three_shapes(g))
+    return _shape_reports(g, _three_shapes(g, g.full_mask))
+
+
+# Each t = 3 shape's tag, with the sorted weights of its case.
+_SHAPE_WEIGHTS = (
+    ("triangle", (1, 2, 2)),
+    ("edge-plus-triangle", (1, 1, 1, 2)),
+    ("two-disjoint-triangles", (1,) * 6),
+    ("two-triangles-shared-vertex", (1,) * 5),
+    ("pentagon", (1,) * 5),
+)
 
 
 def classify_3_saturating(h: WeightedGraph, g: SimpleGraph) -> str | None:
@@ -214,48 +214,37 @@ def classify_3_saturating(h: WeightedGraph, g: SimpleGraph) -> str | None:
     exactly two non-adjacent triangles; spanned by two triangles meeting at
     a vertex; spanned by a pentagon; a K4 whose outside vertices each see at
     least two support vertices.  None when x^a is not in sat(I^3) \\ I^3.
+    The first five are the `_three_shapes` spanning the support, with their
+    weights; given the shape, the edge meets the triangle at the weight-2
+    vertex exactly when that vertex sees the other three.
     """
-    sup = frozenset(h.vertices)
-    if not sup or not is_dominating(g, sup):
+    m = h.mask
+    if not m or _closed_mask(g, m) != g.full_mask:
         return None
-    wsorted = tuple(sorted(h.weights))
-    k = len(sup)
-    if k == 3 and wsorted == (1, 2, 2) and len(h.edges) == 3:
-        return THREE_SATURATING_CASES[0]
-    if k == 4 and wsorted == (1, 1, 1, 2):
-        c = h.vertices[h.weights.index(2)]
-        others = [v for v in h.vertices if v != c]
-        for x, y in combinations(others, 2):
-            z = next(v for v in others if v not in (x, y))
-            if all(h.graph.has_edge(p, q) for p, q in ((c, x), (c, y), (x, y), (c, z))):
-                return THREE_SATURATING_CASES[1]
-        return None
-    if k == 6 and wsorted == (1,) * 6:
-        comps = components_masked(g, h.mask)
-        if len(h.edges) == 6 and len(comps) == 2 and all(
-            set_of(c) in [frozenset(t) for t in triangles(g)] for c in comps
-        ):
-            return THREE_SATURATING_CASES[2]
-        return None
-    if k == 5 and wsorted == (1,) * 5:
-        tris = [frozenset(t) for t in triangles(g) if frozenset(t) <= sup]
-        for t1, t2 in combinations(tris, 2):
-            if len(t1 & t2) == 1 and t1 | t2 == sup:
-                return THREE_SATURATING_CASES[3]
-        if _has_spanning_cycle(g, tuple(sorted(sup))):
-            return THREE_SATURATING_CASES[4]
-        return None
-    if k == 4 and wsorted == (1,) * 4 and len(h.edges) == 6:
-        outside = set(range(1, g.n + 1)) - sup
-        if all(len(g.adj[u] & sup) >= 2 for u in outside):
+
+    def sees_the_rest(v: int) -> bool:
+        return not m & ~_closed_mask(g, 1 << (v - 1))
+
+    weights = tuple(sorted(h.weights))
+    spanned = {tag for tag, s in _three_shapes(g, m) if s == m}
+    for (tag, pattern), case in zip(_SHAPE_WEIGHTS, THREE_SATURATING_CASES):
+        if tag in spanned and weights == pattern:
+            if tag != "edge-plus-triangle" or sees_the_rest(h.vertices[h.weights.index(2)]):
+                return case
+    if weights == (1,) * 4 and all(map(sees_the_rest, iter_bits(m))):
+        if all((g.adj_bits[u - 1] & m).bit_count() >= 2 for u in iter_bits(g.full_mask & ~m)):
             return THREE_SATURATING_CASES[5]
     return None
 
 
 def _odd_cycle_supports(g: SimpleGraph) -> Iterator[tuple[int, list[int]]]:
     """Nonempty vertex masks whose induced components all contain an odd
-    cycle, with those components."""
-    for um in range(1, g.full_mask + 1):
+    cycle, with those components, in increasing order.  Such a mask lies in
+    the union of the components of g that contain an odd cycle, so only the
+    submasks of that union are walked."""
+    region = sum(comp for comp, odd in _components(g, g.full_mask) if odd)
+    um = 0
+    while um := (um - region) & region:
         comps = _odd_cycle_components(g, um)
         if comps is not None:
             yield um, comps
@@ -319,5 +308,5 @@ def depth_positive(g: SimpleGraph, t: int) -> bool:
     """
     if t not in (2, 3):
         raise ValueError("depth criteria are available for t in {2, 3} only")
-    shapes = _triangle_shapes(g) if t == 2 else _three_shapes(g)
+    shapes = _triangle_shapes(g) if t == 2 else _three_shapes(g, g.full_mask)
     return all(_closed_mask(g, s) != g.full_mask for _, s in shapes)

@@ -26,7 +26,7 @@ def _load_graph(args: argparse.Namespace) -> SimpleGraph:
     if args.graph is not None and (args.edges is not None or args.n is not None):
         raise InputError("--edges and --n do not combine with a graph file")
     if args.edges is not None:
-        pairs = []
+        pairs: set[tuple[int, int]] = set()
         for chunk in args.edges.split(","):
             parts = chunk.strip().split("-")
             if len(parts) != 2:
@@ -35,7 +35,10 @@ def _load_graph(args: argparse.Namespace) -> SimpleGraph:
                 u, v = int(parts[0]), int(parts[1])
             except ValueError:
                 raise InputError(f"bad edge token {chunk!r}, expected integers") from None
-            pairs.append((u, v))
+            u, v = min(u, v), max(u, v)
+            if (u, v) in pairs:
+                raise InputError(f"repeated edge ({u},{v})")
+            pairs.add((u, v))
         n = args.n if args.n is not None else max(max(e) for e in pairs)
         try:
             return SimpleGraph.from_edges(n, pairs)

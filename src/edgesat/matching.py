@@ -46,10 +46,11 @@ def _edge_bits(g: SimpleGraph, verts: Sequence[int]) -> int:
 class WeightedGraph:
     """The weighted graph G_a: the ambient graph and an exponent vector a.
 
-    Equal, hashed and shown as the pair (graph, a).  The views every `nu`
-    call reads, the support's vertices and weights, its mask and the
-    canonical key, are computed once when it is built; `edges`, `weight_map`,
-    `adjacency` and `total_weight` are computed on each access.
+    Equal, hashed and shown as the pair (graph, a).  Building it stores `a`
+    as a tuple and refuses one that is not n non-negative integers.  The
+    views every `nu` call reads, the support's vertices and weights, its mask
+    and the canonical key, are computed once when it is built; `edges`,
+    `weight_map`, `adjacency` and `total_weight` are computed on each access.
     """
 
     graph: SimpleGraph
@@ -61,8 +62,13 @@ class WeightedGraph:
     cache_key: tuple[tuple[int, ...], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        a = tuple(self.a)
+        if len(a) != self.graph.n:
+            raise ValueError(f"exponent vector has length {len(a)}, expected {self.graph.n}")
+        if a and min(a) < 0:
+            raise ValueError("exponents must be non-negative")
         vertices, weights, mask = [], [], 0
-        for i, x in enumerate(self.a):
+        for i, x in enumerate(a):
             if x:
                 vertices.append(i + 1)
                 weights.append(x)
@@ -70,17 +76,12 @@ class WeightedGraph:
         vertices, weights = tuple(vertices), tuple(weights)
         key = (weights, _edge_bits(self.graph, vertices))
         # written to the instance dict: the frozen dataclass refuses assignment
-        self.__dict__.update(vertices=vertices, weights=weights, mask=mask, cache_key=key)
+        self.__dict__.update(a=a, vertices=vertices, weights=weights, mask=mask, cache_key=key)
 
     @classmethod
     def from_exponents(cls, g: SimpleGraph, a: Iterable[int]) -> "WeightedGraph":
         """The weighted graph of a monomial: induced subgraph on the support
         of the exponent vector, vertex i carrying weight a_i."""
-        a = tuple(a)
-        if len(a) != g.n:
-            raise ValueError(f"exponent vector has length {len(a)}, expected {g.n}")
-        if a and min(a) < 0:
-            raise ValueError("exponents must be non-negative")
         return cls(g, a)
 
     @property

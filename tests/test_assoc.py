@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 from itertools import combinations, permutations, product
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +31,7 @@ from edgesat.graphs import (
     SimpleGraph,
     _closed_mask,
     _core_mask,
+    _odd_cycle_components,
     closed_neighborhood,
     is_cover,
     is_minimal_cover,
@@ -46,6 +50,8 @@ from edgesat.saturation import (
 
 from conftest import graph
 
+
+DIGESTS = Path(__file__).parent / "data" / "ass_answer_digests.json"
 
 G10 = [  # the 10-vertex, 19-edge graph of the golden CLI cases
     (1, 2), (1, 5), (1, 10), (2, 3), (2, 7), (2, 10), (3, 6), (3, 7), (4, 5), (4, 7),
@@ -205,7 +211,7 @@ class TestReportWalk:
     def test_closed_forms_once_per_closed_neighbourhood_g10(self, cover_calls):
         g = SimpleGraph.from_edges(10, G10)
         for route, supports in (
-            (ass_primes_3, [m for _, m in _three_shapes(g)]),
+            (ass_primes_3, [m for _, m in _three_shapes(g, g.full_mask)]),
             (ass_infinity, [m for m, _ in _odd_cycle_supports(g)]),
         ):
             cover_calls.clear()
@@ -256,7 +262,7 @@ class TestThreeShapes:
             graphs = [*random_graphs(7, 300, 3), TWO_PAIR_KINDS]
         tags = set()
         for g in graphs:
-            got = [(tag, set_of(m)) for tag, m in _three_shapes(g)]
+            got = [(tag, set_of(m)) for tag, m in _three_shapes(g, g.full_mask)]
             assert got == _three_shapes_reference(g), g.edges
             tags |= {tag for tag, _ in got}
         assert len(tags) == (4 if source == "n<=5" else 5)
@@ -357,6 +363,32 @@ class TestAssInfinity:
         for g in rng.sample(list(all_graphs(5)), 30):
             t0 = s_gamma(g)
             assert prime_sets(ass_infinity(g)) == prime_sets(ass_primes(g, t0))
+
+
+class TestOddCycleSupports:
+    def test_walks_only_the_odd_cycle_components(self, monkeypatch):
+        # a triangle plus 13 isolated vertices: 7 submasks of the triangle,
+        # not all 2^16 - 1 vertex masks
+        real, calls = assoc._odd_cycle_components, []
+
+        def counted(g, region):
+            calls.append(region)
+            return real(g, region)
+
+        monkeypatch.setattr(assoc, "_odd_cycle_components", counted)
+        g = graph(16, (1, 2), (1, 3), (2, 3))
+        assert len(ass_infinity(g)) == 4 and len(calls) <= 7
+        calls.clear()
+        assert s_gamma(g) == 2 and len(calls) <= 7
+
+    def test_same_supports_as_the_walk_over_every_mask(self):
+        for g in [*all_graphs_upto(5), TWO_PAIR_KINDS, graph(7, (1, 2), (1, 3), (2, 3), (5, 6))]:
+            every = []
+            for um in range(1, g.full_mask + 1):
+                comps = _odd_cycle_components(g, um)
+                if comps is not None:
+                    every.append((um, comps))
+            assert list(_odd_cycle_supports(g)) == every, g.edges
 
 
 class TestSGamma:
@@ -482,3 +514,65 @@ class TestEmbeddedNecessity:
                         if ok:
                             break
                     assert ok
+
+
+def _digest_graphs() -> list[SimpleGraph]:
+    return [*all_graphs_upto(5), *random_graphs(7, 30, 7)]
+
+
+def _answers(g: SimpleGraph) -> dict:
+    """Every public Ass answer on g, as plain JSON values."""
+    def dicts(reports):
+        return [r.to_dict() for r in reports]
+
+    def decided(f, t):
+        rep = is_associated(g, f, t)
+        return None if rep is None else rep.to_dict()
+
+    covers = [set_of(m) for m in range(g.full_mask + 1) if is_cover(g, set_of(m))]
+    vectors = []
+    if g.n <= 4:
+        vectors = list(product(range(3), repeat=g.n))
+    elif g.n == 7:  # the indicator vectors of the 4-, 5- and 6-subsets
+        vectors = [
+            tuple(int(v in sup) for v in range(1, 8))
+            for k in (4, 5, 6)
+            for sup in combinations(range(1, 8), k)
+        ]
+    return {
+        "edges": sorted(g.edges),
+        "n": g.n,
+        "ass": [dicts(ass_primes(g, t)) for t in (1, 2, 3, 4)],
+        "ass2": dicts(ass_primes_2(g)),
+        "ass3": dicts(ass_primes_3(g)),
+        "ass_infinity": dicts(ass_infinity(g)),
+        "depth": [depth_positive(g, 2), depth_positive(g, 3)],
+        "s_gamma": s_gamma(g),
+        "is_associated": [[decided(f, t) for f in covers] for t in (2, 3)],
+        "classify3": [[a, classify_3_saturating(wg(g, *a), g)] for a in vectors],
+    }
+
+
+def _answer_digests() -> list[str]:
+    """A 16-hex sha256 prefix of each digest graph's canonical answers."""
+    return [
+        hashlib.sha256(json.dumps(_answers(g), sort_keys=True, separators=(",", ":")).encode())
+        .hexdigest()[:16]
+        for g in _digest_graphs()
+    ]
+
+
+class TestAnswerDigest:
+    # Every public Ass answer, evidence and order included, on every graph
+    # with n <= 5 and 30 seeded n = 7 graphs.  A change that means to alter
+    # an answer rewrites the file with `python tests/test_assoc.py` and says
+    # why; a refactor leaves it alone.
+    def test_answers_match_the_committed_digests(self):
+        graphs, want = _digest_graphs(), json.loads(DIGESTS.read_text())
+        assert len(want) == len(graphs)
+        for g, got, expect in zip(graphs, _answer_digests(), want):
+            assert got == expect, f"answers differ first on n={g.n} edges={sorted(g.edges)}"
+
+
+if __name__ == "__main__":
+    DIGESTS.write_text(json.dumps(_answer_digests(), indent=0) + "\n")

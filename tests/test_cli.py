@@ -222,6 +222,12 @@ class TestParseErrors:
         captured = capsys.readouterr()
         assert code == 2 and "line 3: repeated edge (1,2)" in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("edges", ["1-2,1-2,2-3", "1-2,2-1"])
+    def test_repeated_inline_edge(self, capsys, edges):
+        code = main(["ass", "--edges", edges, "2"])
+        captured = capsys.readouterr()
+        assert code == 2 and "repeated edge (1,2)" in captured.err and captured.out == ""
+
     def test_bad_inline_edges(self, capsys):
         assert main(["nu", "--edges", "1+2", "1,1"]) == 2
 

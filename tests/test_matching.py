@@ -338,3 +338,12 @@ class TestRepresentation:
         for a, message in (((1, 1), "length 2, expected 3"), ((1, -1, 1), "non-negative")):
             with pytest.raises(ValueError, match=message):
                 WeightedGraph.from_exponents(triangle, a)
+
+    def test_direct_construction_checks_its_input(self, triangle):
+        # one validated construction path: the constructor refuses what
+        # `from_exponents` refuses, with the same messages
+        for a, message in (((2, -1), "length 2, expected 3"), ((1, -1, 1), "non-negative")):
+            with pytest.raises(ValueError, match=message):
+                WeightedGraph(triangle, a)
+        h, ref = WeightedGraph(triangle, [2, 0, 1]), wg(triangle, 2, 0, 1)
+        assert h.a == (2, 0, 1) and h == ref and hash(h) == hash(ref)
