@@ -32,6 +32,7 @@ from .graphs import (
 )
 from .matching import WeightedGraph
 from .saturation import (
+    _check_t,
     _inequalities_hold_at,
     _saturating_graphs,
     is_strongly_t_saturating,
@@ -107,8 +108,7 @@ def is_associated(g: SimpleGraph, f: Iterable[int], t: int) -> AssPrimeReport | 
     the supports that dominate core(F).
     """
     f = frozenset(f)
-    if t < 1:
-        raise ValueError("t must be at least 1")
+    _check_t(t)
     fm = _vertex_mask(g, f)
     if not _covers_edges(g, fm):
         raise ValueError("is_associated requires a vertex cover")
@@ -127,8 +127,7 @@ def ass_primes(g: SimpleGraph, t: int) -> list[AssPrimeReport]:
     """Ass(I^t): minimal covers plus the embedded primes found by enumerating
     t-saturating weighted graphs (none at t = 1), in the order of their
     exponent vectors."""
-    if t < 1:
-        raise ValueError("t must be at least 1")
+    _check_t(t)
     found = sorted(_saturating_graphs(g, t, g.full_mask), key=lambda x: x[1])
     return _reports_over(
         g,

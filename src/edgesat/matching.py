@@ -12,6 +12,7 @@ runs Edmonds' maximum-cardinality matching on the resulting simple graph.
 An exhaustive edge-multiset search (`nu_bruteforce`) is kept as an
 independent cross-check, and `has_augmenting_walk` decides maximality
 directly via the weighted version of Berge's theorem.
+`_CACHE` is the one bounded cache: `nu` answers and the saturating catalogue.
 """
 
 from __future__ import annotations
@@ -263,15 +264,46 @@ def _greedy_counts(weights: Sequence[int], edges: Sequence[tuple[int, int]]) -> 
     return counts
 
 
-_NU_CACHE: dict[tuple, int] = {}
+_CACHE_LIMIT = 1 << 18  # entries over both stores, well above any benchmark run
+
+
+class _Cache:
+    """The process's exact answers, at most `_CACHE_LIMIT` entries over both
+    stores: `nu` by `cache_key`, and `saturating`, per (t, support size), a
+    support's t-saturating weightings by its relabelled edge bits (see
+    `saturation._saturating_graphs`).  An insert into a full cache empties it
+    first, in place, so a caller's reference to a store stays good."""
+
+    def __init__(self) -> None:
+        self.nu: dict[tuple[tuple[int, ...], int], int] = {}
+        self.saturating: dict[tuple[int, int], dict[int, tuple]] = {}
+        self.entries = 0
+
+    def clear(self) -> None:
+        self.nu.clear()
+        for memo in self.saturating.values():
+            memo.clear()
+        self.entries = 0
+
+    def remember(self, store: dict, key, value):
+        """Store and return `value` under `key` in `nu` or a dict of `saturating`."""
+        if self.entries >= _CACHE_LIMIT:
+            self.clear()
+        store[key] = value
+        self.entries += 1
+        return value
+
+
+_CACHE = _Cache()
 
 
 def _nu_of_key(key: tuple[tuple[int, ...], int]) -> int:
     """nu of the weighted graph whose `cache_key` is `key`."""
-    val = _NU_CACHE.get(key)
+    val = _CACHE.nu.get(key)
     if val is None:
         size, adj, _ = _blowup(*key)
-        val = _NU_CACHE[key] = (size - _max_matching_simple(size, adj).count(-1)) // 2
+        mate = _max_matching_simple(size, adj)
+        val = _CACHE.remember(_CACHE.nu, key, (size - mate.count(-1)) // 2)
     return val
 
 

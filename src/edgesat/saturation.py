@@ -10,7 +10,7 @@ edge bits of H - N) is made once per support, and each weight tuple meets the
 `nu` cache by key.  The search for saturating graphs settles each weighting
 by its cheapest exact test first: the prune (some w - e_p already failed),
 then a greedy b-matching that reaches t, then the inequalities, and only then
-a blossom run for nu(w) < t.
+a blossom run for nu(w) < t.  A support's weightings are cached by its key.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .graphs import (
     set_of,
 )
 from .matching import (
+    _CACHE,
     WeightedGraph,
     _degree_order,
     _edge_bits,
@@ -266,9 +267,12 @@ def _saturating_graphs(
     of those odd cycles needs no filter of its own: a longer odd cycle carries
     t disjoint edges, so nu >= t and the support is dropped.
 
-    No `WeightedGraph` is built per weight tuple w, nor for the vectors
-    yielded, which most callers never need as graphs.  Each w meets the
-    cheapest exact test first:
+    Whether (S, w) is t-saturating depends on H = G[S] and t alone, so a
+    support's weightings are kept in `matching._CACHE` under (t, |S|, the
+    edge bits of H relabelled 0..|S|-1) and read back for any support with
+    that key.  Only the `dominated` filter and, for |S| >= 2t, the unit-weight
+    check come before the lookup.  A miss runs `_support_weightings`, where,
+    with no `WeightedGraph` built, each w meets the cheapest exact test first:
     1. the prune: w fails if some w - e_p on the support already failed (nu
        is monotone in the weights);
     2. the greedy: when w sums to 2t or more, a greedy b-matching over the
@@ -285,30 +289,45 @@ def _saturating_graphs(
     verts = list(iter_bits(region))
     for size in range(1, min(len(verts), 3 * (t - 1)) + 1):
         table = None  # built at the first support of this size that needs it
+        memo = _CACHE.saturating.setdefault((t, size), {})
         for sup in combinations(verts, size):
             mask = mask_of(sup)
             if dominated and dominated & ~_closed_mask(g, mask):
                 continue
-            if _odd_cycle_components(g, mask) is None:
-                continue
-            if size >= 2 * t and nu(
-                WeightedGraph.from_exponents(g, [mask >> i & 1 for i in range(g.n)])
-            ) >= t:
-                continue  # every weighting of the support has nu >= t
-            table = table or _weight_table(size, t)
-            bits = _edge_bits(g, sup)
-            order = _degree_order(size, bits)
-            plans = list(_drop_plans(g, sup, (g.adj_bits[v - 1] & mask for v in sup)))
-            failed: set[int] = set()  # the weights with nu >= t so far
-            for w, code, heavy, below in table:
-                if not failed.isdisjoint(below) or heavy and sum(_greedy_counts(w, order)) >= t:
-                    failed.add(code)
-                elif _inequalities_hold(w, t, plans):
-                    if heavy and _nu_of_key((w, bits)) >= t:
-                        failed.add(code)
-                    else:
-                        on_support = dict(zip(sup, w))
-                        yield sup, tuple(on_support.get(v, 0) for v in range(1, g.n + 1))
+            if size >= 2 * t:
+                h = WeightedGraph.from_exponents(g, [mask >> i & 1 for i in range(g.n)])
+                if nu(h) >= t:
+                    continue  # every weighting of the support has nu >= t
+                bits = h.cache_key[1]
+            else:
+                bits = _edge_bits(g, sup)
+            found = memo.get(bits)
+            if found is None:
+                table = table or _weight_table(size, t)
+                weightings = _support_weightings(g, sup, bits, t, table)
+                found = _CACHE.remember(memo, bits, tuple(weightings))
+            for w in found:
+                on_support = dict(zip(sup, w))
+                yield sup, tuple(on_support.get(v, 0) for v in range(1, g.n + 1))
+
+
+def _support_weightings(g: SimpleGraph, sup: tuple, bits: int, t: int, table: list) -> Iterator:
+    """The t-saturating weightings in `table` of the support `sup` of g, with
+    edge bits `bits`: none unless each component of `sup` has an odd cycle."""
+    mask = mask_of(sup)
+    if _odd_cycle_components(g, mask) is None:
+        return
+    order = _degree_order(len(sup), bits)
+    plans = list(_drop_plans(g, sup, (g.adj_bits[v - 1] & mask for v in sup)))
+    failed: set[int] = set()  # the weights with nu >= t so far
+    for w, code, heavy, below in table:
+        if not failed.isdisjoint(below) or heavy and sum(_greedy_counts(w, order)) >= t:
+            failed.add(code)
+        elif _inequalities_hold(w, t, plans):
+            if heavy and _nu_of_key((w, bits)) >= t:
+                failed.add(code)
+            else:
+                yield w
 
 
 def saturating_vectors(g: SimpleGraph, t: int) -> list[ExponentVector]:

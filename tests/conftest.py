@@ -1,4 +1,5 @@
-"""Shared fixtures: the small named graphs every module's examples use."""
+"""Shared fixtures: the small named graphs every module's examples use, and
+an empty cache."""
 
 from __future__ import annotations
 
@@ -6,6 +7,7 @@ from typing import Iterable
 
 import pytest
 
+from edgesat import matching, saturation
 from edgesat.graphs import SimpleGraph
 from edgesat.matching import WeightedGraph
 
@@ -30,6 +32,16 @@ def graph(n: int, *edges: tuple[int, int]) -> SimpleGraph:
 def minus(h: WeightedGraph, drop: Iterable[int]) -> WeightedGraph:
     """H - N: the weighted graph of h's exponent vector zeroed on `drop`."""
     return WeightedGraph.from_exponents(h.graph, (0 if v in drop else x for v, x in enumerate(h.a, 1)))
+
+
+@pytest.fixture
+def cold_cache(monkeypatch) -> matching._Cache:
+    """An empty cache owner in place of the process's, in each module that
+    binds it, for one test; the warm one comes back after the test."""
+    cache = matching._Cache()
+    for module in (matching, saturation):
+        monkeypatch.setattr(module, "_CACHE", cache)
+    return cache
 
 
 @pytest.fixture

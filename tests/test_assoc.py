@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from edgesat import assoc, matching
+from edgesat import assoc, matching, saturation
 from edgesat.assoc import (
     AssPrimeReport,
     _core_inequalities_hold,
@@ -26,7 +26,7 @@ from edgesat.assoc import (
     prime_sets,
     s_gamma,
 )
-from edgesat.census import all_graphs, all_graphs_upto, oracle_ass, random_graphs
+from edgesat.census import all_graphs, all_graphs_upto, formula_ass, oracle_ass, random_graphs
 from edgesat.graphs import (
     SimpleGraph,
     _closed_mask,
@@ -46,12 +46,14 @@ from edgesat.saturation import (
     _saturating_graphs,
     in_sat_minus_power,
     is_strongly_t_saturating,
+    saturating_vectors,
 )
 
 from conftest import graph
 
 
-DIGESTS = Path(__file__).parent / "data" / "ass_answer_digests.json"
+DATA = Path(__file__).parent / "data"
+DIGESTS = DATA / "ass_answer_digests.json"
 
 G10 = [  # the 10-vertex, 19-edge graph of the golden CLI cases
     (1, 2), (1, 5), (1, 10), (2, 3), (2, 7), (2, 10), (3, 6), (3, 7), (4, 5), (4, 7),
@@ -175,19 +177,87 @@ class TestAssPrimes:
         for g in all_graphs_upto(4):
             assert prime_sets(ass_primes(g, 1)) == set(minimal_covers(g))
 
-    def test_blossom_runs_on_g10_t5(self, monkeypatch):
+    def test_blossom_runs_on_g10_t5(self, monkeypatch, cold_cache):
         # Blossom runs only on weightings that neither the greedy lower bound
-        # nor the cached inequalities settle: 17,108 from an empty `nu` cache.
+        # nor the cached inequalities settle: 17,108 from an empty cache.
+        # Run again, every support reads its weightings from the cache.
         real, runs = matching._max_matching_simple, []
+        greedy, greedy_calls = saturation._greedy_counts, []
 
         def counted(n, adj):
             runs.append(n)
             return real(n, adj)
 
-        monkeypatch.setattr(matching, "_NU_CACHE", {})
+        def counted_greedy(weights, edges):
+            greedy_calls.append(weights)
+            return greedy(weights, edges)
+
         monkeypatch.setattr(matching, "_max_matching_simple", counted)
-        reports = ass_primes(SimpleGraph.from_edges(10, G10), 5)
-        assert len(reports) == 23 and len(runs) <= 20_000
+        monkeypatch.setattr(saturation, "_greedy_counts", counted_greedy)
+        g = SimpleGraph.from_edges(10, G10)
+        reports = ass_primes(g, 5)
+        assert len(reports) == 23 and 10_000 <= len(runs) <= 20_000 and greedy_calls
+        runs.clear()
+        greedy_calls.clear()
+        assert ass_primes(g, 5) == reports and runs == greedy_calls == []
+
+
+# Each public function of the formula side that takes t, called on the triangle.
+T_TAKERS = {
+    "in_power": lambda g, t: saturation.in_power(g, (1, 1, 1), t),
+    "in_saturation": lambda g, t: saturation.in_saturation(g, (1, 1, 1), t),
+    "in_sat_minus_power": lambda g, t: saturation.in_sat_minus_power(g, (1, 1, 1), t),
+    "is_t_saturating": lambda g, t: saturation.is_t_saturating(wg(g, 1, 1, 1), t),
+    "is_strongly_t_saturating": lambda g, t: is_strongly_t_saturating(wg(g, 1, 1, 1), t),
+    "facets_delta": lambda g, t: saturation.facets_delta(g, (1, 1, -1), t),
+    "ass_primes": ass_primes,
+    "is_associated": lambda g, t: is_associated(g, {1, 2, 3}, t),
+    "formula_ass": formula_ass,
+}
+
+
+@pytest.mark.parametrize("t", [0, -1])
+@pytest.mark.parametrize("name", T_TAKERS)
+def test_t_below_one_has_one_message(triangle, name, t):
+    with pytest.raises(ValueError, match="^power exponent t must be at least 1$"):
+        T_TAKERS[name](triangle, t)
+
+
+class TestCache:
+    """Answers do not depend on what the process cache holds."""
+
+    def test_tiny_limit_keeps_the_golden_answer(self, monkeypatch, cold_cache):
+        # a limit far below one query's needs: the cache fills and empties
+        # many times, never holds more than the limit, and the answer stays
+        monkeypatch.setattr(matching, "_CACHE_LIMIT", 50)
+        remember, held = cold_cache.remember, []
+
+        def counted(store, key, value):
+            value = remember(store, key, value)
+            held.append(len(cold_cache.nu) + sum(map(len, cold_cache.saturating.values())))
+            return value
+
+        monkeypatch.setattr(cold_cache, "remember", counted)
+        reports = ass_primes(SimpleGraph.from_edges(10, G10), 4)
+        golden = json.loads((DATA / "ass_g10_t4_formula.json").read_text())
+        assert [r.to_dict() for r in reports] == golden["primes"]
+        assert max(held) == 50 and held.count(1) > 1
+
+    @pytest.mark.parametrize("t", [2, 3, 4])
+    def test_warm_answers_equal_cold_answers(self, cold_cache, t):
+        def answers(g, t):
+            return saturating_vectors(g, t), [r.to_dict() for r in ass_primes(g, t)]
+
+        graphs = random_graphs(7, 40, 11)
+        cold = []
+        for g in graphs:
+            cold_cache.clear()
+            cold.append(answers(g, t))
+        cold_cache.clear()
+        for g in random_graphs(7, 40, 12):  # warmed at every t, to catch a key without t
+            for other in (2, 3, 4):
+                answers(g, other)
+        assert [answers(g, t) for g in graphs] == cold
 
 
 class TestReportWalk:

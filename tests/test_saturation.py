@@ -8,12 +8,12 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from edgesat import saturation
-from edgesat.census import all_graphs, all_graphs_upto
+from edgesat import matching, saturation
+from edgesat.census import all_graphs, all_graphs_upto, random_graphs
 from edgesat.cli import main
 from edgesat.graphs import SimpleGraph, components_masked, is_dominating, set_of, shortest_odd_cycle
 from edgesat.ideals import MonomialIdeal, edge_ideal, membership, power, saturate
-from edgesat.matching import _NU_CACHE, WeightedGraph, nu, nu_bruteforce
+from edgesat.matching import WeightedGraph, nu, nu_bruteforce
 from edgesat.saturation import (
     build_strong,
     extend_by_edge,
@@ -103,7 +103,7 @@ class TestPredicateInputs:
             assert all(type(x) is bool for x in got), row
             in_pow, in_sat = membership(jt, row), membership(sat, row)
             assert got == [in_pow, in_sat, in_sat and not in_pow], row
-        assert _NU_CACHE and all(type(v) is int for v in _NU_CACHE.values())
+        assert matching._CACHE.nu and all(type(v) is int for v in matching._CACHE.nu.values())
 
     @pytest.mark.parametrize("a, t, message", [
         ((1, 1), 2, "exponent vector has length 2, expected 3"),
@@ -370,6 +370,17 @@ class TestSaturatingVectors:
                         ]
                         if leaves:
                             assert ai >= 2
+
+    @pytest.mark.parametrize("t", [2, 3, 4])
+    def test_permuted_graph_gives_permuted_vectors(self, t):
+        # the cache keys a support by its relabelled edges: a relabelled copy
+        # of g meets g's keys on other vertex sets, and must map them back
+        rng = random.Random(30 + t)
+        for g in random_graphs(7, 12, t):
+            perm = rng.sample(range(1, 8), 7)  # vertex v of g is perm[v - 1]
+            copy = SimpleGraph.from_edges(7, [(perm[u - 1], perm[v - 1]) for u, v in g.edges])
+            moved = [tuple(a[perm.index(v)] for v in range(1, 8)) for a in saturating_vectors(g, t)]
+            assert saturating_vectors(copy, t) == sorted(moved)
 
     def test_componentwise_saturation(self):
         rng = random.Random(24)
