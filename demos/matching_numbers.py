@@ -18,23 +18,23 @@ from edgesat import (
 triangle = SimpleGraph.from_edges(3, [(1, 2), (1, 3), (2, 3)])
 
 print("triangle, all weights 1:")
-h = WeightedGraph.from_exponents(triangle, (1, 1, 1))
+h = WeightedGraph(triangle, (1, 1, 1))
 print("  nu =", nu(h), " witness:", maximum_matching(h).edges)
 print()
 
 print("triangle, weights (2,2,1): the edge {1,2} can be doubled")
-h = WeightedGraph.from_exponents(triangle, (2, 2, 1))
+h = WeightedGraph(triangle, (2, 2, 1))
 print("  nu =", nu(h), " witness:", maximum_matching(h).edges)
 print("  exhaustive cross-check:", nu_bruteforce(h))
 print()
 
 print("removing the neighbourhood of a vertex:")
-print("  nu(triangle - N(1)) =", nu(WeightedGraph.from_exponents(triangle, (1, 0, 0))))
+print("  nu(triangle - N(1)) =", nu(WeightedGraph(triangle, (1, 0, 0))))
 print()
 
 print("Berge's certificate, weighted version:")
 m = Matching.of([(1, 2)])
-h = WeightedGraph.from_exponents(triangle, (2, 2, 1))
+h = WeightedGraph(triangle, (2, 2, 1))
 print("  M = {{1,2}} in the (2,2,1) triangle: augmenting walk?", has_augmenting_walk(h, m))
 print("  (yes: the single-edge walk 1,{1,2},2 already augments, nu = 2)")
 best = maximum_matching(h)
@@ -47,5 +47,5 @@ for i in range(5):
     b = 3 * i
     edges += [(b + 1, b + 2), (b + 1, b + 3), (b + 2, b + 3)]
 g = SimpleGraph.from_edges(15, edges)
-h = WeightedGraph.from_exponents(g, tuple([1] * 15))
+h = WeightedGraph(g, tuple([1] * 15))
 print("  nu =", nu(h), "(one edge per triangle)")

@@ -45,7 +45,7 @@ for step in range(2):
     a = extend_by_edge(bowtie, a, edge)
     t = (sum(a) + 1) // 2
     print(f"  after adding {edge}: a = {a}, strongly {t}-saturating:",
-          is_strongly_t_saturating(WeightedGraph.from_exponents(bowtie, a), t))
+          is_strongly_t_saturating(WeightedGraph(bowtie, a), t))
 print("or in one call, growing from the seed triangle to the whole bowtie:")
 print("  build_strong ->", build_strong(bowtie, {1, 2, 3, 4, 5}, {1, 2, 3}))
 print()

@@ -92,7 +92,7 @@ def _reports_over(
 
 def _core_inequalities_hold(g: SimpleGraph, f: Iterable[int], a: Sequence[int], t: int) -> bool:
     """The saturation inequality at each vertex of core(F) outside the support of a."""
-    h = WeightedGraph.from_exponents(g, a)
+    h = WeightedGraph(g, a)
     return _inequalities_hold_at(h, t, iter_bits(_core_mask(g, mask_of(f)) & ~h.mask))
 
 
@@ -114,8 +114,6 @@ def is_associated(g: SimpleGraph, f: Iterable[int], t: int) -> AssPrimeReport | 
         raise ValueError("is_associated requires a vertex cover")
     if is_minimal_cover(g, f):
         return AssPrimeReport(f, "minimal", {"type": "minimal-cover"})
-    if t == 1:
-        return None  # Ass(I) is exactly the minimal covers
     core = _core_mask(g, fm)
     for _, a in _saturating_graphs(g, t, core, core):
         if _core_inequalities_hold(g, f, a, t):
@@ -205,7 +203,7 @@ _SHAPE_WEIGHTS = (
 )
 
 
-def classify_3_saturating(h: WeightedGraph, g: SimpleGraph) -> str | None:
+def classify_3_saturating(h: WeightedGraph) -> str | None:
     """Case tag of a weighted graph witnessing membership in sat(I^3) \\ I^3.
 
     Returns the first matching case among: triangle with weights (2,2,1);
@@ -217,7 +215,7 @@ def classify_3_saturating(h: WeightedGraph, g: SimpleGraph) -> str | None:
     weights; given the shape, the edge meets the triangle at the weight-2
     vertex exactly when that vertex sees the other three.
     """
-    m = h.mask
+    g, m = h.graph, h.mask
     if not m or _closed_mask(g, m) != g.full_mask:
         return None
 
@@ -271,7 +269,7 @@ def _component_strong_level(g: SimpleGraph, comp: int) -> int:
     for s in range((len(verts) + 1) // 2, 1, -1):
         for w in map(mask_of, combinations(verts, 2 * s - 1)):
             a = [w >> i & 1 for i in range(g.n)]
-            if is_strongly_t_saturating(WeightedGraph.from_exponents(g, a), s):
+            if is_strongly_t_saturating(WeightedGraph(g, a), s):
                 return s
     return 0
 

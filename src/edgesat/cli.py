@@ -107,7 +107,7 @@ def _report_lines(g: SimpleGraph, reports: list[assoc.AssPrimeReport], title: st
 def cmd_nu(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     weights = _parse_vector(args.weights, g.n)
-    h = WeightedGraph.from_exponents(g, weights)
+    h = WeightedGraph(g, weights)
     witness = maximum_matching(h)
     value = len(witness)
     _emit(

@@ -127,11 +127,10 @@ def induced_subgraph(g: SimpleGraph, u: Iterable[int]) -> tuple[SimpleGraph, dic
 
     Returns the subgraph and the old->new vertex mapping.
     """
-    order = sorted(set(u))
+    order = list(iter_bits(_vertex_mask(g, u)))
     relabel = {old: i + 1 for i, old in enumerate(order)}
-    keep = set(order)
     edges = frozenset(
-        (relabel[a], relabel[b]) for a, b in g.edges if a in keep and b in keep
+        (relabel[a], relabel[b]) for a, b in g.edges if a in relabel and b in relabel
     )
     return SimpleGraph(len(order), edges), relabel
 
@@ -225,7 +224,7 @@ def covers_minimal_over(g: SimpleGraph, s: Iterable[int]) -> list[VertexSet]:
     Every edge avoiding s lies in the induced subgraph on V \\ s, so these are
     exactly s union a minimal cover of that subgraph.
     """
-    sm = mask_of(s)
+    sm = _vertex_mask(g, s)
     rest = g.full_mask & ~sm
     return _sorted_sets(sm | (rest ^ m) for m in maximal_independent_sets(g, rest))
 

@@ -79,12 +79,6 @@ class WeightedGraph:
         # written to the instance dict: the frozen dataclass refuses assignment
         self.__dict__.update(a=a, vertices=vertices, weights=weights, mask=mask, cache_key=key)
 
-    @classmethod
-    def from_exponents(cls, g: SimpleGraph, a: Iterable[int]) -> "WeightedGraph":
-        """The weighted graph of a monomial: induced subgraph on the support
-        of the exponent vector, vertex i carrying weight a_i."""
-        return cls(g, a)
-
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
         m = self.mask

@@ -24,8 +24,10 @@ from .graphs import (
     _closed_mask,
     _core_mask,
     _covers_edges,
+    _nbrs,
     _odd_cycle_components,
     _set_order,
+    _vertex_mask,
     components_masked,
     induced_subgraph,
     iter_bits,
@@ -60,7 +62,7 @@ def _capped_graph(g: SimpleGraph, a: Sequence[int], t: int) -> WeightedGraph:
     membership in I^t and sat(I^t) alike: a matching of size t uses no vertex
     more than t times, and a weight of t or more on N already gives w(N) >= t."""
     _check_t(t)
-    return WeightedGraph.from_exponents(g, [x if x < t else t for x in a])
+    return WeightedGraph(g, [x if x < t else t for x in a])
 
 
 def in_power(g: SimpleGraph, a: Sequence[int], t: int) -> bool:
@@ -150,7 +152,7 @@ def _unit_drop_moving_nu(g: SimpleGraph, b: Sequence[int], level: int) -> int | 
     for i in support(b):
         bm = list(b)
         bm[i - 1] -= 1
-        if nu(WeightedGraph.from_exponents(g, bm)) != level:
+        if nu(WeightedGraph(g, bm)) != level:
             return i
     return None
 
@@ -161,7 +163,7 @@ def _strong_chain_level(g: SimpleGraph, b: Sequence[int]) -> int:
     if total % 2 == 0:
         raise ValueError("exponent sum must be odd (2t-1)")
     t = (total + 1) // 2
-    hb = WeightedGraph.from_exponents(g, b)
+    hb = WeightedGraph(g, b)
     if not is_strongly_t_saturating(hb, t):
         raise ValueError(f"base weighted graph is not strongly {t}-saturating")
     if nu(hb) != t - 1:
@@ -186,8 +188,7 @@ def extend_by_edge(g: SimpleGraph, b: Sequence[int], edge: tuple[int, int]) -> E
     if not g.has_edge(u, v):
         raise ValueError(f"({u},{v}) is not an edge of the graph")
     _strong_chain_level(g, b)
-    sup = support(b)
-    if u not in sup and v not in sup:
+    if not (b[u - 1] or b[v - 1]):
         raise ValueError("the added edge needs an endpoint in the support")
     a = list(b)
     a[u - 1] += 1
@@ -207,34 +208,28 @@ def build_strong(g: SimpleGraph, u: Iterable[int], seed: Iterable[int]) -> Expon
     are added in breadth-first order until the support equals u; the result
     is strongly t-saturating for t = |u| - s + 1.
     """
-    useq = frozenset(u)
-    sseq = frozenset(seed)
-    if not sseq <= useq:
+    um, sm = _vertex_mask(g, u), _vertex_mask(g, seed)
+    if sm & ~um:
         raise ValueError("the seed must be contained in u")
-    if len(components_masked(g, mask_of(useq))) != 1:
+    if len(components_masked(g, um)) != 1:
         raise ValueError("the induced graph on u must be connected")
-    if len(sseq) % 2 == 0:
+    if sm.bit_count() % 2 == 0:
         raise ValueError("the seed must have oddly many vertices")
-    s = (len(sseq) + 1) // 2
-    a = [0] * g.n
-    for v in sseq:
-        a[v - 1] = 1
-    if not is_strongly_t_saturating(WeightedGraph.from_exponents(g, a), s):
+    s = (sm.bit_count() + 1) // 2
+    a = tuple(sm >> i & 1 for i in range(g.n))
+    if not is_strongly_t_saturating(WeightedGraph(g, a), s):
         raise ValueError(f"the seed does not induce a strongly {s}-saturating graph")
-    current = tuple(a)
-    while support(current) != useq:
-        sup = support(current)
-        candidates = sorted(
-            (j, h)
-            for h, j_set in ((x, g.adj[x]) for x in sup)
-            for j in j_set
-            if j in useq and j not in sup
-        )
-        if not candidates:
-            raise ValueError("u is not reachable from the seed inside u")
-        j, h = candidates[0]
-        current = extend_by_edge(g, current, (h, j))
-    return current
+    while sm != um:
+        frontier = _nbrs(g, sm) & um & ~sm
+        if not frontier:  # u is connected, so this cannot happen
+            raise RuntimeError("u is not reachable from the seed inside u")
+        # j: the least vertex of u next to the support; h: its least neighbour in it
+        j = (frontier & -frontier).bit_length()
+        near = g.adj_bits[j - 1] & sm
+        h = (near & -near).bit_length()
+        a = extend_by_edge(g, a, (h, j))
+        sm |= 1 << (j - 1)
+    return a
 
 
 def _weight_table(size: int, t: int) -> list[tuple[tuple[int, ...], int, bool, list[int]]]:
@@ -295,7 +290,7 @@ def _saturating_graphs(
             if dominated and dominated & ~_closed_mask(g, mask):
                 continue
             if size >= 2 * t:
-                h = WeightedGraph.from_exponents(g, [mask >> i & 1 for i in range(g.n)])
+                h = WeightedGraph(g, [mask >> i & 1 for i in range(g.n)])
                 if nu(h) >= t:
                     continue  # every weighting of the support has nu >= t
                 bits = h.cache_key[1]

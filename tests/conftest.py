@@ -31,7 +31,7 @@ def graph(n: int, *edges: tuple[int, int]) -> SimpleGraph:
 
 def minus(h: WeightedGraph, drop: Iterable[int]) -> WeightedGraph:
     """H - N: the weighted graph of h's exponent vector zeroed on `drop`."""
-    return WeightedGraph.from_exponents(h.graph, (0 if v in drop else x for v, x in enumerate(h.a, 1)))
+    return WeightedGraph(h.graph, (0 if v in drop else x for v, x in enumerate(h.a, 1)))
 
 
 @pytest.fixture

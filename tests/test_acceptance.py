@@ -103,7 +103,7 @@ def _weighted_suite():
     for n in range(1, 6):
         for g in all_graphs(n):
             for weights in product(range(1, 4), repeat=n):
-                yield WeightedGraph.from_exponents(g, weights)
+                yield WeightedGraph(g, weights)
 
 
 def test_criterion_4_matching_correctness():
@@ -137,7 +137,7 @@ def test_criterion_4_matching_correctness():
     for n in range(1, 5):
         for g in all_graphs(n):
             for weights in product(range(1, 3), repeat=n):
-                h = WeightedGraph.from_exponents(g, weights)
+                h = WeightedGraph(g, weights)
                 best = nu(h)
                 for m in all_matchings(h):
                     assert has_augmenting_walk(h, m) == (len(m) < best)
@@ -275,9 +275,9 @@ def test_criterion_8_constructive_chains():
                 a = extend_by_edge(g, b, e)  # re-verifies the claim internally
                 t = (sum(a) + 1) // 2
                 assert is_strongly_t_saturating(
-                    WeightedGraph.from_exponents(g, a), t
+                    WeightedGraph(g, a), t
                 )
-                assert nu(WeightedGraph.from_exponents(g, a)) == t - 1
+                assert nu(WeightedGraph(g, a)) == t - 1
                 steps += 1
             chain = b
             for _ in range(4):

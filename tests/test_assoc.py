@@ -66,7 +66,7 @@ def primes(reports: list[AssPrimeReport]) -> list[list[int]]:
 
 
 def wg(g: SimpleGraph, *weights: int) -> WeightedGraph:
-    return WeightedGraph.from_exponents(g, weights)
+    return WeightedGraph(g, weights)
 
 
 K4 = graph(4, (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
@@ -367,48 +367,48 @@ class TestClosedForms:
 
 class TestClassify:
     def test_triangle_221(self, triangle):
-        assert classify_3_saturating(wg(triangle, 2, 2, 1), triangle) == "triangle-2-2-1"
+        assert classify_3_saturating(wg(triangle, 2, 2, 1)) == "triangle-2-2-1"
 
     def test_pentagon(self, pentagon):
-        got = classify_3_saturating(wg(pentagon, 1, 1, 1, 1, 1), pentagon)
+        got = classify_3_saturating(wg(pentagon, 1, 1, 1, 1, 1))
         assert got == "pentagon-spanned"
 
     def test_triangle_ones_is_not_t3(self, triangle):
-        assert classify_3_saturating(wg(triangle, 1, 1, 1), triangle) is None
+        assert classify_3_saturating(wg(triangle, 1, 1, 1)) is None
 
     def test_edge_plus_triangle(self, tailed_triangle):
         # triangle {1,2,3} with weight 2 at vertex 3, pendant edge 3-4;
         # oracle-confirmed member of sat(I^3) \ I^3
-        got = classify_3_saturating(wg(tailed_triangle, 1, 1, 2, 1, 0), tailed_triangle)
+        got = classify_3_saturating(wg(tailed_triangle, 1, 1, 2, 1, 0))
         assert got == "edge-plus-triangle"
         g = graph(4, (1, 2), (1, 3), (2, 3), (1, 4))
-        assert classify_3_saturating(wg(g, 2, 1, 1, 1), g) == "edge-plus-triangle"
+        assert classify_3_saturating(wg(g, 2, 1, 1, 1)) == "edge-plus-triangle"
 
     def test_undominated_support_is_none(self, tailed_triangle):
         # support {1,2,3} leaves vertex 5 undominated
-        assert classify_3_saturating(wg(tailed_triangle, 2, 2, 1, 0, 0), tailed_triangle) is None
+        assert classify_3_saturating(wg(tailed_triangle, 2, 2, 1, 0, 0)) is None
 
     def test_two_triangle_shapes(self, bowtie):
         assert (
-            classify_3_saturating(wg(bowtie, 1, 1, 1, 1, 1), bowtie)
+            classify_3_saturating(wg(bowtie, 1, 1, 1, 1, 1))
             == "two-triangles-shared-vertex"
         )
         g = graph(6, (1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6))
         assert (
-            classify_3_saturating(wg(g, 1, 1, 1, 1, 1, 1), g)
+            classify_3_saturating(wg(g, 1, 1, 1, 1, 1, 1))
             == "two-disjoint-triangles"
         )
 
     def test_k4_case(self):
-        assert classify_3_saturating(wg(K4, 1, 1, 1, 1), K4) == "k4"
+        assert classify_3_saturating(wg(K4, 1, 1, 1, 1)) == "k4"
 
     def test_classification_is_the_membership_test(self):
         # tag exists  <=>  x^a in sat(I^3) \ I^3, across a sampled census
         rng = random.Random(61)
         for g in rng.sample(list(all_graphs(5)), 40):
             for a in rng.sample(list(product(range(3), repeat=5)), 40):
-                h = WeightedGraph.from_exponents(g, a)
-                tag = classify_3_saturating(h, g)
+                h = WeightedGraph(g, a)
+                tag = classify_3_saturating(h)
                 assert (tag is not None) == in_sat_minus_power(g, a, 3), (g.edges, a)
 
 
@@ -514,7 +514,7 @@ class TestStrongSufficiency:
                             a = [0] * 4
                             for v, w in zip(sup, weights):
                                 a[v - 1] = w
-                            if is_strongly_t_saturating(WeightedGraph.from_exponents(g, a), t):
+                            if is_strongly_t_saturating(WeightedGraph(g, a), t):
                                 found = tuple(a)
                                 break
                         if found is None:
@@ -619,7 +619,7 @@ def _answers(g: SimpleGraph) -> dict:
         "depth": [depth_positive(g, 2), depth_positive(g, 3)],
         "s_gamma": s_gamma(g),
         "is_associated": [[decided(f, t) for f in covers] for t in (2, 3)],
-        "classify3": [[a, classify_3_saturating(wg(g, *a), g)] for a in vectors],
+        "classify3": [[a, classify_3_saturating(wg(g, *a))] for a in vectors],
     }
 
 

@@ -142,8 +142,13 @@ class TestCovers:
             lambda g, bad: closed_neighborhood(g, {1, bad}),
             lambda g, bad: open_neighborhood(g, {1, bad}),
             lambda g, bad: is_dominating(g, {1, bad}),
+            lambda g, bad: covers_minimal_over(g, {bad}),
+            lambda g, bad: induced_subgraph(g, {1, bad}),
         ],
-        ids=["is_cover", "is_minimal_cover", "is_minimal_over", "closed", "open", "dominating"],
+        ids=[
+            "is_cover", "is_minimal_cover", "is_minimal_over", "closed", "open", "dominating",
+            "covers_minimal_over", "induced_subgraph",
+        ],
     )
     def test_vertex_sets_reject_labels_outside_the_graph(self, triangle, call, bad):
         with pytest.raises(ValueError, match=f"vertex {bad} is not in 1..3"):

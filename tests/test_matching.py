@@ -29,7 +29,7 @@ from conftest import graph, minus
 
 
 def wg(g: SimpleGraph, *weights: int) -> WeightedGraph:
-    return WeightedGraph.from_exponents(g, weights)
+    return WeightedGraph(g, weights)
 
 
 def all_matchings(h: WeightedGraph) -> list[Matching]:
@@ -92,7 +92,7 @@ class TestNu:
     def test_numpy_exponents_give_and_cache_a_python_int(self, triangle):
         np = pytest.importorskip("numpy")
         # weights no other test uses, so the numpy call fills the cache entry
-        first = nu(WeightedGraph.from_exponents(triangle, np.array([7, 5, 9], dtype=np.int64)))
+        first = nu(WeightedGraph(triangle, np.array([7, 5, 9], dtype=np.int64)))
         again = nu(wg(triangle, 7, 5, 9))
         assert first == again == 10
         assert type(first) is int and type(again) is int
@@ -334,14 +334,7 @@ class TestRepresentation:
         assert h.cache_key == ((2, 1), 0b10)  # vertices 1 and 3 relabelled 0 and 1
         assert h != wg(triangle, 2, 0, 2) and h != wg(graph(3), 2, 0, 1)
 
-    def test_from_exponents_checks_its_input(self, triangle):
-        for a, message in (((1, 1), "length 2, expected 3"), ((1, -1, 1), "non-negative")):
-            with pytest.raises(ValueError, match=message):
-                WeightedGraph.from_exponents(triangle, a)
-
     def test_direct_construction_checks_its_input(self, triangle):
-        # one validated construction path: the constructor refuses what
-        # `from_exponents` refuses, with the same messages
         for a, message in (((2, -1), "length 2, expected 3"), ((1, -1, 1), "non-negative")):
             with pytest.raises(ValueError, match=message):
                 WeightedGraph(triangle, a)

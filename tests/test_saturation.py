@@ -31,7 +31,7 @@ from conftest import graph, minus
 
 
 def wg(g: SimpleGraph, *weights: int) -> WeightedGraph:
-    return WeightedGraph.from_exponents(g, weights)
+    return WeightedGraph(g, weights)
 
 
 def cycle_graph(k: int) -> SimpleGraph:
@@ -43,7 +43,7 @@ def _unpruned(g: SimpleGraph, t: int, top: int) -> list[tuple[int, ...]]:
     return [
         a
         for a in product(range(top + 1), repeat=g.n)
-        if any(a) and is_t_saturating(WeightedGraph.from_exponents(g, a), t)
+        if any(a) and is_t_saturating(WeightedGraph(g, a), t)
     ]
 
 
@@ -208,7 +208,7 @@ class TestSaturatingPredicates:
         memo: dict = {}
         for g in all_graphs_upto(5):
             for a in product(range(t), repeat=g.n):
-                h = WeightedGraph.from_exponents(g, a)
+                h = WeightedGraph(g, a)
                 assert is_t_saturating(h, t) == _saturating_by_brute_force(h, t, memo), (g.edges, a)
 
     @pytest.mark.parametrize("t", [2, 3, 4])
@@ -232,7 +232,7 @@ class TestSaturatingPredicates:
         for g in rng.sample(list(all_graphs(5)), 120):
             for t in (2, 3):
                 for a in saturating_vectors(g, t):
-                    h = WeightedGraph.from_exponents(g, a)
+                    h = WeightedGraph(g, a)
                     if is_strongly_t_saturating(h, t):
                         hits += 1
                         assert is_t_saturating(h, t)
@@ -315,6 +315,38 @@ class TestBuildStrong:
         with pytest.raises(ValueError):
             build_strong(tailed_triangle, {1, 2, 3, 4}, {1, 2, 4})  # not a triangle
 
+    @pytest.mark.parametrize("bad", [7, 0])
+    def test_rejects_labels_outside_the_graph(self, triangle, bad):
+        with pytest.raises(ValueError, match=f"vertex {bad} is not in 1..3"):
+            build_strong(triangle, {1, 2, 3, bad}, {1, 2, 3})
+        with pytest.raises(ValueError, match=f"vertex {bad} is not in 1..3"):
+            build_strong(triangle, {1, 2, 3}, {1, 2, bad})
+
+    def test_matches_the_frozenset_search(self):
+        # reference: the edge-adding search on vertex sets, taking the least
+        # (j, h) with j in u outside the support and h a support neighbour of j
+        def by_search(g, u, seed):
+            current = tuple(int(v in seed) for v in range(1, g.n + 1))
+            while support(current) != u:
+                sup = support(current)
+                j, h = sorted((j, h) for h in sup for j in g.adj[h] if j in u and j not in sup)[0]
+                current = extend_by_edge(g, current, (h, j))
+            return current
+
+        cases = 0
+        for g in all_graphs_upto(5):
+            for um in range(1, 1 << g.n):
+                if len(components_masked(g, um)) != 1:
+                    continue
+                u = set_of(um)
+                for size in range(3, len(u) + 1, 2):
+                    for seed in map(frozenset, combinations(sorted(u), size)):
+                        unit = tuple(int(v in seed) for v in range(1, g.n + 1))
+                        if is_strongly_t_saturating(WeightedGraph(g, unit), (size + 1) // 2):
+                            assert build_strong(g, u, seed) == by_search(g, u, seed), (g.edges, u, seed)
+                            cases += 1
+        assert cases == 4934
+
 
 class TestSaturatingVectors:
     def test_triangle_t2(self, triangle):
@@ -350,7 +382,7 @@ class TestSaturatingVectors:
         for g in rng.sample(list(all_graphs(5)), 60):
             for t in (2, 3):
                 for a in saturating_vectors(g, t):
-                    h = WeightedGraph.from_exponents(g, a)
+                    h = WeightedGraph(g, a)
                     sub = SimpleGraph.from_edges(g.n, h.edges)
                     length = shortest_odd_cycle(sub)
                     assert length is not None and length <= 2 * t - 1
@@ -360,7 +392,7 @@ class TestSaturatingVectors:
         for g in rng.sample(list(all_graphs(5)), 60):
             for t in (2, 3):
                 for a in saturating_vectors(g, t):
-                    h = WeightedGraph.from_exponents(g, a)
+                    h = WeightedGraph(g, a)
                     v = nu(h)
                     for i in h.vertices:
                         ai = h.weight_map[i]
