@@ -38,16 +38,6 @@ from .saturation import (
     is_strongly_t_saturating,
 )
 
-THREE_SATURATING_CASES = (
-    "triangle-2-2-1",
-    "edge-plus-triangle",
-    "two-disjoint-triangles",
-    "two-triangles-shared-vertex",
-    "pentagon-spanned",
-    "k4",
-)
-
-
 @dataclass
 class AssPrimeReport:
     """One associated prime P_F with a re-verifiable certificate."""
@@ -193,13 +183,13 @@ def ass_primes_3(g: SimpleGraph) -> list[AssPrimeReport]:
     return _shape_reports(g, _three_shapes(g, g.full_mask))
 
 
-# Each t = 3 shape's tag, with the sorted weights of its case.
-_SHAPE_WEIGHTS = (
-    ("triangle", (1, 2, 2)),
-    ("edge-plus-triangle", (1, 1, 1, 2)),
-    ("two-disjoint-triangles", (1,) * 6),
-    ("two-triangles-shared-vertex", (1,) * 5),
-    ("pentagon", (1,) * 5),
+# The t = 3 cases spanned by a shape: (case, `_three_shapes` tag, sorted weights).
+_THREE_CASES = (
+    ("triangle-2-2-1", "triangle", (1, 2, 2)),
+    ("edge-plus-triangle", "edge-plus-triangle", (1, 1, 1, 2)),
+    ("two-disjoint-triangles", "two-disjoint-triangles", (1,) * 6),
+    ("two-triangles-shared-vertex", "two-triangles-shared-vertex", (1,) * 5),
+    ("pentagon-spanned", "pentagon", (1,) * 5),
 )
 
 
@@ -224,13 +214,13 @@ def classify_3_saturating(h: WeightedGraph) -> str | None:
 
     weights = tuple(sorted(h.weights))
     spanned = {tag for tag, s in _three_shapes(g, m) if s == m}
-    for (tag, pattern), case in zip(_SHAPE_WEIGHTS, THREE_SATURATING_CASES):
+    for case, tag, pattern in _THREE_CASES:
         if tag in spanned and weights == pattern:
             if tag != "edge-plus-triangle" or sees_the_rest(h.vertices[h.weights.index(2)]):
                 return case
     if weights == (1,) * 4 and all(map(sees_the_rest, iter_bits(m))):
         if all((g.adj_bits[u - 1] & m).bit_count() >= 2 for u in iter_bits(g.full_mask & ~m)):
-            return THREE_SATURATING_CASES[5]
+            return "k4"
     return None
 
 

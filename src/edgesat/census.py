@@ -53,7 +53,7 @@ def oracle_ass(g: SimpleGraph, t: int) -> set[frozenset[int]]:
     if not g.edges:
         return {frozenset()}
     jt = ideals.power(ideals.edge_ideal(g), t)
-    rho = ideals.lcm_exponents(jt)
+    rho = jt.gens.max(axis=0)  # the generators' lcm; g has an edge, so jt is not zero
     isolated = {v for v in range(1, g.n + 1) if not g.adj[v]}
     if not all(int(rho[v - 1]) == (0 if v in isolated else t) for v in range(1, g.n + 1)):
         raise RuntimeError(

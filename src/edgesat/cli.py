@@ -61,7 +61,7 @@ def _parse_vector(text: str, n: int, signed: bool = False) -> tuple[int, ...]:
     try:
         vec = tuple(int(p) for p in parts)
     except ValueError:
-        raise InputError(f"bad integer in vector {text!r}") from None
+        raise InputError(f"bad integer in vector {text.strip()!r}") from None
     if len(vec) != n:
         raise InputError(f"vector has {len(vec)} entries, the graph has {n} vertices")
     if not signed and any(x < 0 for x in vec):
@@ -308,7 +308,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     # A command's own arguments are parsed intermixed, so that an option may sit
     # between the graph file and t: argparse alone would hand the file to t.
     # Help and a missing or unknown command go through the top-level parser.
+    # argparse reads a token like -1,0,0 as an option but one holding a space as
+    # positional, so such a token gets a leading space; int() and _parse_vector strip it.
     command = parser.get_default("commands").get(argv[0]) if argv else None
+    if command:
+        argv[1:] = [" " + a if a[:1] == "-" and a[1:2].isdigit() else a for a in argv[1:]]
     args = command.parse_intermixed_args(argv[1:]) if command else parser.parse_args(argv)
     if getattr(args, "t", 1) < 1:
         parser.error(f"argument t: the power exponent must be at least 1, got {args.t}")

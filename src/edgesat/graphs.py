@@ -80,7 +80,7 @@ class SimpleGraph:
 
     @cached_property
     def edge_masks(self) -> tuple[int, ...]:
-        return tuple((1 << (u - 1)) | (1 << (v - 1)) for u, v in sorted(self.edges))
+        return tuple((1 << (u - 1)) | (1 << (v - 1)) for u, v in self.sorted_edges)
 
     @cached_property
     def sorted_edges(self) -> tuple[tuple[int, int], ...]:
@@ -171,13 +171,11 @@ def core_of_cover(g: SimpleGraph, f: Iterable[int]) -> VertexSet:
     return set_of(_core_mask(g, m))
 
 
-def maximal_independent_sets(g: SimpleGraph, region: int | None = None) -> list[int]:
+def _maximal_independent_sets(g: SimpleGraph, region: int) -> list[int]:
     """Maximal independent sets of the induced subgraph on `region`, as masks.
 
     Bron-Kerbosch with pivoting, run on the complement adjacency.
     """
-    if region is None:
-        region = g.full_mask
     comp = [0] * g.n
     for v in iter_bits(region):
         comp[v - 1] = ~g.adj_bits[v - 1] & region & ~(1 << (v - 1))
@@ -206,13 +204,9 @@ def _set_order(s: VertexSet) -> tuple[int, list[int]]:
     return (len(s), sorted(s))
 
 
-def _sorted_sets(masks: Iterable[int]) -> list[VertexSet]:
-    return sorted({set_of(m) for m in masks}, key=_set_order)
-
-
 def minimal_covers(g: SimpleGraph) -> list[VertexSet]:
-    """All minimal vertex covers (complements of maximal independent sets)."""
-    out = _sorted_sets(g.full_mask ^ m for m in maximal_independent_sets(g))
+    """All minimal vertex covers: the covers minimal over the empty set."""
+    out = covers_minimal_over(g, ())
     if not all(is_minimal_cover(g, c) for c in out):
         raise RuntimeError("Bron-Kerbosch produced a cover that is not minimal")
     return out
@@ -222,11 +216,13 @@ def covers_minimal_over(g: SimpleGraph, s: Iterable[int]) -> list[VertexSet]:
     """Covers F containing s that are minimal among covers containing s.
 
     Every edge avoiding s lies in the induced subgraph on V \\ s, so these are
-    exactly s union a minimal cover of that subgraph.
+    exactly s union a minimal cover of that subgraph: the complement in V \\ s
+    of a maximal independent set.
     """
     sm = _vertex_mask(g, s)
     rest = g.full_mask & ~sm
-    return _sorted_sets(sm | (rest ^ m) for m in maximal_independent_sets(g, rest))
+    masks = {sm | (rest ^ m) for m in _maximal_independent_sets(g, rest)}
+    return sorted(map(set_of, masks), key=_set_order)
 
 
 def _layers(g: SimpleGraph, region: int, start: int) -> Iterator[tuple[int, int]]:

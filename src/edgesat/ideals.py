@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graphs import SimpleGraph
+from .graphs import SimpleGraph, _set_order
 
 
 _BLOCK = 2048  # rows per side of one divisibility test: at most _BLOCK**2 * n booleans
@@ -76,7 +76,7 @@ class MonomialIdeal:
         rows = [tuple(v) for v in vectors]
         if not rows:
             return cls(n, np.zeros((0, n), dtype=np.int64))
-        arr = np.array(rows, dtype=np.int64)
+        arr = _integer_array(rows)
         if arr.ndim != 2 or arr.shape[1] != n:
             raise ValueError(f"generators must have length {n}")
         if (arr < 0).any():
@@ -128,10 +128,18 @@ def power(j: MonomialIdeal, t: int) -> MonomialIdeal:
     return MonomialIdeal(j.n, _minimal_rows(rows))
 
 
+def _integer_array(rows) -> np.ndarray:
+    """`rows` as int64, refusing non-integer entries (an empty array is float64)."""
+    arr = np.asarray(rows)
+    if arr.size and arr.dtype.kind not in "biu":
+        raise ValueError("exponents must be integers")
+    return arr.astype(np.int64, copy=False)
+
+
 def _exponent_rows(n: int, rows) -> np.ndarray:
     """`rows` as an int64 matrix of exponent vectors, refusing a vector whose
-    length is not n or a negative entry."""
-    arr = np.asarray(rows, dtype=np.int64)
+    length is not n or an entry that is negative or not an integer."""
+    arr = _integer_array(rows)
     if arr.ndim != 2:
         raise ValueError("exponent vectors must be the rows of a matrix")
     if arr.shape[1] != n:
@@ -227,12 +235,6 @@ def saturate(j: MonomialIdeal) -> MonomialIdeal:
     return _gens_from_upset(j.n, sat)
 
 
-def lcm_exponents(j: MonomialIdeal) -> np.ndarray:
-    if j.is_zero:
-        raise ValueError("zero ideal has no generator lcm")
-    return j.gens.max(axis=0)
-
-
 def ass_primes_oracle(j: MonomialIdeal) -> list[frozenset[int]]:
     """Associated primes of R/j, read off the socle cells of j's table: P_F
     is associated exactly when a cell c outside j, at the top of every axis
@@ -249,4 +251,4 @@ def ass_primes_oracle(j: MonomialIdeal) -> list[frozenset[int]]:
         socle[lead + (slice(None, -1),)] &= box[lead + (slice(1, None),)]
     masks = _unique_rows(np.stack(np.nonzero(socle), axis=-1) < np.array(box.shape) - 1)
     found = [frozenset(int(i) + 1 for i in np.flatnonzero(f)) for f in masks]
-    return sorted(found, key=lambda s: (len(s), sorted(s)))
+    return sorted(found, key=_set_order)

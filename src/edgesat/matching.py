@@ -21,6 +21,7 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
+from operator import index
 from typing import Iterable, Sequence
 
 from .graphs import SimpleGraph, mask_of, set_of
@@ -43,6 +44,15 @@ def _edge_bits(g: SimpleGraph, verts: Sequence[int]) -> int:
     return bits
 
 
+def _integers(a: Iterable) -> tuple[int, ...]:
+    """`a` as a tuple of ints, each entry read through `operator.index`; a
+    numpy array is read through `tolist`, so that its bools pass too."""
+    try:
+        return tuple(map(index, a.tolist() if hasattr(a, "tolist") else a))
+    except TypeError:
+        raise ValueError("exponents must be integers") from None
+
+
 @dataclass(frozen=True)
 class WeightedGraph:
     """The weighted graph G_a: the ambient graph and an exponent vector a.
@@ -63,7 +73,7 @@ class WeightedGraph:
     cache_key: tuple[tuple[int, ...], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        a = tuple(self.a)
+        a = _integers(self.a)
         if len(a) != self.graph.n:
             raise ValueError(f"exponent vector has length {len(a)}, expected {self.graph.n}")
         if a and min(a) < 0:

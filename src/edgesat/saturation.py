@@ -16,7 +16,7 @@ a blossom run for nu(w) < t.  A support's weightings are cached by its key.
 from __future__ import annotations
 
 from itertools import combinations
-from operator import itemgetter, mul, sub
+from operator import index, itemgetter, mul, sub
 from typing import Iterable, Iterator, Sequence
 
 from .graphs import (
@@ -40,6 +40,7 @@ from .matching import (
     _degree_order,
     _edge_bits,
     _greedy_counts,
+    _integers,
     _nu_of_key,
     nu,
 )
@@ -53,16 +54,20 @@ def support(a: Sequence[int]) -> frozenset[int]:
 
 
 def _check_t(t: int) -> None:
+    try:
+        index(t)
+    except TypeError:
+        raise ValueError("power exponent t must be an integer") from None
     if t < 1:
         raise ValueError("power exponent t must be at least 1")
 
 
 def _capped_graph(g: SimpleGraph, a: Sequence[int], t: int) -> WeightedGraph:
-    """The weighted graph of x^a with each exponent capped at t, which decides
-    membership in I^t and sat(I^t) alike: a matching of size t uses no vertex
-    more than t times, and a weight of t or more on N already gives w(N) >= t."""
+    """The weighted graph of x^a, each exponent checked and then capped at t,
+    which decides membership in I^t and sat(I^t) alike: a size-t matching uses
+    no vertex more than t times, and a weight of t or more on N gives w(N) >= t."""
     _check_t(t)
-    return WeightedGraph(g, [x if x < t else t for x in a])
+    return WeightedGraph(g, [x if x < t else t for x in _integers(a)])
 
 
 def in_power(g: SimpleGraph, a: Sequence[int], t: int) -> bool:
@@ -146,17 +151,6 @@ def is_strongly_t_saturating(h: WeightedGraph, t: int) -> bool:
     return bool(h.vertices) and nu(h) < t and _inequalities_hold(h.weights, t, plans)
 
 
-def _unit_drop_moving_nu(g: SimpleGraph, b: Sequence[int], level: int) -> int | None:
-    """A support vertex of b where dropping one unit of weight moves nu off
-    `level`, or None when every such drop keeps nu at `level`."""
-    for i in support(b):
-        bm = list(b)
-        bm[i - 1] -= 1
-        if nu(WeightedGraph(g, bm)) != level:
-            return i
-    return None
-
-
 def _strong_chain_level(g: SimpleGraph, b: Sequence[int]) -> int:
     """Validate the edge-adding preconditions of b and return its level t."""
     total = sum(b)
@@ -168,11 +162,13 @@ def _strong_chain_level(g: SimpleGraph, b: Sequence[int]) -> int:
         raise ValueError(f"base weighted graph is not strongly {t}-saturating")
     if nu(hb) != t - 1:
         raise ValueError(f"base weighted graph must have matching number {t - 1}")
-    i = _unit_drop_moving_nu(g, b, t - 1)
-    if i is not None:
-        raise ValueError(
-            f"dropping one weight unit at vertex {i} must keep matching number {t - 1}"
-        )
+    for i in support(b):
+        bm = list(b)
+        bm[i - 1] -= 1
+        if nu(WeightedGraph(g, bm)) != t - 1:
+            raise ValueError(
+                f"dropping one weight unit at vertex {i} must keep matching number {t - 1}"
+            )
     return t
 
 
@@ -282,7 +278,8 @@ def _saturating_graphs(
     of w.
     """
     verts = list(iter_bits(region))
-    for size in range(1, min(len(verts), 3 * (t - 1)) + 1):
+    # each component of a support carries an odd cycle, so it has 3 or more vertices
+    for size in range(3, min(len(verts), 3 * (t - 1)) + 1):
         table = None  # built at the first support of this size that needs it
         memo = _CACHE.saturating.setdefault((t, size), {})
         for sup in combinations(verts, size):
@@ -347,7 +344,7 @@ def facets_delta(g: SimpleGraph, a: Sequence[int], t: int) -> list[frozenset[int
     the localized power and contributes no facet.
     """
     _check_t(t)
-    a = tuple(a)
+    a = _integers(a)
     if len(a) != g.n:
         raise ValueError(f"exponent vector has length {len(a)}, expected {g.n}")
     if not g.edges:

@@ -135,6 +135,15 @@ class TestOtherCommands:
         code, out = run(capsys, "facets", "--json", tailed_triangle_file, "2", "1,1,1,0,-1")
         assert code == 0 and json.loads(out)["facets"] == [[]]
 
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_facets_leading_negative_entry(self, capsys, json_flag):
+        # argparse would read -1,0,0,0 as an option; the `--` form is the reference
+        base = ["facets", *json_flag, "--edges", "1-2,1-3,2-3", "--n", "4", "2"]
+        code, out = run(capsys, *base, "-1,0,0,0")
+        assert (code, out) == run(capsys, *base, "--", "-1,0,0,0")
+        assert code == 0
+        assert out == ('{"facets":[[4]],"t":2}\n' if json_flag else "1 facet(s):\n  {4}\n")
+
 
 class TestCensus:
     def test_small_full(self, capsys):

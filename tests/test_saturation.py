@@ -12,7 +12,7 @@ from edgesat import matching, saturation
 from edgesat.census import all_graphs, all_graphs_upto, random_graphs
 from edgesat.cli import main
 from edgesat.graphs import SimpleGraph, components_masked, is_dominating, set_of, shortest_odd_cycle
-from edgesat.ideals import MonomialIdeal, edge_ideal, membership, power, saturate
+from edgesat.ideals import MonomialIdeal, colon_monomial, edge_ideal, membership, power, saturate
 from edgesat.matching import WeightedGraph, nu, nu_bruteforce
 from edgesat.saturation import (
     build_strong,
@@ -131,6 +131,41 @@ class TestPredicateInputs:
             main(["sat", "--edges", "1-2,1-3,2-3", "0", "1,1,1"])
         assert exc.value.code == 2
         assert "argument t: the power exponent must be at least 1, got 0" in capsys.readouterr().err
+
+
+class TestIntegerExponents:
+    """Both routes refuse exponents that are not integers, with one message;
+    numpy integer and bool vectors still pass."""
+
+    ENTRY_POINTS = {
+        "WeightedGraph": lambda g, a: WeightedGraph(g, a),
+        "in_power": lambda g, a: in_power(g, a, 1),
+        "in_saturation": lambda g, a: in_saturation(g, a, 2),
+        "facets_delta": lambda g, a: facets_delta(g, a, 2),
+        "membership": lambda g, a: membership(edge_ideal(g), a),
+        "colon_monomial": lambda g, a: colon_monomial(edge_ideal(g), a),
+        "from_gens": lambda g, a: MonomialIdeal.from_gens(g.n, [a]),
+    }
+
+    @pytest.mark.parametrize("x", [1.5, np.float64(1.0)])
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_non_integer_entry_refused(self, triangle, entry, x):
+        with pytest.raises(ValueError, match="^exponents must be integers$"):
+            self.ENTRY_POINTS[entry](triangle, (x, 1, 1))
+
+    @pytest.mark.parametrize("t", [1.5, np.float64(2.0)])
+    def test_non_integer_t_refused(self, triangle, t):
+        for predicate in PREDICATES:
+            with pytest.raises(ValueError, match="^power exponent t must be an integer$"):
+                predicate(triangle, (1, 1, 1), t)
+
+    @pytest.mark.parametrize("a", [np.array([2, 2, 1], dtype=np.uint8), np.array([True] * 3)])
+    def test_numpy_integer_and_bool_vectors_pass(self, triangle, a):
+        assert WeightedGraph(triangle, a).a == tuple(map(int, a))
+        jt = power(edge_ideal(triangle), 2)
+        assert in_power(triangle, a, 2) == membership(jt, a)
+        assert in_saturation(triangle, a, 2) == membership(saturate(jt), a)
+        assert MonomialIdeal.from_gens(3, [a]).to_lists() == [list(map(int, a))]
 
 
 class TestLargeExponents:
@@ -279,6 +314,13 @@ class TestExtendByEdge:
             extend_by_edge(g, (1, 1, 0, 0), (1, 4))  # even weight sum
         with pytest.raises(ValueError):
             extend_by_edge(g, (1, 1, 1, 2), (1, 4))  # not strongly saturating
+
+    def test_unit_drop_must_keep_the_matching_number(self):
+        # strongly 4-saturating with nu = 3, but dropping a unit at 1 leaves nu = 2
+        g = graph(4, (1, 2), (1, 3), (2, 3))
+        message = "^dropping one weight unit at vertex 1 must keep matching number 3$"
+        with pytest.raises(ValueError, match=message):
+            extend_by_edge(g, (2, 2, 2, 1), (1, 2))
 
     def test_broken_chain_is_a_runtime_error(self, monkeypatch):
         # the result is re-verified at level t + 1; make that check fail
