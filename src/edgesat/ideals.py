@@ -12,6 +12,7 @@ spanned by the generators.  No Groebner machinery, and no matching theory.
 from __future__ import annotations
 
 from itertools import combinations_with_replacement, product
+from operator import index
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -129,11 +130,20 @@ def power(j: MonomialIdeal, t: int) -> MonomialIdeal:
 
 
 def _integer_array(rows) -> np.ndarray:
-    """`rows` as int64, refusing non-integer entries (an empty array is float64)."""
+    """`rows` as int64, refusing an entry that is not an integer or lies
+    outside int64 (an empty array is float64).  numpy reads ints beyond int64
+    as objects, floats or uint64, so such arrays are read entry by entry."""
     arr = np.asarray(rows)
-    if arr.size and arr.dtype.kind not in "biu":
-        raise ValueError("exponents must be integers")
-    return arr.astype(np.int64, copy=False)
+    if not arr.size or arr.dtype.kind in "bi" or arr.dtype.kind == "u" and arr.itemsize < 8:
+        return arr.astype(np.int64, copy=False)
+    try:
+        entries = [index(x) for x in np.asarray(rows, dtype=object).flat]
+    except TypeError:
+        raise ValueError("exponents must be integers") from None
+    try:
+        return np.array(entries, dtype=np.int64).reshape(arr.shape)
+    except OverflowError:
+        raise ValueError("exponents must fit in a signed 64-bit integer") from None
 
 
 def _exponent_rows(n: int, rows) -> np.ndarray:

@@ -12,7 +12,8 @@ runs Edmonds' maximum-cardinality matching on the resulting simple graph.
 An exhaustive edge-multiset search (`nu_bruteforce`) is kept as an
 independent cross-check, and `has_augmenting_walk` decides maximality
 directly via the weighted version of Berge's theorem.
-`_CACHE` is the one bounded cache: `nu` answers and the saturating catalogue.
+`_CACHE` is the one bounded cache: `nu` answers, the saturating catalogue,
+and the per-support entries of the membership questions on one graph.
 """
 
 from __future__ import annotations
@@ -53,6 +54,17 @@ def _integers(a: Iterable) -> tuple[int, ...]:
         raise ValueError("exponents must be integers") from None
 
 
+def _exponent_vector(a: Iterable, n: int) -> tuple[int, ...]:
+    """`a` as a tuple of n non-negative ints, read by `_integers`; the reasons
+    for a refusal are checked in that order: integers, length, sign."""
+    a = _integers(a)
+    if len(a) != n:
+        raise ValueError(f"exponent vector has length {len(a)}, expected {n}")
+    if a and min(a) < 0:
+        raise ValueError("exponents must be non-negative")
+    return a
+
+
 @dataclass(frozen=True)
 class WeightedGraph:
     """The weighted graph G_a: the ambient graph and an exponent vector a.
@@ -73,11 +85,7 @@ class WeightedGraph:
     cache_key: tuple[tuple[int, ...], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        a = _integers(self.a)
-        if len(a) != self.graph.n:
-            raise ValueError(f"exponent vector has length {len(a)}, expected {self.graph.n}")
-        if a and min(a) < 0:
-            raise ValueError("exponents must be non-negative")
+        a = _exponent_vector(self.a, self.graph.n)
         vertices, weights, mask = [], [], 0
         for i, x in enumerate(a):
             if x:
@@ -178,9 +186,17 @@ def _max_matching_simple(n: int, adj: list[list[int]]) -> list[int]:
                 return y
             y = p[match[y]]
 
+    # An augmenting path joins two free vertices, and never ends at a root
+    # that failed: a vertex with no augmenting path keeps none after later
+    # augmentations.  So the roots stop when fewer than two untried vertices
+    # are free.
+    untried = match.count(-1)
     for root in range(n):
         if match[root] != -1:
             continue
+        if untried < 2:
+            break
+        untried -= 1
         p = [-1] * n
         base = list(range(n))
         used = [False] * n
@@ -213,6 +229,7 @@ def _max_matching_simple(n: int, adj: list[list[int]]) -> list[int]:
                             match[u] = pv
                             match[pv] = u
                             u = ppv
+                        untried -= 1  # `to`, a free vertex above the root
                         augmented = True
                         break
                     used[match[to]] = True
@@ -268,29 +285,43 @@ def _greedy_counts(weights: Sequence[int], edges: Sequence[tuple[int, int]]) -> 
     return counts
 
 
-_CACHE_LIMIT = 1 << 18  # entries over both stores, well above any benchmark run
+_CACHE_LIMIT = 1 << 18  # entries over all three stores, well above any benchmark run
 
 
 class _Cache:
-    """The process's exact answers, at most `_CACHE_LIMIT` entries over both
-    stores: `nu` by `cache_key`, and `saturating`, per (t, support size), a
+    """The process's exact answers, at most `_CACHE_LIMIT` entries over three
+    stores: `nu` by `cache_key`; `saturating`, per (t, support size), a
     support's t-saturating weightings by its relabelled edge bits (see
-    `saturation._saturating_graphs`).  An insert into a full cache empties it
-    first, in place, so a caller's reference to a store stays good."""
+    `saturation._saturating_graphs`); and `supports`, what the membership
+    questions on the one graph `graph` read per support mask (see
+    `saturation._in_power`).  A question on another graph object empties
+    `supports` first.  An insert into a full cache empties it first, in place,
+    so a caller's reference to a store stays good."""
 
     def __init__(self) -> None:
         self.nu: dict[tuple[tuple[int, ...], int], int] = {}
         self.saturating: dict[tuple[int, int], dict[int, tuple]] = {}
+        self.graph: SimpleGraph | None = None
+        self.supports: dict[int, list] = {}
         self.entries = 0
 
     def clear(self) -> None:
         self.nu.clear()
         for memo in self.saturating.values():
             memo.clear()
+        self.supports.clear()
         self.entries = 0
 
+    def supports_of(self, g: SimpleGraph) -> dict[int, list]:
+        """The `supports` store, serving g from now on."""
+        if g is not self.graph:
+            self.entries -= len(self.supports)
+            self.supports.clear()
+            self.graph = g
+        return self.supports
+
     def remember(self, store: dict, key, value):
-        """Store and return `value` under `key` in `nu` or a dict of `saturating`."""
+        """Store and return `value` under `key` in one of the stores."""
         if self.entries >= _CACHE_LIMIT:
             self.clear()
         store[key] = value

@@ -7,10 +7,13 @@ matching inequalities nu(G_a - N_a(i)) >= t - deg_a(i) over all vertices i
 of the ambient graph.  Every check of them goes through one kernel: the plan
 of each inequality (an `itemgetter` of the support indices outside N and the
 edge bits of H - N) is made once per support, and each weight tuple meets the
-`nu` cache by key.  The search for saturating graphs settles each weighting
-by its cheapest exact test first: the prune (some w - e_p already failed),
-then a greedy b-matching that reaches t, then the inequalities, and only then
-a blossom run for nu(w) < t.  A support's weightings are cached by its key.
+`nu` cache by key.  The membership questions on one graph keep, per support,
+its unit-weight graph, that graph's nu and the plans in `matching._CACHE`, so
+a question builds a weighted graph only for a support new to the store.  The
+search for saturating graphs settles each weighting by its cheapest exact test
+first: the prune (some w - e_p already failed), then a greedy b-matching that
+reaches t, then the inequalities, and only then a blossom run for nu(w) < t.
+A support's weightings are cached by its key.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from .matching import (
     WeightedGraph,
     _degree_order,
     _edge_bits,
+    _exponent_vector,
     _greedy_counts,
     _integers,
     _nu_of_key,
@@ -62,17 +66,34 @@ def _check_t(t: int) -> None:
         raise ValueError("power exponent t must be at least 1")
 
 
-def _capped_graph(g: SimpleGraph, a: Sequence[int], t: int) -> WeightedGraph:
-    """The weighted graph of x^a, each exponent checked and then capped at t,
-    which decides membership in I^t and sat(I^t) alike: a size-t matching uses
-    no vertex more than t times, and a weight of t or more on N gives w(N) >= t."""
+def _in_power(g: SimpleGraph, a: Sequence[int], t: int) -> tuple[bool, tuple[int, ...], list]:
+    """Whether x^a lies in I^t, with the support's weights capped at t and its
+    entry in the support store: the unit-weight graph H on the support, nu(H),
+    and the drop plans, None until a saturation question first needs them.
+
+    The cap decides membership in I^t and sat(I^t) alike: a size-t matching
+    uses no vertex more than t times, and a weight of t or more on N gives
+    w(N) >= t.  Each capped weight is at least 1, so nu(H) >= t answers at once.
+    """
     _check_t(t)
-    return WeightedGraph(g, [x if x < t else t for x in _integers(a)])
+    mask, w = 0, []
+    for i, x in enumerate(_exponent_vector(a, g.n)):
+        if x:
+            mask |= 1 << i
+            w.append(x if x < t else t)
+    w = tuple(w)
+    store = _CACHE.supports_of(g)
+    entry = store.get(mask)
+    if entry is None or entry[0].graph is not g:  # another thread switched the store
+        h = WeightedGraph(g, [mask >> i & 1 for i in range(g.n)])
+        entry = _CACHE.remember(store, mask, [h, nu(h), None])
+    h, unit_nu, _ = entry
+    return unit_nu >= t or _nu_of_key((w, h.cache_key[1])) >= t, w, entry
 
 
 def in_power(g: SimpleGraph, a: Sequence[int], t: int) -> bool:
     """x^a lies in I^t exactly when nu of its weighted graph is at least t."""
-    return nu(_capped_graph(g, a, t)) >= t
+    return _in_power(g, a, t)[0]
 
 
 def _drop_plans(
@@ -115,11 +136,16 @@ def _inequalities_hold_at(h: WeightedGraph, t: int, vertices: Iterable[int]) -> 
 
 def _membership(g: SimpleGraph, a: Sequence[int], t: int) -> tuple[bool, bool]:
     """Whether x^a lies in I^t and in sat(I^t): the latter is the inequality at
-    every vertex of g, which members of I^t satisfy automatically."""
-    h = _capped_graph(g, a, t)
-    if nu(h) >= t:
+    every vertex of g, which members of I^t satisfy automatically.  Vertices
+    with the same neighbours in the support share one plan."""
+    in_pow, w, entry = _in_power(g, a, t)
+    if in_pow:
         return True, True
-    return False, _inequalities_hold_at(h, t, range(1, g.n + 1))
+    h, _, plans = entry
+    if plans is None:  # an empty N, if any, comes first: it asks nu(w) >= t, just failed
+        drops = sorted({b & h.mask for b in g.adj_bits})
+        plans = entry[2] = list(_drop_plans(g, h.vertices, drops))
+    return False, _inequalities_hold(w, t, plans)
 
 
 def in_saturation(g: SimpleGraph, a: Sequence[int], t: int) -> bool:
@@ -329,6 +355,7 @@ def saturating_vectors(g: SimpleGraph, t: int) -> list[ExponentVector]:
     sum at most 3(t-1), and supports whose components each contain an odd
     cycle (one longer than 2t-1 already gives nu >= t).
     """
+    _check_t(t)
     if t < 2:
         raise ValueError("saturating graphs require t >= 2")
     return sorted(a for _, a in _saturating_graphs(g, t, g.full_mask))

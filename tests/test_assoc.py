@@ -213,6 +213,7 @@ T_TAKERS = {
     "ass_primes": ass_primes,
     "is_associated": lambda g, t: is_associated(g, {1, 2, 3}, t),
     "formula_ass": formula_ass,
+    "saturating_vectors": saturating_vectors,
 }
 
 

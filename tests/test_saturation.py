@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import sys
+import threading
 from itertools import combinations, product
 
 import numpy as np
@@ -12,7 +14,15 @@ from edgesat import matching, saturation
 from edgesat.census import all_graphs, all_graphs_upto, random_graphs
 from edgesat.cli import main
 from edgesat.graphs import SimpleGraph, components_masked, is_dominating, set_of, shortest_odd_cycle
-from edgesat.ideals import MonomialIdeal, colon_monomial, edge_ideal, membership, power, saturate
+from edgesat.ideals import (
+    MonomialIdeal,
+    colon_monomial,
+    edge_ideal,
+    membership,
+    membership_many,
+    power,
+    saturate,
+)
 from edgesat.matching import WeightedGraph, nu, nu_bruteforce
 from edgesat.saturation import (
     build_strong,
@@ -166,6 +176,99 @@ class TestIntegerExponents:
         assert in_power(triangle, a, 2) == membership(jt, a)
         assert in_saturation(triangle, a, 2) == membership(saturate(jt), a)
         assert MonomialIdeal.from_gens(3, [a]).to_lists() == [list(map(int, a))]
+
+    def test_saturating_vectors_checks_t(self, triangle):
+        with pytest.raises(ValueError, match="^power exponent t must be an integer$"):
+            saturating_vectors(triangle, 2.5)
+        with pytest.raises(ValueError, match="^saturating graphs require t >= 2$"):
+            saturating_vectors(triangle, 1)
+
+    @pytest.mark.parametrize("x", [2**70, -(2**70), 2**63, np.uint64(2**63)])
+    @pytest.mark.parametrize("entry", ["membership", "colon_monomial", "from_gens"])
+    def test_ints_beyond_int64_refused_by_the_oracle(self, triangle, entry, x):
+        # numpy reads these as objects, floats or uint64, not as int64
+        with pytest.raises(ValueError, match="^exponents must fit in a signed 64-bit integer$"):
+            self.ENTRY_POINTS[entry](triangle, (x, 0, 0))
+
+
+class TestSupportStore:
+    """The membership questions on one graph share the entries of
+    `matching._CACHE.supports`, one per support mask."""
+
+    @pytest.mark.parametrize("t", [2, 3, 4])
+    def test_differential_against_the_oracle_at_n7(self, cold_cache, t):
+        # random 7-vertex graphs, each with 8 vectors of entries below t and
+        # 8 with entries up to 64, as in the `membership` benchmark, and its
+        # first 4 t-saturating vectors, which sit near sat(I^t) \ I^t
+        rng = random.Random(70 + t)
+        gaps = 0
+        for g in random_graphs(7, 150, 70 + t):
+            vectors = [[rng.randrange(t) for _ in range(7)] for _ in range(8)]
+            vectors += [[rng.randrange(65) for _ in range(7)] for _ in range(8)]
+            vectors += saturating_vectors(g, t)[:4]
+            jt = power(edge_ideal(g), t)
+            in_jt = membership_many(jt, np.array(vectors))
+            in_sat = membership_many(saturate(jt), np.array(vectors))
+            for a, p, s in zip(vectors, in_jt, in_sat):
+                got = [predicate(g, a, t) for predicate in PREDICATES]
+                assert got == [p, s, s and not p], (sorted(g.edges), a, t)
+                gaps += got[2]
+        assert gaps >= 200
+
+    def test_alternating_graphs_with_one_support(self, cold_cache):
+        # the same support mask on the triangle and on the path 1-2-3 has
+        # other edge bits and plans; a stale entry answers for the wrong graph
+        path = graph(3, (1, 2), (2, 3))
+        triangle = graph(3, (1, 2), (1, 3), (2, 3))
+        for _ in range(2):
+            for g, answers in ((triangle, [True, True, False]), (path, [False, False, False])):
+                assert [p(g, (1, 1, 2), 2) for p in PREDICATES] == answers
+            for g, answers in ((triangle, [False, True, True]), (path, [False, False, False])):
+                assert [p(g, (1, 1, 1), 2) for p in PREDICATES] == answers
+            assert cold_cache.graph is path and set(cold_cache.supports) == {0b111}
+
+    def test_threads_switching_graphs_get_their_own_answers(self, cold_cache):
+        # each thread asks about one graph while others switch the store
+        path = graph(3, (1, 2), (2, 3))
+        triangle = graph(3, (1, 2), (1, 3), (2, 3))
+        want = {triangle: [False, True, True], path: [False, False, False]}
+        wrong = []
+
+        def ask(g):
+            for _ in range(3000):
+                got = [p(g, (1, 1, 1), 2) for p in PREDICATES]
+                if got != want[g]:
+                    wrong.append((g, got))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=ask, args=(g,)) for g in [triangle, path] * 3]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers) and wrong == []
+
+    def test_entries_are_counted_and_cleared(self, monkeypatch, cold_cache, pentagon, triangle):
+        vectors = [(1, 1, 0, 0, 0), (1, 1, 1, 0, 0), (1, 0, 1, 0, 1), (1, 1, 1, 1, 1)]
+        for a in vectors:
+            in_saturation(pentagon, a, 2)
+        assert len(cold_cache.supports) == 4
+        assert cold_cache.entries == len(cold_cache.nu) + 4
+        in_power(triangle, (1, 1, 1), 2)  # another graph empties the store first
+        assert len(cold_cache.supports) == 1
+        assert cold_cache.entries == len(cold_cache.nu) + 1
+        # a full cache empties itself, the store included, before an insert
+        monkeypatch.setattr(matching, "_CACHE_LIMIT", cold_cache.entries)
+        in_power(triangle, (1, 1, 0), 2)
+        assert list(cold_cache.supports) == [0b011]
+        assert cold_cache.entries == len(cold_cache.nu) + 1 < matching._CACHE_LIMIT
+        cold_cache.clear()
+        assert cold_cache.supports == {} and cold_cache.entries == 0
+        assert in_saturation(triangle, (1, 1, 1), 2) and len(cold_cache.supports) == 1
 
 
 class TestLargeExponents:
