@@ -13,7 +13,9 @@ a question builds a weighted graph only for a support new to the store.  The
 search for saturating graphs settles each weighting by its cheapest exact test
 first: the prune (some w - e_p already failed), then a greedy b-matching that
 reaches t, then the inequalities, and only then a blossom run for nu(w) < t.
-A support's weightings are cached by its key.
+A support's weightings are cached by its key, and computed once per
+isomorphism class of supports: a support new to the cache reads the entry of
+its key's canonical form, relabelled.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .graphs import (
 from .matching import (
     _CACHE,
     WeightedGraph,
+    _canonical_key,
     _degree_order,
     _edge_bits,
     _exponent_vector,
@@ -286,10 +289,20 @@ def _saturating_graphs(
 
     Whether (S, w) is t-saturating depends on H = G[S] and t alone, so a
     support's weightings are kept in `matching._CACHE` under (t, |S|, the
-    edge bits of H relabelled 0..|S|-1) and read back for any support with
+    edge bits B of H relabelled 0..|S|-1) and read back for any support with
     that key.  Only the `dominated` filter and, for |S| >= 2t, the unit-weight
-    check come before the lookup.  A miss runs `_support_weightings`, where,
-    with no `WeightedGraph` built, each w meets the cheapest exact test first:
+    check come before the lookup.  The entry under any key is the weightings
+    of the labelled graph it spells, so isomorphic supports share one entry,
+    under the canonical form C of B (`matching._canonical_key`).  On a miss:
+    a. a support with a component that has no odd cycle keeps () under B;
+    b. when C has an entry, the support p reads w[p] = w_C[pos[p]] off each
+       of its weightings w_C, pos being the vertices' canonical positions,
+       and keeps the re-sorted weightings under B;
+    c. otherwise, and when the canonical search gives up, it runs
+       `_support_weightings` and keeps the result under B, and when C
+       differs from B, their image in canonical positions under C.
+    `_support_weightings`, with no `WeightedGraph` built, gives each w its
+    cheapest exact test first:
     1. the prune: w fails if some w - e_p on the support already failed (nu
        is monotone in the weights);
     2. the greedy: when w sums to 2t or more, a greedy b-matching over the
@@ -306,7 +319,7 @@ def _saturating_graphs(
     verts = list(iter_bits(region))
     # each component of a support carries an odd cycle, so it has 3 or more vertices
     for size in range(3, min(len(verts), 3 * (t - 1)) + 1):
-        table = None  # built at the first support of this size that needs it
+        table = None  # built at the first support of this size that is computed
         memo = _CACHE.saturating.setdefault((t, size), {})
         for sup in combinations(verts, size):
             mask = mask_of(sup)
@@ -321,20 +334,35 @@ def _saturating_graphs(
                 bits = _edge_bits(g, sup)
             found = memo.get(bits)
             if found is None:
-                table = table or _weight_table(size, t)
-                weightings = _support_weightings(g, sup, bits, t, table)
-                found = _CACHE.remember(memo, bits, tuple(weightings))
+                if _odd_cycle_components(g, mask) is None:
+                    found = ()
+                else:
+                    canon = _canonical_key(size, bits)
+                    known = canon and memo.get(canon[0])
+                    if known is not None:
+                        found = _relabelled(known, canon[1])
+                    else:
+                        table = table or _weight_table(size, t)
+                        found = tuple(_support_weightings(g, sup, bits, t, table))
+                        if canon and canon[0] != bits:
+                            inverse = sorted(range(size), key=canon[1].__getitem__)
+                            _CACHE.remember(memo, canon[0], _relabelled(found, inverse))
+                found = _CACHE.remember(memo, bits, found)
             for w in found:
                 on_support = dict(zip(sup, w))
                 yield sup, tuple(on_support.get(v, 0) for v in range(1, g.n + 1))
 
 
+def _relabelled(weightings: Iterable[tuple[int, ...]], order: Sequence[int]) -> tuple:
+    """Each weighting w read as (w[order[0]], w[order[1]], ...), in
+    lexicographic order."""
+    return tuple(sorted(map(itemgetter(*order), weightings)))
+
+
 def _support_weightings(g: SimpleGraph, sup: tuple, bits: int, t: int, table: list) -> Iterator:
     """The t-saturating weightings in `table` of the support `sup` of g, with
-    edge bits `bits`: none unless each component of `sup` has an odd cycle."""
+    edge bits `bits`, each component of `sup` having an odd cycle."""
     mask = mask_of(sup)
-    if _odd_cycle_components(g, mask) is None:
-        return
     order = _degree_order(len(sup), bits)
     plans = list(_drop_plans(g, sup, (g.adj_bits[v - 1] & mask for v in sup)))
     failed: set[int] = set()  # the weights with nu >= t so far

@@ -29,6 +29,14 @@ def graph(n: int, *edges: tuple[int, int]) -> SimpleGraph:
     return SimpleGraph.from_edges(n, edges)
 
 
+def disjoint_triangles(k: int) -> SimpleGraph:
+    edges = []
+    for i in range(k):
+        b = 3 * i
+        edges += [(b + 1, b + 2), (b + 1, b + 3), (b + 2, b + 3)]
+    return SimpleGraph.from_edges(3 * k, edges)
+
+
 def minus(h: WeightedGraph, drop: Iterable[int]) -> WeightedGraph:
     """H - N: the weighted graph of h's exponent vector zeroed on `drop`."""
     return WeightedGraph(h.graph, (0 if v in drop else x for v, x in enumerate(h.a, 1)))

@@ -49,7 +49,7 @@ from edgesat.saturation import (
     saturating_vectors,
 )
 
-from conftest import graph
+from conftest import disjoint_triangles, graph
 
 
 DATA = Path(__file__).parent / "data"
@@ -69,7 +69,11 @@ def wg(g: SimpleGraph, *weights: int) -> WeightedGraph:
     return WeightedGraph(g, weights)
 
 
-K4 = graph(4, (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
+def complete(n: int) -> SimpleGraph:
+    return graph(n, *combinations(range(1, n + 1), 2))
+
+
+K4 = complete(4)
 
 
 class TestIsAssociated:
@@ -179,7 +183,8 @@ class TestAssPrimes:
 
     def test_blossom_runs_on_g10_t5(self, monkeypatch, cold_cache):
         # Blossom runs only on weightings that neither the greedy lower bound
-        # nor the cached inequalities settle: 17,108 from an empty cache.
+        # nor the cached inequalities settle, once per class of supports up to
+        # isomorphism: 12,430 from an empty cache.
         # Run again, every support reads its weightings from the cache.
         real, runs = matching._max_matching_simple, []
         greedy, greedy_calls = saturation._greedy_counts, []
@@ -244,21 +249,45 @@ class TestCache:
         assert [r.to_dict() for r in reports] == golden["primes"]
         assert max(held) == 50 and held.count(1) > 1
 
+    @pytest.mark.parametrize(
+        "g, t",
+        [(complete(7), 4), (complete(9), 5), (disjoint_triangles(4), 5)],
+        ids=["K7", "K9", "four triangles"],
+    )
+    def test_symmetric_supports_answer_as_without_sharing(self, monkeypatch, cold_cache, g, t):
+        # supports past the leaf cap are computed under their own key
+        shared = [r.to_dict() for r in ass_primes(g, t)]
+        cold_cache.clear()
+        monkeypatch.setattr(matching, "_CANON_LEAVES", 0)  # no class is ever shared
+        assert [r.to_dict() for r in ass_primes(g, t)] == shared
+
     @pytest.mark.parametrize("t", [2, 3, 4])
     def test_warm_answers_equal_cold_answers(self, cold_cache, t):
-        def answers(g, t):
-            return saturating_vectors(g, t), [r.to_dict() for r in ass_primes(g, t)]
+        def answers(g, t):  # is_associated returns the first witness in the search order
+            covers = [set_of(m) for m in range(g.full_mask + 1) if is_cover(g, set_of(m))]
+            decided = [is_associated(g, f, t) for f in covers]
+            return (
+                saturating_vectors(g, t),
+                [r.to_dict() for r in ass_primes(g, t)],
+                [None if r is None else r.to_dict() for r in decided],
+            )
 
         graphs = random_graphs(7, 40, 11)
         cold = []
         for g in graphs:
             cold_cache.clear()
             cold.append(answers(g, t))
-        cold_cache.clear()
-        for g in random_graphs(7, 40, 12):  # warmed at every t, to catch a key without t
-            for other in (2, 3, 4):
-                answers(g, other)
-        assert [answers(g, t) for g in graphs] == cold
+        rng = random.Random(t)
+        relabelled = []  # each support's class entry is first made under another labelling
+        for g in graphs:
+            sigma = rng.sample(range(1, 8), 7)
+            relabelled.append(graph(7, *((sigma[u - 1], sigma[v - 1]) for u, v in g.edges)))
+        for warm in (random_graphs(7, 40, 12), relabelled):
+            cold_cache.clear()
+            for g in warm:  # warmed at every t, to catch a key without t
+                for other in (2, 3, 4):
+                    answers(g, other)
+            assert [answers(g, t) for g in graphs] == cold
 
 
 class TestReportWalk:

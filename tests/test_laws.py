@@ -1,0 +1,43 @@
+"""Laws the formula engine obeys on graphs past the oracle's reach, checked on
+examples that Hypothesis draws from a fixed seed."""
+
+from __future__ import annotations
+
+from itertools import combinations
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from edgesat.assoc import ass_primes
+from edgesat.graphs import SimpleGraph
+
+LAWS = settings(
+    derandomize=True,  # the same examples on every run
+    database=None,
+    max_examples=600,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],  # the cache is cleared per example
+)
+
+
+@st.composite
+def relabelled_graphs(draw) -> tuple[SimpleGraph, list[int]]:
+    """A graph on 7 or 8 vertices with n to 2n edges, and a permutation sigma
+    of its vertices, vertex v going to sigma[v - 1]."""
+    n = draw(st.integers(7, 8))
+    pairs = draw(st.permutations(list(combinations(range(1, n + 1), 2))))
+    edges = pairs[: draw(st.integers(n, 2 * n))]
+    return SimpleGraph.from_edges(n, edges), draw(st.permutations(range(1, n + 1)))
+
+
+@LAWS
+@given(case=relabelled_graphs(), t=st.sampled_from([2, 3, 4]))
+def test_relabelling_maps_the_primes(cold_cache, case, t):
+    # Ass(I^t) of sigma G is sigma of Ass(I^t) of G, read through a cache
+    # warmed by G alone, so that sigma G's supports meet the class entries of
+    # G's supports under other labels
+    g, sigma = case
+    cold_cache.clear()
+    want = {(frozenset(sigma[v - 1] for v in r.vertices), r.kind) for r in ass_primes(g, t)}
+    moved = SimpleGraph.from_edges(g.n, [(sigma[u - 1], sigma[v - 1]) for u, v in g.edges])
+    assert {(frozenset(r.vertices), r.kind) for r in ass_primes(moved, t)} == want

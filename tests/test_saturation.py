@@ -37,7 +37,7 @@ from edgesat.saturation import (
     support,
 )
 
-from conftest import graph, minus
+from conftest import disjoint_triangles, graph, minus
 
 
 def wg(g: SimpleGraph, *weights: int) -> WeightedGraph:
@@ -75,14 +75,6 @@ def _saturating_by_brute_force(h: WeightedGraph, t: int, memo: dict) -> bool:
         if w < t and nu_bf(minus(h, nbrs)) < t - w:
             return False
     return True
-
-
-def disjoint_triangles(k: int) -> SimpleGraph:
-    edges = []
-    for i in range(k):
-        b = 3 * i
-        edges += [(b + 1, b + 2), (b + 1, b + 3), (b + 2, b + 3)]
-    return SimpleGraph.from_edges(3 * k, edges)
 
 
 class TestInPower:
