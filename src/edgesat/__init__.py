@@ -30,7 +30,6 @@ from .graphs import (
     is_minimal_over,
     minimal_covers,
     open_neighborhood,
-    shortest_odd_cycle,
 )
 from .ideals import (
     MonomialIdeal,

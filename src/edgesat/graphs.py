@@ -325,11 +325,6 @@ def shortest_odd_cycle_masked(g: SimpleGraph, region: int) -> int | None:
     return length
 
 
-def shortest_odd_cycle(g: SimpleGraph) -> int | None:
-    """Length of a shortest odd cycle of g; None exactly when g is bipartite."""
-    return shortest_odd_cycle_masked(g, g.full_mask)
-
-
 def triangles(g: SimpleGraph) -> list[tuple[int, int, int]]:
     """All triangles, as increasing vertex triples."""
     out = []

@@ -1,12 +1,13 @@
 """Brute-force monomial ideal arithmetic: the ground-truth side of every check.
 
 Ideals are stored by their unique minimal generating sets, as small integer
-matrices.  Powers, colons by a monomial and intersections are purely
-combinatorial: componentwise min/max, a lexsort that drops repeated rows, and
-divisibility checked degree class by degree class.  The colon by the maximal
-ideal, the saturation (the AND of the table's top slices) and the associated
-primes (its socle cells) read one boolean membership table over the box
-spanned by the generators.  No Groebner machinery, and no matching theory.
+matrices.  Powers and colons by a monomial are purely combinatorial:
+componentwise sums and clipping, a lexsort that drops repeated rows, and
+divisibility checked degree class by degree class.  No intersection of ideals
+is formed: the colon by the maximal ideal, the saturation (the AND of the
+table's top slices) and the associated primes (its socle cells) read one
+boolean membership table over the box spanned by the generators.  No Groebner
+machinery, and no matching theory.
 """
 
 from __future__ import annotations
@@ -173,16 +174,6 @@ def colon_monomial(j: MonomialIdeal, w: Sequence[int]) -> MonomialIdeal:
     """j : x^w, by clipping each generator below w."""
     w = _exponent_rows(j.n, [w])[0]
     return MonomialIdeal(j.n, _minimal_rows(np.clip(j.gens - w, 0, None)))
-
-
-def intersect(j1: MonomialIdeal, j2: MonomialIdeal) -> MonomialIdeal:
-    """Intersection via componentwise max over generator pairs, minimalised."""
-    if j1.n != j2.n:
-        raise ValueError("ideals live in different rings")
-    if j1.is_zero or j2.is_zero:
-        return MonomialIdeal.from_gens(j1.n, [])
-    rows = np.maximum(j1.gens[:, None, :], j2.gens[None, :, :]).reshape(-1, j1.n)
-    return MonomialIdeal(j1.n, _minimal_rows(rows))
 
 
 def membership_box(j: MonomialIdeal, shape: tuple[int, ...]) -> np.ndarray:

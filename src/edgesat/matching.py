@@ -401,11 +401,12 @@ class _Cache:
         return self.supports
 
     def remember(self, store: dict, key, value):
-        """Store and return `value` under `key` in one of the stores."""
+        """Store and return `value` under `key` in one of the stores; only a
+        new key adds an entry."""
         if self.entries >= _CACHE_LIMIT:
             self.clear()
+        self.entries += key not in store
         store[key] = value
-        self.entries += 1
         return value
 
 

@@ -34,7 +34,6 @@ from .graphs import (
     _set_order,
     _vertex_mask,
     components_masked,
-    induced_subgraph,
     iter_bits,
     mask_of,
     set_of,
@@ -393,10 +392,14 @@ def facets_delta(g: SimpleGraph, a: Sequence[int], t: int) -> list[frozenset[int
     """Facets of the degree-a complex of I^t, for a signed exponent vector.
 
     For each G between G_a = {i : a_i < 0} and V, with F = V \\ G a cover,
-    the localized membership question reduces to the edge ideal of the
-    induced graph on core(F) at the shifted exponent s = t minus the weights
-    sitting on F outside the core; negative or zero s means membership in
-    the localized power and contributes no facet.
+    the localized membership question is whether x^a on core(F) lies in
+    sat(I^s) \\ I^s for the edge ideal of the induced graph on core(F), at
+    the shifted exponent s = t minus the weights sitting on F outside the
+    core; negative or zero s means membership in the localized power and
+    contributes no facet.  It is asked of g itself, at core(F): with a capped
+    at s on core(F) and zero elsewhere, nu < s and the saturation inequality
+    at each vertex of core(F), whose neighbourhood meets the support as it
+    does in the induced graph.  No subgraph is built.
     """
     _check_t(t)
     a = _integers(a)
@@ -415,9 +418,8 @@ def facets_delta(g: SimpleGraph, a: Sequence[int], t: int) -> list[frozenset[int
             shed = fmask & ~core
             s = t - sum(a[v - 1] for v in iter_bits(shed))
             if s >= 1:
-                subg, _ = induced_subgraph(g, iter_bits(core))  # relabelled in sorted order
-                a_core = [a[v - 1] for v in iter_bits(core)]
-                if in_sat_minus_power(subg, a_core, s):
+                h = WeightedGraph(g, [min(x, s) if core >> i & 1 else 0 for i, x in enumerate(a)])
+                if nu(h) < s and _inequalities_hold_at(h, s, iter_bits(core)):
                     facets.append(set_of(sub))
         if sub == free:
             break

@@ -1,5 +1,5 @@
-"""Shared fixtures: the small named graphs every module's examples use, and
-an empty cache."""
+"""Shared fixtures: the small named graphs every module's examples use, an
+empty cache, and the graph helpers several test modules read."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from typing import Iterable
 import pytest
 
 from edgesat import matching, saturation
-from edgesat.graphs import SimpleGraph
+from edgesat.graphs import SimpleGraph, shortest_odd_cycle_masked
 from edgesat.matching import WeightedGraph
 
 _acceptance_lines: list[str] = []
@@ -27,6 +27,11 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 def graph(n: int, *edges: tuple[int, int]) -> SimpleGraph:
     return SimpleGraph.from_edges(n, edges)
+
+
+def shortest_odd_cycle(g: SimpleGraph) -> int | None:
+    """Length of a shortest odd cycle of g; None exactly when g is bipartite."""
+    return shortest_odd_cycle_masked(g, g.full_mask)
 
 
 def disjoint_triangles(k: int) -> SimpleGraph:

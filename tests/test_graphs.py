@@ -28,13 +28,12 @@ from edgesat.graphs import (
     open_neighborhood,
     parse_graph_text,
     graph_to_text,
-    shortest_odd_cycle,
     shortest_odd_cycle_masked,
     triangles,
 )
 from edgesat.census import all_graphs, all_graphs_upto, random_graphs
 
-from conftest import graph
+from conftest import graph, shortest_odd_cycle
 
 
 def _numpy_components_and_odd_girths(g: SimpleGraph, region: int) -> tuple[list[int], list[int | None]]:

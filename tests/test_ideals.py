@@ -22,7 +22,6 @@ from edgesat.ideals import (
     colon_maximal,
     colon_monomial,
     edge_ideal,
-    intersect,
     membership,
     membership_box,
     membership_many,
@@ -64,6 +63,14 @@ def _prime_cover(k: MonomialIdeal) -> frozenset[int] | None:
     if k.is_zero or not (k.gens.sum(axis=1) == 1).all():
         return None
     return frozenset(int(np.flatnonzero(row)[0]) + 1 for row in k.gens)
+
+
+def intersect(j1: MonomialIdeal, j2: MonomialIdeal) -> MonomialIdeal:
+    """Intersection via componentwise max over generator pairs, minimalised."""
+    if j1.is_zero or j2.is_zero:
+        return MonomialIdeal.from_gens(j1.n, [])
+    rows = np.maximum(j1.gens[:, None, :], j2.gens[None, :, :]).reshape(-1, j1.n)
+    return MonomialIdeal(j1.n, _minimal_rows(rows))
 
 
 def _colon_by_variables(j: MonomialIdeal) -> MonomialIdeal:

@@ -21,13 +21,19 @@ LAWS = settings(
 
 
 @st.composite
-def relabelled_graphs(draw) -> tuple[SimpleGraph, list[int]]:
-    """A graph on 7 or 8 vertices with n to 2n edges, and a permutation sigma
-    of its vertices, vertex v going to sigma[v - 1]."""
+def graphs(draw) -> SimpleGraph:
+    """A graph on 7 or 8 vertices with n to 2n edges."""
     n = draw(st.integers(7, 8))
     pairs = draw(st.permutations(list(combinations(range(1, n + 1), 2))))
-    edges = pairs[: draw(st.integers(n, 2 * n))]
-    return SimpleGraph.from_edges(n, edges), draw(st.permutations(range(1, n + 1)))
+    return SimpleGraph.from_edges(n, pairs[: draw(st.integers(n, 2 * n))])
+
+
+@st.composite
+def relabelled_graphs(draw) -> tuple[SimpleGraph, list[int]]:
+    """A graph from `graphs`, and a permutation sigma of its vertices, vertex
+    v going to sigma[v - 1]."""
+    g = draw(graphs())
+    return g, draw(st.permutations(range(1, g.n + 1)))
 
 
 @LAWS
@@ -41,3 +47,12 @@ def test_relabelling_maps_the_primes(cold_cache, case, t):
     want = {(frozenset(sigma[v - 1] for v in r.vertices), r.kind) for r in ass_primes(g, t)}
     moved = SimpleGraph.from_edges(g.n, [(sigma[u - 1], sigma[v - 1]) for u, v in g.edges])
     assert {(frozenset(r.vertices), r.kind) for r in ass_primes(moved, t)} == want
+
+
+@settings(LAWS, max_examples=400)
+@given(g=graphs())
+def test_associated_primes_persist(cold_cache, g):
+    # Ass(I^t) is contained in Ass(I^(t+1)) for every edge ideal
+    # (Martinez-Bernal, Morey and Villarreal 2012), here for t = 1..3
+    primes = [{frozenset(r.vertices) for r in ass_primes(g, t)} for t in range(1, 5)]
+    assert all(lower <= upper for lower, upper in zip(primes, primes[1:]))

@@ -13,7 +13,16 @@ import pytest
 from edgesat import matching, saturation
 from edgesat.census import all_graphs, all_graphs_upto, random_graphs
 from edgesat.cli import main
-from edgesat.graphs import SimpleGraph, components_masked, is_dominating, set_of, shortest_odd_cycle
+from edgesat.graphs import (
+    SimpleGraph,
+    _set_order,
+    components_masked,
+    core_of_cover,
+    induced_subgraph,
+    is_cover,
+    is_dominating,
+    set_of,
+)
 from edgesat.ideals import (
     MonomialIdeal,
     colon_monomial,
@@ -37,7 +46,7 @@ from edgesat.saturation import (
     support,
 )
 
-from conftest import disjoint_triangles, graph, minus
+from conftest import disjoint_triangles, graph, minus, shortest_odd_cycle
 
 
 def wg(g: SimpleGraph, *weights: int) -> WeightedGraph:
@@ -243,6 +252,14 @@ class TestSupportStore:
         finally:
             sys.setswitchinterval(interval)
         assert not any(w.is_alive() for w in workers) and wrong == []
+        # a rebuilt entry replaces the old one and is counted once
+        stored = len(cold_cache.nu) + len(cold_cache.supports)
+        assert cold_cache.entries == stored + sum(map(len, cold_cache.saturating.values()))
+
+    def test_a_key_stored_twice_is_one_entry(self, cold_cache):
+        for value in (1, 2):
+            assert cold_cache.remember(cold_cache.nu, ((1, 1), 0b1), value) == value
+        assert cold_cache.nu == {((1, 1), 0b1): 2} and cold_cache.entries == 1
 
     def test_entries_are_counted_and_cleared(self, monkeypatch, cold_cache, pentagon, triangle):
         vectors = [(1, 1, 0, 0, 0), (1, 1, 1, 0, 0), (1, 0, 1, 0, 1), (1, 1, 1, 1, 1)]
@@ -625,6 +642,28 @@ def localized_sat_minus_power(g: SimpleGraph, a: tuple[int, ...], gmask_verts: f
     return membership(saturate(loc), vec)
 
 
+def facets_on_core_subgraphs(g: SimpleGraph, a: tuple[int, ...], t: int) -> list[frozenset[int]]:
+    """The facet formula asked of a copy of each core: for each cover F = V \\ G
+    with G containing G_a, and s = t minus a on F outside core(F) at least 1,
+    x^a on core(F) in sat(I^s) \\ I^s of the induced graph on core(F),
+    relabelled in sorted order."""
+    ga = {i + 1 for i, x in enumerate(a) if x < 0}
+    free = [v for v in range(1, g.n + 1) if v not in ga]
+    facets = []
+    for size in range(len(free) + 1):
+        for extra in combinations(free, size):
+            f = set(free) - set(extra)
+            if not is_cover(g, f):
+                continue
+            core = core_of_cover(g, f)
+            s = t - sum(a[v - 1] for v in f - core)
+            if s >= 1:
+                sub, _ = induced_subgraph(g, core)
+                if in_sat_minus_power(sub, [a[v - 1] for v in sorted(core)], s):
+                    facets.append(frozenset(extra))
+    return sorted(facets, key=_set_order)
+
+
 class TestFacets:
     def test_triangle_all_ones(self, triangle):
         assert facets_delta(triangle, (1, 1, 1), 2) == [frozenset()]
@@ -634,6 +673,29 @@ class TestFacets:
 
     def test_tailed_triangle_negative_direction(self, tailed_triangle):
         assert facets_delta(tailed_triangle, (1, 1, 1, 0, -1), 2) == [frozenset()]
+
+    def test_matches_the_induced_core_route(self, cold_cache):
+        # every graph with edges and n <= 5 and seeded samples at n = 6, 7, at
+        # t = 1..4, with signed entries, some far above t to meet the cap at
+        # s; a facet question leaves the membership support store as it was
+        rng = random.Random(4206)
+        pool = [g for g in all_graphs_upto(5) if g.edges]
+        pool += [g for n in (6, 7) for g in random_graphs(n, 200, 4200 + n) if g.edges]
+        nonempty = 0
+        for g in pool:
+            for t in range(1, 5):
+                for _ in range(2):
+                    a = tuple(
+                        rng.randint(20, 90) if rng.random() < 0.1 else rng.randint(-2, 5)
+                        for _ in range(g.n)
+                    )
+                    want = facets_on_core_subgraphs(g, a, t)
+                    in_power(g, [max(x, 0) for x in a], t)
+                    store = dict(cold_cache.supports)
+                    assert facets_delta(g, a, t) == want, (sorted(g.edges), a, t)
+                    assert cold_cache.graph is g and cold_cache.supports == store
+                    nonempty += bool(want)
+        assert nonempty >= 500
 
     def test_rejects_edgeless(self):
         with pytest.raises(ValueError):
