@@ -141,8 +141,7 @@ def _covers_edges(g: SimpleGraph, m: int) -> bool:
 
 def _core_mask(g: SimpleGraph, m: int) -> int:
     """Vertices of m with no neighbour outside m."""
-    outside = g.full_mask & ~m
-    return mask_of(v for v in iter_bits(m) if not g.adj_bits[v - 1] & outside)
+    return m & ~_nbrs(g, g.full_mask & ~m)
 
 
 def is_cover(g: SimpleGraph, s: Iterable[int]) -> bool:

@@ -14,7 +14,7 @@ An exhaustive edge-multiset search (`nu_bruteforce`) is kept as an
 independent cross-check, and `has_augmenting_walk` decides maximality
 directly via the weighted version of Berge's theorem.
 `_CACHE` is the one bounded cache: `nu` answers, the saturating catalogue,
-and the per-support entries of the membership questions on one graph.
+and the per-support-mask entries of the membership questions.
 """
 
 from __future__ import annotations
@@ -373,15 +373,14 @@ class _Cache:
     also holds, under a canonical form from `_canonical_key`, the entry that
     every support of its isomorphism class maps back to its own labels (see
     `saturation._saturating_graphs`); and `supports`, what the membership
-    questions on the one graph `graph` read per support mask (see
-    `saturation._in_power`).  A question on another graph object empties
-    `supports` first.  An insert into a full cache empties it first, in place,
-    so a caller's reference to a store stays good."""
+    questions read per support mask, one entry per mask, built for the graph
+    it names (see `saturation._in_power`).  Only `clear` empties a store: an
+    insert into a full cache clears it first, in place, so a caller's
+    reference to a store stays good."""
 
     def __init__(self) -> None:
         self.nu: dict[tuple[tuple[int, ...], int], int] = {}
         self.saturating: dict[tuple[int, int], dict[int, tuple]] = {}
-        self.graph: SimpleGraph | None = None
         self.supports: dict[int, list] = {}
         self.entries = 0
 
@@ -391,14 +390,6 @@ class _Cache:
             memo.clear()
         self.supports.clear()
         self.entries = 0
-
-    def supports_of(self, g: SimpleGraph) -> dict[int, list]:
-        """The `supports` store, serving g from now on."""
-        if g is not self.graph:
-            self.entries -= len(self.supports)
-            self.supports.clear()
-            self.graph = g
-        return self.supports
 
     def remember(self, store: dict, key, value):
         """Store and return `value` under `key` in one of the stores; only a

@@ -7,15 +7,15 @@ matching inequalities nu(G_a - N_a(i)) >= t - deg_a(i) over all vertices i
 of the ambient graph.  Every check of them goes through one kernel: the plan
 of each inequality (an `itemgetter` of the support indices outside N and the
 edge bits of H - N) is made once per support, and each weight tuple meets the
-`nu` cache by key.  The membership questions on one graph keep, per support,
-its unit-weight graph, that graph's nu and the plans in `matching._CACHE`, so
-a question builds a weighted graph only for a support new to the store.  The
-search for saturating graphs settles each weighting by its cheapest exact test
-first: the prune (some w - e_p already failed), then a greedy b-matching that
-reaches t, then the inequalities, and only then a blossom run for nu(w) < t.
-A support's weightings are cached by its key, and computed once per
-isomorphism class of supports: a support new to the cache reads the entry of
-its key's canonical form, relabelled.
+`nu` cache by key.  The membership questions keep, per support mask, its
+unit-weight graph, that graph's nu and the plans in `matching._CACHE`, so a
+question builds a weighted graph only for a mask with no entry or with one
+built for another graph.  The search for saturating graphs settles each
+weighting by its cheapest exact test first: the prune (some w - e_p already
+failed), then a greedy b-matching that reaches t, then the inequalities, and
+only then a blossom run for nu(w) < t.  A support's weightings are cached by
+its key, and computed once per isomorphism class of supports: a support new
+to the cache reads the entry of its key's canonical form, relabelled.
 """
 
 from __future__ import annotations
@@ -72,6 +72,8 @@ def _in_power(g: SimpleGraph, a: Sequence[int], t: int) -> tuple[bool, tuple[int
     """Whether x^a lies in I^t, with the support's weights capped at t and its
     entry in the support store: the unit-weight graph H on the support, nu(H),
     and the drop plans, None until a saturation question first needs them.
+    The store keeps one entry per support mask; an entry built for another
+    graph object is replaced by one for g.
 
     The cap decides membership in I^t and sat(I^t) alike: a size-t matching
     uses no vertex more than t times, and a weight of t or more on N gives
@@ -84,11 +86,10 @@ def _in_power(g: SimpleGraph, a: Sequence[int], t: int) -> tuple[bool, tuple[int
             mask |= 1 << i
             w.append(x if x < t else t)
     w = tuple(w)
-    store = _CACHE.supports_of(g)
-    entry = store.get(mask)
-    if entry is None or entry[0].graph is not g:  # another thread switched the store
+    entry = _CACHE.supports.get(mask)
+    if entry is None or entry[0].graph is not g:
         h = WeightedGraph(g, [mask >> i & 1 for i in range(g.n)])
-        entry = _CACHE.remember(store, mask, [h, nu(h), None])
+        entry = _CACHE.remember(_CACHE.supports, mask, [h, nu(h), None])
     h, unit_nu, _ = entry
     return unit_nu >= t or _nu_of_key((w, h.cache_key[1])) >= t, w, entry
 

@@ -11,6 +11,7 @@ import pytest
 
 from edgesat.graphs import (
     SimpleGraph,
+    _core_mask,
     _odd_cycle_components,
     closed_neighborhood,
     components_masked,
@@ -24,6 +25,7 @@ from edgesat.graphs import (
     is_minimal_cover,
     is_minimal_over,
     iter_bits,
+    mask_of,
     minimal_covers,
     open_neighborhood,
     parse_graph_text,
@@ -121,6 +123,18 @@ class TestCovers:
     def test_tailed_triangle_core(self, tailed_triangle):
         # vertex 4 is adjacent to 5 outside the cover, so it is not in the core
         assert core_of_cover(tailed_triangle, {1, 2, 3, 4}) == {1, 2, 3}
+
+    def test_core_mask_matches_the_vertex_walk(self):
+        # every (graph, mask) pair with n <= 5, against a walk over the
+        # vertices of m that keeps those with no neighbour outside m
+        def walked(g, m):
+            outside = g.full_mask & ~m
+            return mask_of(v for v in iter_bits(m) if not g.adj_bits[v - 1] & outside)
+
+        pairs = [(g, m) for g in all_graphs_upto(5) for m in range(1 << g.n)]
+        assert len(pairs) == 33866
+        for g, m in pairs:
+            assert _core_mask(g, m) == walked(g, m), (sorted(g.edges), m)
 
     def test_core_rejects_non_cover(self, triangle):
         with pytest.raises(ValueError):

@@ -10,22 +10,23 @@ from hypothesis import strategies as st
 
 from edgesat.assoc import ass_primes
 from edgesat.graphs import SimpleGraph
+from edgesat.saturation import in_power, in_saturation
 
 LAWS = settings(
     derandomize=True,  # the same examples on every run
     database=None,
     max_examples=600,
     deadline=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],  # the cache is cleared per example
+    suppress_health_check=[HealthCheck.function_scoped_fixture],  # one cold cache per test
 )
 
 
 @st.composite
-def graphs(draw) -> SimpleGraph:
-    """A graph on 7 or 8 vertices with n to 2n edges."""
-    n = draw(st.integers(7, 8))
+def graphs(draw, sizes=st.integers(7, 8)) -> SimpleGraph:
+    """A graph on n vertices, n drawn from `sizes`, with n to 2n edges."""
+    n = draw(sizes)
     pairs = draw(st.permutations(list(combinations(range(1, n + 1), 2))))
-    return SimpleGraph.from_edges(n, pairs[: draw(st.integers(n, 2 * n))])
+    return SimpleGraph.from_edges(n, pairs[: draw(st.sampled_from(range(n, 2 * n + 1)))])
 
 
 @st.composite
@@ -56,3 +57,28 @@ def test_associated_primes_persist(cold_cache, g):
     # (Martinez-Bernal, Morey and Villarreal 2012), here for t = 1..3
     primes = [{frozenset(r.vertices) for r in ass_primes(g, t)} for t in range(1, 5)]
     assert all(lower <= upper for lower, upper in zip(primes, primes[1:]))
+
+
+@st.composite
+def graph_pairs_and_vectors(draw) -> tuple[list[SimpleGraph], list[int], int]:
+    """Two graphs on the same 8 to 10 vertices, an exponent vector with
+    entries 0..2 and a vertex i."""
+    n = draw(st.integers(8, 10))
+    pair = [draw(graphs(st.just(n))) for _ in range(2)]
+    a = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    return pair, a, draw(st.integers(0, n - 1))
+
+
+@settings(LAWS, max_examples=300)
+@given(case=graph_pairs_and_vectors(), t=st.sampled_from([2, 3, 4]))
+def test_membership_implies_saturation_and_closes_upward(cold_cache, case, t):
+    # x^a in I^t implies x^a in sat(I^t), and both memberships hold for
+    # a + e_i when they hold for a; the two graphs are asked in turn, so
+    # each reads support masks whose entries the other built
+    pair, a, i = case
+    b = a[:i] + [a[i] + 1] + a[i + 1:]
+    low = [(in_power(g, a, t), in_saturation(g, a, t)) for g in pair]
+    high = [(in_power(g, b, t), in_saturation(g, b, t)) for g in pair]
+    for (pow_a, sat_a), (pow_b, sat_b) in zip(low, high):
+        assert sat_a >= pow_a and sat_b >= pow_b
+        assert pow_b >= pow_a and sat_b >= sat_a

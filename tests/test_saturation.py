@@ -193,8 +193,9 @@ class TestIntegerExponents:
 
 
 class TestSupportStore:
-    """The membership questions on one graph share the entries of
-    `matching._CACHE.supports`, one per support mask."""
+    """The membership questions share the entries of `matching._CACHE.supports`,
+    one per support mask; an entry built for another graph object is
+    replaced, and only `clear` empties the store."""
 
     @pytest.mark.parametrize("t", [2, 3, 4])
     def test_differential_against_the_oracle_at_n7(self, cold_cache, t):
@@ -226,10 +227,30 @@ class TestSupportStore:
                 assert [p(g, (1, 1, 2), 2) for p in PREDICATES] == answers
             for g, answers in ((triangle, [False, True, True]), (path, [False, False, False])):
                 assert [p(g, (1, 1, 1), 2) for p in PREDICATES] == answers
-            assert cold_cache.graph is path and set(cold_cache.supports) == {0b111}
+            # one entry for the mask, built for the graph asked last
+            assert set(cold_cache.supports) == {0b111}
+            assert cold_cache.supports[0b111][0].graph is path
+
+    @pytest.mark.parametrize("t", [2, 3])
+    def test_graphs_asked_in_turn_answer_as_a_cold_cache(self, cold_cache, t):
+        # each vector of {0..t}^4 is asked of every graph on 4 vertices in turn, so
+        # each support mask meets entries built for the other graphs
+        pool = list(all_graphs(4))
+        vectors = list(product(range(t + 1), repeat=4))
+        cold = []
+        for a in vectors:
+            for g in pool:
+                for p in PREDICATES:
+                    cold_cache.clear()
+                    cold.append(p(g, a, t))
+        cold_cache.clear()
+        warm = [p(g, a, t) for a in vectors for g in pool for p in PREDICATES]
+        assert warm == cold
+        stored = len(cold_cache.nu) + len(cold_cache.supports)
+        assert cold_cache.entries == stored + sum(map(len, cold_cache.saturating.values()))
 
     def test_threads_switching_graphs_get_their_own_answers(self, cold_cache):
-        # each thread asks about one graph while others switch the store
+        # each thread asks about one graph while others replace its entry
         path = graph(3, (1, 2), (2, 3))
         triangle = graph(3, (1, 2), (1, 3), (2, 3))
         want = {triangle: [False, True, True], path: [False, False, False]}
@@ -267,13 +288,19 @@ class TestSupportStore:
             in_saturation(pentagon, a, 2)
         assert len(cold_cache.supports) == 4
         assert cold_cache.entries == len(cold_cache.nu) + 4
-        in_power(triangle, (1, 1, 1), 2)  # another graph empties the store first
-        assert len(cold_cache.supports) == 1
-        assert cold_cache.entries == len(cold_cache.nu) + 1
+        # another graph's question on a new mask adds one entry ...
+        in_power(triangle, (0, 1, 1), 2)
+        assert len(cold_cache.supports) == 5
+        assert cold_cache.entries == len(cold_cache.nu) + 5
+        # ... and on a shared mask replaces the entry, counted once
+        in_power(triangle, (1, 1, 1), 2)
+        assert len(cold_cache.supports) == 5 and cold_cache.supports[0b111][0].graph is triangle
+        assert cold_cache.entries == len(cold_cache.nu) + 5
         # a full cache empties itself, the store included, before an insert
         monkeypatch.setattr(matching, "_CACHE_LIMIT", cold_cache.entries)
-        in_power(triangle, (1, 1, 0), 2)
-        assert list(cold_cache.supports) == [0b011]
+        in_power(pentagon, (1, 1, 1, 0, 0), 2)
+        assert list(cold_cache.supports) == [0b111]
+        assert cold_cache.supports[0b111][0].graph is pentagon
         assert cold_cache.entries == len(cold_cache.nu) + 1 < matching._CACHE_LIMIT
         cold_cache.clear()
         assert cold_cache.supports == {} and cold_cache.entries == 0
@@ -691,9 +718,9 @@ class TestFacets:
                     )
                     want = facets_on_core_subgraphs(g, a, t)
                     in_power(g, [max(x, 0) for x in a], t)
-                    store = dict(cold_cache.supports)
+                    store, entries = cold_cache.supports, dict(cold_cache.supports)
                     assert facets_delta(g, a, t) == want, (sorted(g.edges), a, t)
-                    assert cold_cache.graph is g and cold_cache.supports == store
+                    assert cold_cache.supports is store and store == entries
                     nonempty += bool(want)
         assert nonempty >= 500
 
