@@ -60,23 +60,24 @@ def prime_sets(reports: Iterable[AssPrimeReport]) -> set[frozenset[int]]:
 
 def _reports_over(
     g: SimpleGraph,
-    supports: Iterable[tuple[int, dict]],
-    keep: Callable[[frozenset[int], dict], bool] | None = None,
+    supports: Iterable[tuple[int, object]],
+    evidence: Callable[[object], dict],
+    keep: Callable[[frozenset[int], object], bool] | None = None,
 ) -> list[AssPrimeReport]:
-    """Minimal covers, then for each (support mask S, evidence) pair the covers
-    minimal over N[S] that `keep` accepts; a prime keeps the evidence of the
-    first S that gives it.  The covers are found once per distinct N[S]."""
+    """Minimal covers, then for each (closed neighbourhood N[S], x) pair the
+    covers minimal over N[S] that `keep(f, x)` accepts; a prime keeps the
+    evidence(x) of the first S that gives it, built only then.  The covers
+    are found once per distinct N[S]."""
     reports = [AssPrimeReport(f, "minimal", {"type": "minimal-cover"}) for f in minimal_covers(g)]
     seen = prime_sets(reports)
     over: dict[int, list[frozenset[int]]] = {}
-    for s, evidence in supports:
-        closed = _closed_mask(g, s)
+    for closed, x in supports:
         if closed not in over:
             over[closed] = covers_minimal_over(g, iter_bits(closed))
         for f in over[closed]:
-            if f not in seen and (keep is None or keep(f, evidence)):
+            if f not in seen and (keep is None or keep(f, x)):
                 seen.add(f)
-                reports.append(AssPrimeReport(f, "embedded", dict(evidence)))
+                reports.append(AssPrimeReport(f, "embedded", evidence(x)))
     return sorted(reports, key=lambda r: _set_order(r.vertices))
 
 
@@ -117,17 +118,20 @@ def ass_primes(g: SimpleGraph, t: int) -> list[AssPrimeReport]:
     exponent vectors."""
     _check_t(t)
     found = sorted(_saturating_graphs(g, t, g.full_mask), key=lambda x: x[1])
+    near = {sup: _closed_mask(g, mask_of(sup)) for sup in {sup for sup, _ in found}}
     return _reports_over(
         g,
-        ((mask_of(sup), {"type": "witness", "exponents": list(a)}) for sup, a in found),
-        lambda f, evidence: _core_inequalities_hold(g, f, evidence["exponents"], t),
+        ((near[sup], a) for sup, a in found),
+        lambda a: {"type": "witness", "exponents": list(a)},
+        lambda f, a: _core_inequalities_hold(g, f, a, t),
     )
 
 
 def _shape_reports(g: SimpleGraph, shapes: Iterable[tuple[str, int]]) -> list[AssPrimeReport]:
     return _reports_over(
         g,
-        ((s, {"type": "shape", "shape": tag, "vertices": list(iter_bits(s))}) for tag, s in shapes),
+        ((_closed_mask(g, s), (tag, s)) for tag, s in shapes),
+        lambda x: {"type": "shape", "shape": x[0], "vertices": list(iter_bits(x[1]))},
     )
 
 
@@ -245,10 +249,8 @@ def ass_infinity(g: SimpleGraph) -> list[AssPrimeReport]:
     """
     return _reports_over(
         g,
-        (
-            (um, {"type": "odd-cycle-support", "vertices": list(iter_bits(um))})
-            for um, _ in _odd_cycle_supports(g)
-        ),
+        ((_closed_mask(g, um), um) for um, _ in _odd_cycle_supports(g)),
+        lambda um: {"type": "odd-cycle-support", "vertices": list(iter_bits(um))},
     )
 
 

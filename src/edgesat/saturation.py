@@ -14,19 +14,18 @@ built for another graph.  The search for saturating graphs settles each
 weighting by its cheapest exact test first: the prune (some w - e_p already
 failed), then a greedy b-matching that reaches t, then the inequalities, and
 only then a blossom run for nu(w) < t.  A support's weightings are cached by
-its key, and computed once per isomorphism class of supports: a support new
-to the cache reads the entry of its key's canonical form, relabelled.
+its key, grown from its prefix's, and computed once per isomorphism class:
+a new support reads the entry of its key's canonical form, relabelled.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
-from operator import index, itemgetter, mul, sub
+from itertools import accumulate, combinations
+from operator import index, itemgetter, mul, or_, sub
 from typing import Iterable, Iterator, Sequence
 
 from .graphs import (
     SimpleGraph,
-    _closed_mask,
     _core_mask,
     _covers_edges,
     _nbrs,
@@ -290,8 +289,10 @@ def _saturating_graphs(
     Whether (S, w) is t-saturating depends on H = G[S] and t alone, so a
     support's weightings are kept in `matching._CACHE` under (t, |S|, the
     edge bits B of H relabelled 0..|S|-1) and read back for any support with
-    that key.  Only the `dominated` filter and, for |S| >= 2t, the unit-weight
-    check come before the lookup.  The entry under any key is the weightings
+    that key.  `_grown_supports` grows each support's mask and key from its
+    prefix's and drops prefixes that cannot reach `dominated`; only the
+    unit-weight check for |S| >= 2t precedes the lookup, and vectors are built
+    only for a non-empty entry.  The entry under any key is the weightings
     of the labelled graph it spells, so isomorphic supports share one entry,
     under the canonical form C of B (`matching._canonical_key`).  On a miss:
     a. a support with a component that has no odd cycle keeps () under B;
@@ -316,22 +317,16 @@ def _saturating_graphs(
     same whichever step finds them.  The yields and their order are those
     of w.
     """
-    verts = list(iter_bits(region))
     # each component of a support carries an odd cycle, so it has 3 or more vertices
-    for size in range(3, min(len(verts), 3 * (t - 1)) + 1):
+    for size in range(3, min(region.bit_count(), 3 * (t - 1)) + 1):
         table = None  # built at the first support of this size that is computed
         memo = _CACHE.saturating.setdefault((t, size), {})
-        for sup in combinations(verts, size):
-            mask = mask_of(sup)
-            if dominated and dominated & ~_closed_mask(g, mask):
-                continue
+        for mask, bits in _grown_supports(g, region, size, dominated):
             if size >= 2 * t:
                 h = WeightedGraph(g, [mask >> i & 1 for i in range(g.n)])
                 if nu(h) >= t:
                     continue  # every weighting of the support has nu >= t
-                bits = h.cache_key[1]
-            else:
-                bits = _edge_bits(g, sup)
+                bits = h.cache_key[1]  # one int for this key and h's nu entry
             found = memo.get(bits)
             if found is None:
                 if _odd_cycle_components(g, mask) is None:
@@ -343,14 +338,52 @@ def _saturating_graphs(
                         found = _relabelled(known, canon[1])
                     else:
                         table = table or _weight_table(size, t)
-                        found = tuple(_support_weightings(g, sup, bits, t, table))
+                        found = tuple(_support_weightings(g, mask, bits, t, table))
                         if canon and canon[0] != bits:
                             inverse = sorted(range(size), key=canon[1].__getitem__)
                             _CACHE.remember(memo, canon[0], _relabelled(found, inverse))
                 found = _CACHE.remember(memo, bits, found)
-            for w in found:
-                on_support = dict(zip(sup, w))
-                yield sup, tuple(on_support.get(v, 0) for v in range(1, g.n + 1))
+            if found:
+                sup = tuple(iter_bits(mask))
+                for w in found:
+                    a = [0] * g.n
+                    for v, x in zip(sup, w):
+                        a[v - 1] = x
+                    yield sup, tuple(a)
+
+
+def _grown_supports(
+    g: SimpleGraph, region: int, k: int, dominated: int
+) -> Iterator[tuple[int, int]]:
+    """The k-subsets S of the vertex mask `region` whose closed neighbourhood
+    contains the mask `dominated`, in the order of `combinations`, as (mask
+    of S, `_edge_bits` of S).  Each level extends every prefix by each later
+    vertex, in order: the vertex at position p ORs its bit into the prefix's
+    mask, N[v] into N[prefix], and bit q*k + p into the edge bits for each
+    neighbour at position q < p.  A prefix is not grown when N[prefix and
+    every later vertex] misses `dominated`."""
+    verts = list(iter_bits(region))
+    bit = [1 << (v - 1) for v in verts]
+    adj = [g.adj_bits[v - 1] for v in verts]
+    near = [a | b for a, b in zip(adj, bit)]  # N[v]
+    later = list(accumulate(reversed(near), or_, initial=0))[::-1]  # N[verts[j:]]
+    level = [(-1, 0, 0, 0)]  # (index of the last vertex, mask, N[mask], edge bits)
+    for p in range(k):
+        reach = later if p < k - 1 else [0] * len(later)
+        grown = []
+        for i, mask, closed, bits in level:
+            for j in range(i + 1, len(verts) - k + p + 1):
+                c = closed | near[j]
+                if dominated & ~(c | reach[j + 1]):
+                    continue
+                below, b = adj[j] & mask, bits
+                while below:
+                    low = below & -below
+                    below ^= low
+                    b |= 1 << ((mask & (low - 1)).bit_count() * k + p)
+                grown.append((j, mask | bit[j], c, b))
+        level = grown
+    return ((mask, bits) for _, mask, _, bits in level)
 
 
 def _relabelled(weightings: Iterable[tuple[int, ...]], order: Sequence[int]) -> tuple:
@@ -359,10 +392,10 @@ def _relabelled(weightings: Iterable[tuple[int, ...]], order: Sequence[int]) -> 
     return tuple(sorted(map(itemgetter(*order), weightings)))
 
 
-def _support_weightings(g: SimpleGraph, sup: tuple, bits: int, t: int, table: list) -> Iterator:
-    """The t-saturating weightings in `table` of the support `sup` of g, with
-    edge bits `bits`, each component of `sup` having an odd cycle."""
-    mask = mask_of(sup)
+def _support_weightings(g: SimpleGraph, mask: int, bits: int, t: int, table: list) -> Iterator:
+    """The t-saturating weightings in `table` of the support mask `mask` of g,
+    with edge bits `bits`, each component of the support having an odd cycle."""
+    sup = list(iter_bits(mask))
     order = _degree_order(len(sup), bits)
     plans = list(_drop_plans(g, sup, (g.adj_bits[v - 1] & mask for v in sup)))
     failed: set[int] = set()  # the weights with nu >= t so far

@@ -8,7 +8,7 @@ from itertools import combinations
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from edgesat.assoc import ass_primes
+from edgesat.assoc import ass_primes, is_associated, prime_sets
 from edgesat.graphs import SimpleGraph
 from edgesat.saturation import in_power, in_saturation
 
@@ -82,3 +82,34 @@ def test_membership_implies_saturation_and_closes_upward(cold_cache, case, t):
     for (pow_a, sat_a), (pow_b, sat_b) in zip(low, high):
         assert sat_a >= pow_a and sat_b >= pow_b
         assert pow_b >= pow_a and sat_b >= sat_a
+
+
+@st.composite
+def graphs_and_covers(draw) -> tuple[SimpleGraph, list[frozenset[int]]]:
+    """A graph from `graphs` and a few of its vertex covers, each the
+    complement of an independent set grown greedily from a drawn vertex
+    order."""
+    g = draw(graphs())
+    covers = []
+    for _ in range(draw(st.integers(1, 6))):
+        free = 0  # an independent set, as a mask
+        for v in draw(st.lists(st.integers(1, g.n), unique=True)):
+            if not g.adj_bits[v - 1] & free:
+                free |= 1 << (v - 1)
+        covers.append(frozenset(v for v in range(1, g.n + 1) if not free >> (v - 1) & 1))
+    return g, covers
+
+
+@settings(LAWS, max_examples=300)
+@given(case=graphs_and_covers())
+def test_a_cover_is_associated_exactly_when_listed(cold_cache, case):
+    # is_associated walks only the supports whose closed neighbourhood
+    # contains core(F); at t = 2..4 it decides P_F as ass_primes lists it, on
+    # the drawn covers, on every listed prime, and on each listed prime with
+    # one more vertex
+    g, covers = case
+    for t in (2, 3, 4):
+        listed = prime_sets(ass_primes(g, t))
+        grown = {f | {v} for f in listed for v in range(1, g.n + 1) if v not in f}
+        for f in {*covers, *listed, *grown}:
+            assert (is_associated(g, f, t) is not None) == (f in listed), (sorted(g.edges), f, t)

@@ -15,12 +15,15 @@ from edgesat.census import all_graphs, all_graphs_upto, random_graphs
 from edgesat.cli import main
 from edgesat.graphs import (
     SimpleGraph,
+    _closed_mask,
     _set_order,
     components_masked,
     core_of_cover,
     induced_subgraph,
     is_cover,
     is_dominating,
+    iter_bits,
+    mask_of,
     set_of,
 )
 from edgesat.ideals import (
@@ -32,8 +35,9 @@ from edgesat.ideals import (
     power,
     saturate,
 )
-from edgesat.matching import WeightedGraph, nu, nu_bruteforce
+from edgesat.matching import WeightedGraph, _edge_bits, nu, nu_bruteforce
 from edgesat.saturation import (
+    _grown_supports,
     build_strong,
     extend_by_edge,
     facets_delta,
@@ -609,6 +613,83 @@ class TestSaturatingVectors:
                     is_strongly_t_saturating(p, nu(p) + 1) for p in parts
                 )
                 assert is_strongly_t_saturating(h, t) == expect_strong
+
+
+def walk_before_grown_keys(g: SimpleGraph, t: int, region: int, dominated: int):
+    """`saturation._saturating_graphs` as it was when each support's mask and
+    key were built from scratch for every subset of `combinations`."""
+    verts = list(iter_bits(region))
+    for size in range(3, min(len(verts), 3 * (t - 1)) + 1):
+        table = None
+        memo = saturation._CACHE.saturating.setdefault((t, size), {})
+        for sup in combinations(verts, size):
+            mask = mask_of(sup)
+            if dominated and dominated & ~_closed_mask(g, mask):
+                continue
+            if size >= 2 * t:
+                h = WeightedGraph(g, [mask >> i & 1 for i in range(g.n)])
+                if nu(h) >= t:
+                    continue
+                bits = h.cache_key[1]
+            else:
+                bits = _edge_bits(g, sup)
+            found = memo.get(bits)
+            if found is None:
+                if saturation._odd_cycle_components(g, mask) is None:
+                    found = ()
+                else:
+                    canon = matching._canonical_key(size, bits)
+                    known = canon and memo.get(canon[0])
+                    if known is not None:
+                        found = saturation._relabelled(known, canon[1])
+                    else:
+                        table = table or saturation._weight_table(size, t)
+                        found = tuple(saturation._support_weightings(g, mask, bits, t, table))
+                        if canon and canon[0] != bits:
+                            inverse = sorted(range(size), key=canon[1].__getitem__)
+                            found_c = saturation._relabelled(found, inverse)
+                            saturation._CACHE.remember(memo, canon[0], found_c)
+                found = saturation._CACHE.remember(memo, bits, found)
+            for w in found:
+                on_support = dict(zip(sup, w))
+                yield sup, tuple(on_support.get(v, 0) for v in range(1, g.n + 1))
+
+
+class TestGrownSupports:
+    """The walk grows each k-subset's mask and key from its prefix, and drops
+    the prefixes whose closed neighbourhood cannot reach `dominated`."""
+
+    @staticmethod
+    def cases():
+        yield from all_graphs_upto(5)
+        for n in range(7, 11):
+            yield from random_graphs(n, 6, 40 + n)
+
+    def test_equals_the_combinations_walk(self):
+        for g in self.cases():
+            full = g.full_mask
+            for region in (full, full & ~1):
+                verts = list(iter_bits(region))
+                for dominated in (0, full, *(1 << i for i in range(g.n))):
+                    for k in range(1, len(verts) + 1):
+                        want = [
+                            (mask_of(sup), _edge_bits(g, sup))
+                            for sup in combinations(verts, k)
+                            if not dominated & ~_closed_mask(g, mask_of(sup))
+                        ]
+                        assert list(_grown_supports(g, region, k, dominated)) == want
+
+    @pytest.mark.parametrize("t", [2, 3, 4])
+    def test_saturating_graphs_equal_the_walk_before(self, cold_cache, t):
+        # each side fills its own cold catalogue, so each computes its misses
+        for g in [*random_graphs(5, 12, t), *random_graphs(7, 8, 10 + t)]:
+            full = g.full_mask
+            core = full & ~_closed_mask(g, 1)  # the vertices away from vertex 1
+            for region, dominated in ((full, 0), (full, full), (full, 1), (core, core)):
+                cold_cache.clear()
+                got = list(saturation._saturating_graphs(g, t, region, dominated))
+                cold_cache.clear()
+                assert got == list(walk_before_grown_keys(g, t, region, dominated))
 
 
 class TestOracleEquivalenceSmall:
