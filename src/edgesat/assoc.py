@@ -24,13 +24,12 @@ from .graphs import (
     _set_order,
     _vertex_mask,
     covers_minimal_over,
-    is_minimal_cover,
     iter_bits,
     mask_of,
     minimal_covers,
     triangles,
 )
-from .matching import WeightedGraph
+from .matching import WeightedGraph, nu
 from .saturation import (
     _check_t,
     _inequalities_hold_at,
@@ -82,9 +81,9 @@ def _reports_over(
 
 
 def _core_inequalities_hold(g: SimpleGraph, f: Iterable[int], a: Sequence[int], t: int) -> bool:
-    """The saturation inequality at each vertex of core(F) outside the support of a."""
+    """The witness condition at core(F): x^a is not in I^t, and the inequalities off V_a hold."""
     h = WeightedGraph(g, a)
-    return _inequalities_hold_at(h, t, iter_bits(_core_mask(g, mask_of(f)) & ~h.mask))
+    return nu(h) < t and _inequalities_hold_at(h, t, iter_bits(_core_mask(g, mask_of(f)) & ~h.mask))
 
 
 def is_associated(g: SimpleGraph, f: Iterable[int], t: int) -> AssPrimeReport | None:
@@ -103,9 +102,9 @@ def is_associated(g: SimpleGraph, f: Iterable[int], t: int) -> AssPrimeReport | 
     fm = _vertex_mask(g, f)
     if not _covers_edges(g, fm):
         raise ValueError("is_associated requires a vertex cover")
-    if is_minimal_cover(g, f):
-        return AssPrimeReport(f, "minimal", {"type": "minimal-cover"})
     core = _core_mask(g, fm)
+    if not core:  # no vertex can leave F
+        return AssPrimeReport(f, "minimal", {"type": "minimal-cover"})
     for _, a in _saturating_graphs(g, t, core, core):
         if _core_inequalities_hold(g, f, a, t):
             return AssPrimeReport(f, "embedded", {"type": "witness", "exponents": list(a)})

@@ -150,11 +150,10 @@ def is_cover(g: SimpleGraph, s: Iterable[int]) -> bool:
 
 
 def is_minimal_over(g: SimpleGraph, f: Iterable[int], s: Iterable[int]) -> bool:
-    """Is f minimal among the covers of g containing s?"""
+    """Is f minimal among the covers of g containing s?  Exactly when f is such
+    a cover and core(f), the vertices that could leave it, lies in s."""
     fm, sm = _vertex_mask(g, f), _vertex_mask(g, s)
-    if sm & ~fm or not _covers_edges(g, fm):
-        return False
-    return all(not _covers_edges(g, fm & ~(1 << (v - 1))) for v in iter_bits(fm & ~sm))
+    return not sm & ~fm and _covers_edges(g, fm) and not _core_mask(g, fm) & ~sm
 
 
 def is_minimal_cover(g: SimpleGraph, s: Iterable[int]) -> bool:

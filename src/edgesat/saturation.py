@@ -284,15 +284,14 @@ def _saturating_graphs(
     complete: weights below t, weight sum at most 3(t-1), and every component
     of the support containing an odd cycle.  Its bound of 2t-1 on the length
     of those odd cycles needs no filter of its own: a longer odd cycle carries
-    t disjoint edges, so nu >= t and the support is dropped.
+    t disjoint edges, so the all-ones weighting fails first and the prune the rest.
 
     Whether (S, w) is t-saturating depends on H = G[S] and t alone, so a
     support's weightings are kept in `matching._CACHE` under (t, |S|, the
     edge bits B of H relabelled 0..|S|-1) and read back for any support with
     that key.  `_grown_supports` grows each support's mask and key from its
-    prefix's and drops prefixes that cannot reach `dominated`; only the
-    unit-weight check for |S| >= 2t precedes the lookup, and vectors are built
-    only for a non-empty entry.  The entry under any key is the weightings
+    prefix's and drops prefixes that cannot reach `dominated`; vectors are
+    built only for a non-empty entry.  The entry under any key is the weightings
     of the labelled graph it spells, so isomorphic supports share one entry,
     under the canonical form C of B (`matching._canonical_key`).  On a miss:
     a. a support with a component that has no odd cycle keeps () under B;
@@ -322,11 +321,6 @@ def _saturating_graphs(
         table = None  # built at the first support of this size that is computed
         memo = _CACHE.saturating.setdefault((t, size), {})
         for mask, bits in _grown_supports(g, region, size, dominated):
-            if size >= 2 * t:
-                h = WeightedGraph(g, [mask >> i & 1 for i in range(g.n)])
-                if nu(h) >= t:
-                    continue  # every weighting of the support has nu >= t
-                bits = h.cache_key[1]  # one int for this key and h's nu entry
             found = memo.get(bits)
             if found is None:
                 if _odd_cycle_components(g, mask) is None:

@@ -107,6 +107,13 @@ class TestIsAssociated:
         core_graph, _ = induced_subgraph(triangle, {1, 2, 3})
         assert in_sat_minus_power(core_graph, a, 2)
 
+    def test_core_condition_refuses_a_member_of_the_power(self, triangle):
+        # F = V: core(F) is the whole triangle, so for a supported on all of it
+        # no inequality is asked and only nu(a) < t tells the witness apart.
+        f = {1, 2, 3}
+        assert _core_inequalities_hold(triangle, f, (1, 1, 1), 2)
+        assert not _core_inequalities_hold(triangle, f, (2, 2, 2), 2)  # nu = 3: in I^2
+
     def test_agrees_with_oracle_small(self):
         rng = random.Random(51)
         pool = [g for g in all_graphs(4) if g.edges]

@@ -213,7 +213,12 @@ class TestCoversMinimalOver:
                         assert all(not is_cover(g, f - {v}) for v in f - s)
 
     def test_is_minimal_over_matches_enumeration(self):
-        # Every pair (f, s) of vertex sets of every graph with n <= 5.
+        # Every pair (f, s) of vertex sets of every graph with n <= 5, against
+        # Bron-Kerbosch and against the definition: f is a cover containing s
+        # from which no vertex outside s can be removed.
+        def by_definition(g: SimpleGraph, f: frozenset[int], s: frozenset[int]) -> bool:
+            return s <= f and is_cover(g, f) and all(not is_cover(g, f - {v}) for v in f - s)
+
         for g in all_graphs_upto(5):
             subsets = [
                 frozenset(c)
@@ -223,7 +228,8 @@ class TestCoversMinimalOver:
             for s in subsets:
                 over = set(covers_minimal_over(g, s))
                 for f in subsets:
-                    assert is_minimal_over(g, f, s) == (f in over), (g.edges, f, s)
+                    got = is_minimal_over(g, f, s)
+                    assert got == (f in over) == by_definition(g, f, s), (g.edges, f, s)
 
 
 class TestComponentsAndCycles:

@@ -113,3 +113,14 @@ def test_a_cover_is_associated_exactly_when_listed(cold_cache, case):
         grown = {f | {v} for f in listed for v in range(1, g.n + 1) if v not in f}
         for f in {*covers, *listed, *grown}:
             assert (is_associated(g, f, t) is not None) == (f in listed), (sorted(g.edges), f, t)
+
+
+@settings(LAWS, max_examples=200)
+@given(g=graphs(), t=st.sampled_from([2, 3, 4]))
+def test_an_isolated_vertex_changes_no_prime(cold_cache, g, t):
+    # A vertex n+1 with no edge lies in no minimal cover and in no support,
+    # so Ass(I^t) and the decision on the cover V(g) stay as they were
+    plus = SimpleGraph.from_edges(g.n + 1, g.edges)
+    assert prime_sets(ass_primes(plus, t)) == prime_sets(ass_primes(g, t))
+    before, after = is_associated(g, g.vertices, t), is_associated(plus, g.vertices, t)
+    assert (after and after.kind) == (before and before.kind)

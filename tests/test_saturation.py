@@ -681,15 +681,26 @@ class TestGrownSupports:
 
     @pytest.mark.parametrize("t", [2, 3, 4])
     def test_saturating_graphs_equal_the_walk_before(self, cold_cache, t):
-        # each side fills its own cold catalogue, so each computes its misses
-        for g in [*random_graphs(5, 12, t), *random_graphs(7, 8, 10 + t)]:
+        # Each side fills its own cold catalogue, so each computes its misses.
+        # K7 and K8 minus a perfect matching add supports of 2t or more
+        # vertices with unit-weight nu >= t, which the walk before skipped
+        # before its lookup; the catalogue now gives them an empty entry.
+        k7 = graph(7, *combinations(range(1, 8), 2))
+        matching_pairs = {(1, 2), (3, 4), (5, 6), (7, 8)}
+        k8_minus_pm = graph(8, *(e for e in combinations(range(1, 9), 2) if e not in matching_pairs))
+        skipped = 0
+        for g in [*random_graphs(5, 12, t), *random_graphs(7, 8, 10 + t), k7, k8_minus_pm]:
             full = g.full_mask
             core = full & ~_closed_mask(g, 1)  # the vertices away from vertex 1
             for region, dominated in ((full, 0), (full, full), (full, 1), (core, core)):
+                for size in range(2 * t, min(region.bit_count(), 3 * (t - 1)) + 1):
+                    for mask, _ in _grown_supports(g, region, size, dominated):
+                        skipped += nu(WeightedGraph(g, [mask >> i & 1 for i in range(g.n)])) >= t
                 cold_cache.clear()
                 got = list(saturation._saturating_graphs(g, t, region, dominated))
                 cold_cache.clear()
                 assert got == list(walk_before_grown_keys(g, t, region, dominated))
+        assert skipped or 2 * t > 3 * (t - 1)  # at t = 2 no support has 2t vertices
 
 
 class TestOracleEquivalenceSmall:
