@@ -10,17 +10,16 @@ core vertices outside that support.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
-from typing import Callable, Iterable, Iterator, Sequence
+from itertools import chain, combinations
+from typing import Callable, Iterable, Sequence
 
 from .graphs import (
     SimpleGraph,
     _closed_mask,
-    _components,
     _core_mask,
     _covers_edges,
     _nbrs,
-    _odd_cycle_components,
+    _odd_cycle_sets,
     _set_order,
     _vertex_mask,
     covers_minimal_over,
@@ -227,17 +226,9 @@ def classify_3_saturating(h: WeightedGraph) -> str | None:
     return None
 
 
-def _odd_cycle_supports(g: SimpleGraph) -> Iterator[tuple[int, list[int]]]:
-    """Nonempty vertex masks whose induced components all contain an odd
-    cycle, with those components, in increasing order.  Such a mask lies in
-    the union of the components of g that contain an odd cycle, so only the
-    submasks of that union are walked."""
-    region = sum(comp for comp, odd in _components(g, g.full_mask) if odd)
-    um = 0
-    while um := (um - region) & region:
-        comps = _odd_cycle_components(g, um)
-        if comps is not None:
-            yield um, comps
+def _odd_cycle_supports(g: SimpleGraph) -> list[tuple[int, int, tuple[int, ...]]]:
+    """The odd-cycle sets U of g, as (U, N(U), components), in increasing order."""
+    return sorted(chain.from_iterable(_odd_cycle_sets(g, g.full_mask, g.n)))
 
 
 def ass_infinity(g: SimpleGraph) -> list[AssPrimeReport]:
@@ -248,7 +239,7 @@ def ass_infinity(g: SimpleGraph) -> list[AssPrimeReport]:
     """
     return _reports_over(
         g,
-        ((_closed_mask(g, um), um) for um, _ in _odd_cycle_supports(g)),
+        ((um | nb, um) for um, nb, _ in _odd_cycle_supports(g)),
         lambda um: {"type": "odd-cycle-support", "vertices": list(iter_bits(um))},
     )
 
@@ -275,7 +266,7 @@ def s_gamma(g: SimpleGraph) -> int:
     """
     comp_cache: dict[int, int] = {}
     best = 1
-    for um, comps in _odd_cycle_supports(g):
+    for um, _, comps in _odd_cycle_supports(g):
         total = 0
         for cm in comps:
             level = comp_cache.get(cm)

@@ -267,15 +267,54 @@ def is_dominating(g: SimpleGraph, u: Iterable[int]) -> bool:
     return _closed_mask(g, _vertex_mask(g, u)) == g.full_mask
 
 
-def _odd_cycle_components(g: SimpleGraph, region: int) -> list[int] | None:
-    """The components of `region`, as masks, when each contains an odd cycle,
-    else None, returned at the first bipartite component."""
-    comps = []
-    for comp, odd in _components(g, region):
-        if not odd:
-            return None
-        comps.append(comp)
-    return comps
+def _odd_cycle_sets(g: SimpleGraph, region: int, top: int) -> Iterator[list[tuple]]:
+    """The vertex sets U of `region`, with at most `top` vertices, whose
+    induced components each contain an odd cycle: one list for each size
+    from 3 up, unordered, of (U, N(U), the components of U by least vertex).
+
+    A shortest odd cycle of a connected U is chordless, and a vertex of U
+    farthest from it can leave U with U still connected and odd.  So the
+    connected U of size k + 1 are the chordless odd cycles, found by an
+    induced-path search from their least vertex, and the connected U of
+    size k with one vertex of N(U) added.  A disconnected U is built once:
+    its component C holding the least vertex, with a set walked afresh in
+    the region above that vertex and outside N[C].
+    """
+    adj = g.adj_bits
+    top = min(top, region.bit_count())
+    grown: dict[int, dict[int, int]] = {}  # size -> {connected U: N(U)}
+    for s in iter_bits(region):  # each chordless odd cycle once: least vertex s, p1 < last
+        sb = 1 << (s - 1)
+        above = region & -(sb << 1)
+        for p1 in iter_bits(adj[s - 1] & above):
+            path = sb | 1 << (p1 - 1)
+            stack = [(p1, path, path)]  # (last vertex, path, path and N(inner vertices))
+            while stack:
+                last, path, blocked = stack.pop()
+                k = path.bit_count() + 1
+                for x in iter_bits(adj[last - 1] & above & ~blocked):
+                    xb = 1 << (x - 1)
+                    if adj[x - 1] & sb:
+                        if k & 1 and x > p1:
+                            grown.setdefault(k, {})[path | xb] = _nbrs(g, path | xb)
+                    elif k < top:
+                        stack.append((x, path | xb, blocked | adj[last - 1] | xb))
+    later: dict[int, list] = {}  # size -> [disconnected (U, N(U), components)]
+    for k in range(3, top + 1):
+        level = grown.setdefault(k, {})
+        for m, nb in grown.pop(k - 1, {}).items():
+            out = nb & region & ~m
+            while out:
+                low = out & -out
+                out ^= low
+                if m | low not in level:
+                    level[m | low] = nb | adj[low.bit_length() - 1]
+        for m, nb in level.items() if k + 3 <= top else ():
+            rest = region & -(m & -m) & ~(m | nb)
+            for sets in _odd_cycle_sets(g, rest, top - k) if rest.bit_count() > 2 else ():
+                for r, rn, comps in sets:
+                    later.setdefault(k + r.bit_count(), []).append((m | r, nb | rn, (m, *comps)))
+        yield [(m, nb, (m,)) for m, nb in level.items()] + later.pop(k, [])
 
 
 def is_bipartite(g: SimpleGraph) -> bool:

@@ -13,15 +13,16 @@ question builds a weighted graph only for a mask with no entry or with one
 built for another graph.  The search for saturating graphs settles each
 weighting by its cheapest exact test first: the prune (some w - e_p already
 failed), then a greedy b-matching that reaches t, then the inequalities, and
-only then a blossom run for nu(w) < t.  A support's weightings are cached by
-its key, grown from its prefix's, and computed once per isomorphism class:
-a new support reads the entry of its key's canonical form, relabelled.
+only then a blossom run for nu(w) < t.  The supports are odd-cycle sets, and
+a support's weightings are cached by its key and computed once per
+isomorphism class: a new support whose all-ones weighting does not already
+reach t reads the entry of its key's canonical form, relabelled.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, combinations
-from operator import index, itemgetter, mul, or_, sub
+from itertools import combinations
+from operator import index, itemgetter, mul, sub
 from typing import Iterable, Iterator, Sequence
 
 from .graphs import (
@@ -29,7 +30,7 @@ from .graphs import (
     _core_mask,
     _covers_edges,
     _nbrs,
-    _odd_cycle_components,
+    _odd_cycle_sets,
     _set_order,
     _vertex_mask,
     components_masked,
@@ -282,19 +283,21 @@ def _saturating_graphs(
     Supports come by size, then in lexicographic order, and the weights on
     each support in lexicographic order.  The paper's bounds make the search
     complete: weights below t, weight sum at most 3(t-1), and every component
-    of the support containing an odd cycle.  Its bound of 2t-1 on the length
-    of those odd cycles needs no filter of its own: a longer odd cycle carries
-    t disjoint edges, so the all-ones weighting fails first and the prune the rest.
+    of the support containing an odd cycle: the supports are the sets of
+    `_odd_cycle_sets`, kept when N[S] contains `dominated` and sorted by
+    vertex tuple.  Its bound of 2t-1 on the length of those odd cycles needs
+    no filter: a longer one carries t disjoint edges, so the all-ones
+    weighting fails first and the prune the rest.
 
     Whether (S, w) is t-saturating depends on H = G[S] and t alone, so a
     support's weightings are kept in `matching._CACHE` under (t, |S|, the
-    edge bits B of H relabelled 0..|S|-1) and read back for any support with
-    that key.  `_grown_supports` grows each support's mask and key from its
-    prefix's and drops prefixes that cannot reach `dominated`; vectors are
-    built only for a non-empty entry.  The entry under any key is the weightings
-    of the labelled graph it spells, so isomorphic supports share one entry,
-    under the canonical form C of B (`matching._canonical_key`).  On a miss:
-    a. a support with a component that has no odd cycle keeps () under B;
+    edge bits B of H relabelled 0..|S|-1, from `_edge_bits`) and read back
+    for any support with that key; vectors are built only for a non-empty
+    entry.  The entry under any key is the weightings of the labelled graph
+    it spells, so isomorphic supports share one entry, under the canonical
+    form C of B (`matching._canonical_key`).  On a miss:
+    a. a support of 2t or more vertices whose all-ones weighting has a
+       greedy b-matching of size t keeps () under B (nu is monotone);
     b. when C has an entry, the support p reads w[p] = w_C[pos[p]] off each
        of its weightings w_C, pos being the vertices' canonical positions,
        and keeps the re-sorted weightings under B;
@@ -316,14 +319,17 @@ def _saturating_graphs(
     same whichever step finds them.  The yields and their order are those
     of w.
     """
-    # each component of a support carries an odd cycle, so it has 3 or more vertices
-    for size in range(3, min(region.bit_count(), 3 * (t - 1)) + 1):
+    for size, level in enumerate(_odd_cycle_sets(g, region, 3 * (t - 1)), 3):
         table = None  # built at the first support of this size that is computed
         memo = _CACHE.saturating.setdefault((t, size), {})
-        for mask, bits in _grown_supports(g, region, size, dominated):
+        kept = ((tuple(iter_bits(m)), m) for m, nb, _ in level if not dominated & ~(m | nb))
+        for sup, mask in sorted(kept):
+            bits = _edge_bits(g, sup)
             found = memo.get(bits)
             if found is None:
-                if _odd_cycle_components(g, mask) is None:
+                if size >= 2 * t and (
+                    sum(_greedy_counts((1,) * size, _degree_order(size, bits))) >= t
+                ):
                     found = ()
                 else:
                     canon = _canonical_key(size, bits)
@@ -337,47 +343,11 @@ def _saturating_graphs(
                             inverse = sorted(range(size), key=canon[1].__getitem__)
                             _CACHE.remember(memo, canon[0], _relabelled(found, inverse))
                 found = _CACHE.remember(memo, bits, found)
-            if found:
-                sup = tuple(iter_bits(mask))
-                for w in found:
-                    a = [0] * g.n
-                    for v, x in zip(sup, w):
-                        a[v - 1] = x
-                    yield sup, tuple(a)
-
-
-def _grown_supports(
-    g: SimpleGraph, region: int, k: int, dominated: int
-) -> Iterator[tuple[int, int]]:
-    """The k-subsets S of the vertex mask `region` whose closed neighbourhood
-    contains the mask `dominated`, in the order of `combinations`, as (mask
-    of S, `_edge_bits` of S).  Each level extends every prefix by each later
-    vertex, in order: the vertex at position p ORs its bit into the prefix's
-    mask, N[v] into N[prefix], and bit q*k + p into the edge bits for each
-    neighbour at position q < p.  A prefix is not grown when N[prefix and
-    every later vertex] misses `dominated`."""
-    verts = list(iter_bits(region))
-    bit = [1 << (v - 1) for v in verts]
-    adj = [g.adj_bits[v - 1] for v in verts]
-    near = [a | b for a, b in zip(adj, bit)]  # N[v]
-    later = list(accumulate(reversed(near), or_, initial=0))[::-1]  # N[verts[j:]]
-    level = [(-1, 0, 0, 0)]  # (index of the last vertex, mask, N[mask], edge bits)
-    for p in range(k):
-        reach = later if p < k - 1 else [0] * len(later)
-        grown = []
-        for i, mask, closed, bits in level:
-            for j in range(i + 1, len(verts) - k + p + 1):
-                c = closed | near[j]
-                if dominated & ~(c | reach[j + 1]):
-                    continue
-                below, b = adj[j] & mask, bits
-                while below:
-                    low = below & -below
-                    below ^= low
-                    b |= 1 << ((mask & (low - 1)).bit_count() * k + p)
-                grown.append((j, mask | bit[j], c, b))
-        level = grown
-    return ((mask, bits) for _, mask, _, bits in level)
+            for w in found:
+                a = [0] * g.n
+                for v, x in zip(sup, w):
+                    a[v - 1] = x
+                yield sup, tuple(a)
 
 
 def _relabelled(weightings: Iterable[tuple[int, ...]], order: Sequence[int]) -> tuple:

@@ -8,7 +8,7 @@ from typing import Iterable
 import pytest
 
 from edgesat import matching, saturation
-from edgesat.graphs import SimpleGraph, shortest_odd_cycle_masked
+from edgesat.graphs import SimpleGraph, _components, shortest_odd_cycle_masked
 from edgesat.matching import WeightedGraph
 
 _acceptance_lines: list[str] = []
@@ -32,6 +32,17 @@ def graph(n: int, *edges: tuple[int, int]) -> SimpleGraph:
 def shortest_odd_cycle(g: SimpleGraph) -> int | None:
     """Length of a shortest odd cycle of g; None exactly when g is bipartite."""
     return shortest_odd_cycle_masked(g, g.full_mask)
+
+
+def odd_cycle_components(g: SimpleGraph, region: int) -> list[int] | None:
+    """The components of `region`, as masks, when each contains an odd cycle,
+    else None, returned at the first bipartite component."""
+    comps = []
+    for comp, odd in _components(g, region):
+        if not odd:
+            return None
+        comps.append(comp)
+    return comps
 
 
 def disjoint_triangles(k: int) -> SimpleGraph:

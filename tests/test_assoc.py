@@ -31,7 +31,7 @@ from edgesat.graphs import (
     SimpleGraph,
     _closed_mask,
     _core_mask,
-    _odd_cycle_components,
+    _nbrs,
     closed_neighborhood,
     is_cover,
     is_minimal_cover,
@@ -49,7 +49,7 @@ from edgesat.saturation import (
     saturating_vectors,
 )
 
-from conftest import disjoint_triangles, graph
+from conftest import disjoint_triangles, graph, odd_cycle_components
 
 
 DATA = Path(__file__).parent / "data"
@@ -319,7 +319,7 @@ class TestReportWalk:
         g = SimpleGraph.from_edges(10, G10)
         for route, supports in (
             (ass_primes_3, [m for _, m in _three_shapes(g, g.full_mask)]),
-            (ass_infinity, [m for m, _ in _odd_cycle_supports(g)]),
+            (ass_infinity, [m for m, _, _ in _odd_cycle_supports(g)]),
         ):
             cover_calls.clear()
             route(g)
@@ -473,29 +473,27 @@ class TestAssInfinity:
 
 
 class TestOddCycleSupports:
-    def test_walks_only_the_odd_cycle_components(self, monkeypatch):
-        # a triangle plus 13 isolated vertices: 7 submasks of the triangle,
-        # not all 2^16 - 1 vertex masks
-        real, calls = assoc._odd_cycle_components, []
-
-        def counted(g, region):
-            calls.append(region)
-            return real(g, region)
-
-        monkeypatch.setattr(assoc, "_odd_cycle_components", counted)
-        g = graph(16, (1, 2), (1, 3), (2, 3))
-        assert len(ass_infinity(g)) == 4 and len(calls) <= 7
-        calls.clear()
-        assert s_gamma(g) == 2 and len(calls) <= 7
+    def test_walks_only_the_odd_cycle_components(self):
+        # C31 and a triangle plus 13 isolated vertices each have one odd-cycle
+        # set, among 2^31 - 1 and 2^16 - 1 vertex masks
+        c31 = graph(31, *((i, i + 1) for i in range(1, 31)), (1, 31))
+        triangle_and_isolated = graph(16, (1, 2), (1, 3), (2, 3))
+        for g, only in ((c31, c31.full_mask), (triangle_and_isolated, 0b111)):
+            assert [m for m, _, _ in _odd_cycle_supports(g)] == [only]
+        assert len(ass_infinity(triangle_and_isolated)) == 4
+        assert s_gamma(triangle_and_isolated) == 2
 
     def test_same_supports_as_the_walk_over_every_mask(self):
-        for g in [*all_graphs_upto(5), TWO_PAIR_KINDS, graph(7, (1, 2), (1, 3), (2, 3), (5, 6))]:
+        # random_graphs(16, 2, 6)[0] has 55,433 such sets, 15 of them disconnected
+        g16 = random_graphs(16, 2, 6)[0]
+        for g in [*all_graphs_upto(5), TWO_PAIR_KINDS, graph(7, (1, 2), (1, 3), (2, 3), (5, 6)), g16]:
             every = []
             for um in range(1, g.full_mask + 1):
-                comps = _odd_cycle_components(g, um)
+                comps = odd_cycle_components(g, um)
                 if comps is not None:
-                    every.append((um, comps))
-            assert list(_odd_cycle_supports(g)) == every, g.edges
+                    every.append((um, _nbrs(g, um), tuple(comps)))
+            assert _odd_cycle_supports(g) == every, g.edges
+        assert len(every) == 55433
 
 
 class TestSGamma:

@@ -12,7 +12,6 @@ import pytest
 from edgesat.graphs import (
     SimpleGraph,
     _core_mask,
-    _odd_cycle_components,
     closed_neighborhood,
     components_masked,
     connected_components,
@@ -35,7 +34,7 @@ from edgesat.graphs import (
 )
 from edgesat.census import all_graphs, all_graphs_upto, random_graphs
 
-from conftest import graph, shortest_odd_cycle
+from conftest import graph, odd_cycle_components, shortest_odd_cycle
 
 
 def _numpy_components_and_odd_girths(g: SimpleGraph, region: int) -> tuple[list[int], list[int | None]]:
@@ -74,7 +73,7 @@ def _check_against_numpy(g: SimpleGraph, region: int) -> None:
     assert components_masked(g, region) == comps, (g.edges, region)
     assert shortest_odd_cycle_masked(g, region) == min(odd, default=None), (g.edges, region)
     expected = comps if len(odd) == len(comps) else None
-    assert _odd_cycle_components(g, region) == expected, (g.edges, region)
+    assert odd_cycle_components(g, region) == expected, (g.edges, region)
     if region == g.full_mask:
         assert is_bipartite(g) == (not odd), g.edges
 

@@ -16,6 +16,8 @@ from edgesat.cli import main
 from edgesat.graphs import (
     SimpleGraph,
     _closed_mask,
+    _nbrs,
+    _odd_cycle_sets,
     _set_order,
     components_masked,
     core_of_cover,
@@ -37,7 +39,6 @@ from edgesat.ideals import (
 )
 from edgesat.matching import WeightedGraph, _edge_bits, nu, nu_bruteforce
 from edgesat.saturation import (
-    _grown_supports,
     build_strong,
     extend_by_edge,
     facets_delta,
@@ -50,7 +51,7 @@ from edgesat.saturation import (
     support,
 )
 
-from conftest import disjoint_triangles, graph, minus, shortest_odd_cycle
+from conftest import disjoint_triangles, graph, minus, odd_cycle_components, shortest_odd_cycle
 
 
 def wg(g: SimpleGraph, *weights: int) -> WeightedGraph:
@@ -635,7 +636,7 @@ def walk_before_grown_keys(g: SimpleGraph, t: int, region: int, dominated: int):
                 bits = _edge_bits(g, sup)
             found = memo.get(bits)
             if found is None:
-                if saturation._odd_cycle_components(g, mask) is None:
+                if odd_cycle_components(g, mask) is None:
                     found = ()
                 else:
                     canon = matching._canonical_key(size, bits)
@@ -656,8 +657,10 @@ def walk_before_grown_keys(g: SimpleGraph, t: int, region: int, dominated: int):
 
 
 class TestGrownSupports:
-    """The walk grows each k-subset's mask and key from its prefix, and drops
-    the prefixes whose closed neighbourhood cannot reach `dominated`."""
+    """The saturating search walks the odd-cycle sets of `region` by size
+    (`graphs._odd_cycle_sets`), keeps those whose closed neighbourhood
+    contains `dominated`, read off the carried N(U), and sorts each size by
+    vertex tuple: the odd-cycle sets among the `combinations`, in their order."""
 
     @staticmethod
     def cases():
@@ -665,19 +668,32 @@ class TestGrownSupports:
         for n in range(7, 11):
             yield from random_graphs(n, 6, 40 + n)
 
+    @staticmethod
+    def walked(g: SimpleGraph, region: int, dominated: int) -> list[list[int]]:
+        out = []
+        for level in _odd_cycle_sets(g, region, region.bit_count()):
+            for m, nb, comps in level:
+                assert nb == _nbrs(g, m) and list(comps) == odd_cycle_components(g, m)
+            kept = sorted(tuple(iter_bits(m)) for m, nb, _ in level if not dominated & ~(m | nb))
+            out.append(list(map(mask_of, kept)))
+        return out
+
     def test_equals_the_combinations_walk(self):
         for g in self.cases():
             full = g.full_mask
             for region in (full, full & ~1):
                 verts = list(iter_bits(region))
                 for dominated in (0, full, *(1 << i for i in range(g.n))):
-                    for k in range(1, len(verts) + 1):
-                        want = [
-                            (mask_of(sup), _edge_bits(g, sup))
-                            for sup in combinations(verts, k)
-                            if not dominated & ~_closed_mask(g, mask_of(sup))
+                    want = [
+                        [
+                            mask
+                            for mask in map(mask_of, combinations(verts, k))
+                            if odd_cycle_components(g, mask) is not None
+                            and not dominated & ~_closed_mask(g, mask)
                         ]
-                        assert list(_grown_supports(g, region, k, dominated)) == want
+                        for k in range(3, len(verts) + 1)
+                    ]
+                    assert self.walked(g, region, dominated) == want
 
     @pytest.mark.parametrize("t", [2, 3, 4])
     def test_saturating_graphs_equal_the_walk_before(self, cold_cache, t):
@@ -693,14 +709,29 @@ class TestGrownSupports:
             full = g.full_mask
             core = full & ~_closed_mask(g, 1)  # the vertices away from vertex 1
             for region, dominated in ((full, 0), (full, full), (full, 1), (core, core)):
-                for size in range(2 * t, min(region.bit_count(), 3 * (t - 1)) + 1):
-                    for mask, _ in _grown_supports(g, region, size, dominated):
-                        skipped += nu(WeightedGraph(g, [mask >> i & 1 for i in range(g.n)])) >= t
+                for level in _odd_cycle_sets(g, region, 3 * (t - 1)):
+                    for mask, nb, _ in level:
+                        if mask.bit_count() >= 2 * t and not dominated & ~(mask | nb):
+                            skipped += nu(WeightedGraph(g, [mask >> i & 1 for i in range(g.n)])) >= t
                 cold_cache.clear()
                 got = list(saturation._saturating_graphs(g, t, region, dominated))
                 cold_cache.clear()
                 assert got == list(walk_before_grown_keys(g, t, region, dominated))
         assert skipped or 2 * t > 3 * (t - 1)  # at t = 2 no support has 2t vertices
+
+    def test_dense_supports_skip_the_canonical_search(self, cold_cache, monkeypatch):
+        # every 6-vertex support of K7 has unit-weight nu 3: the miss path's
+        # all-ones greedy reaches t = 3 and keeps () without a canonical form
+        real, sizes = saturation._canonical_key, []
+
+        def counted(k, bits):
+            sizes.append(k)
+            return real(k, bits)
+
+        monkeypatch.setattr(saturation, "_canonical_key", counted)
+        k7 = graph(7, *combinations(range(1, 8), 2))
+        assert saturating_vectors(k7, 3) == _unpruned(k7, 3, 2)
+        assert sizes and max(sizes) < 6
 
 
 class TestOracleEquivalenceSmall:
