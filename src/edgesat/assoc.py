@@ -104,7 +104,7 @@ def is_associated(g: SimpleGraph, f: Iterable[int], t: int) -> AssPrimeReport | 
     core = _core_mask(g, fm)
     if not core:  # no vertex can leave F
         return AssPrimeReport(f, "minimal", {"type": "minimal-cover"})
-    for _, a in _saturating_graphs(g, t, core, core):
+    for _, _, a in _saturating_graphs(g, t, core, core):
         if _core_inequalities_hold(g, f, a, t):
             return AssPrimeReport(f, "embedded", {"type": "witness", "exponents": list(a)})
     return None
@@ -115,11 +115,10 @@ def ass_primes(g: SimpleGraph, t: int) -> list[AssPrimeReport]:
     t-saturating weighted graphs (none at t = 1), in the order of their
     exponent vectors."""
     _check_t(t)
-    found = sorted(_saturating_graphs(g, t, g.full_mask), key=lambda x: x[1])
-    near = {sup: _closed_mask(g, mask_of(sup)) for sup in {sup for sup, _ in found}}
+    found = sorted(_saturating_graphs(g, t, g.full_mask), key=lambda x: x[2])
     return _reports_over(
         g,
-        ((near[sup], a) for sup, a in found),
+        ((near, a) for _, near, a in found),
         lambda a: {"type": "witness", "exponents": list(a)},
         lambda f, a: _core_inequalities_hold(g, f, a, t),
     )

@@ -6,15 +6,19 @@ componentwise sums and clipping, a lexsort that drops repeated rows, and
 divisibility checked degree class by degree class.  No intersection of ideals
 is formed: the colon by the maximal ideal, the saturation (the AND of the
 table's top slices) and the associated primes (its socle cells) read one
-boolean membership table over the box spanned by the generators.  No Groebner
-machinery, and no matching theory.
+membership table over the box spanned by the generators.  The table is one
+Python int, bit c being cell c in C order, closed upward and read by
+whole-table shifts along each axis.  No Groebner machinery, and no matching
+theory.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import combinations_with_replacement, product
-from operator import index
-from typing import Iterable, Sequence
+from math import prod
+from operator import and_, index
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -176,64 +180,95 @@ def colon_monomial(j: MonomialIdeal, w: Sequence[int]) -> MonomialIdeal:
     return MonomialIdeal(j.n, _minimal_rows(np.clip(j.gens - w, 0, None)))
 
 
+def _axes(shape: tuple[int, ...]) -> Iterator[tuple[int, int, int, int]]:
+    """(stride, length, top, below) of each axis of a non-empty C-order box:
+    the masks of the cells at the top of the axis and of the rest, built as
+    the axis comes up (one axis's alive at a time), and non-negative, as an
+    AND with a negative int is several times slower."""
+    size = block = prod(shape)
+    full = (1 << size) - 1
+    for d in shape:
+        stride = block // d
+        top = ((1 << stride) - 1) << (block - stride)  # in the first block
+        while (k := top.bit_length()) < size:  # doubled; a shift by whole blocks
+            top |= top << min(k, size - k)  # may overlap, never overshoot
+        yield stride, d, top, full ^ top
+        block = stride
+
+
+def _table(j: MonomialIdeal, shape: tuple[int, ...]) -> int:
+    """Membership table of j over a box of the given shape as one int, bit c
+    being cell c in C order: the generators inside the box seeded through a
+    byte buffer, then closed upward by shifts along each axis that mask off
+    its top cells (they would wrap into the next row)."""
+    size = prod(shape)
+    if not size:
+        return 0
+    strides = np.array([prod(shape[i + 1 :]) for i in range(j.n)], dtype=np.int64)
+    cells = j.gens[(j.gens < shape).all(axis=1)] @ strides
+    seed = np.zeros(-(-size // 8), dtype=np.uint8)
+    np.bitwise_or.at(seed, cells >> 3, np.left_shift(1, cells & 7).astype(np.uint8))
+    x = int.from_bytes(seed, "little")
+    for stride, d, _, below in _axes(shape):
+        for _ in range(d - 1):
+            x |= (x & below) << stride
+    return x
+
+
+def _cells(x: int, shape: tuple[int, ...]) -> np.ndarray:
+    """The cells of the set bits of x in increasing order, as coordinate rows,
+    unpacked from the non-zero bytes of x only."""
+    raw = np.frombuffer(x.to_bytes((x.bit_length() + 7) // 8, "little"), dtype=np.uint8)
+    at = np.flatnonzero(raw)
+    row, bit = np.nonzero(np.unpackbits(raw[at, None], axis=1, bitorder="little"))
+    return np.stack(np.unravel_index(at[row] * 8 + bit, shape), axis=-1)
+
+
 def membership_box(j: MonomialIdeal, shape: tuple[int, ...]) -> np.ndarray:
-    """Membership table of j over a box of the given shape: the generators inside
-    it seeded at once, then closed upward by slice k |= slice k - 1 on each axis."""
-    top = _exponent_rows(j.n, [shape])[0]
-    box = np.zeros(shape, dtype=bool)
-    inside = j.gens[(j.gens < top).all(axis=1)]
-    if inside.shape[0]:  # with n = 0 an empty index would select the whole box
-        box[tuple(inside.T)] = True
-    for view in (np.moveaxis(box, axis, 0) for axis in range(j.n)):
-        for k in range(1, view.shape[0]):
-            view[k] |= view[k - 1]
-    return box
+    """Membership table of j over a box of the given shape, as booleans."""
+    shape = tuple(map(int, _exponent_rows(j.n, [shape])[0]))
+    x, size = _table(j, shape), prod(shape)
+    raw = np.frombuffer(x.to_bytes(-(-size // 8), "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=size, bitorder="little").view(bool).reshape(shape)
 
 
-def _bitmap(j: MonomialIdeal) -> np.ndarray:
-    """Membership table over the exponent box spanned by the generators; the
-    top slice of each axis is absorbing, so membership outside follows by clamping."""
-    return membership_box(j, tuple(int(r) + 1 for r in j.gens.max(axis=0, initial=0)))
+def _lcm_box(j: MonomialIdeal, what: str) -> tuple[tuple[int, ...], int]:
+    """The exponent box spanned by the generators and j's table over it; its
+    top slices are absorbing, so membership outside follows by clamping."""
+    if j.n < 1:
+        raise ValueError(f"{what} needs at least one variable")
+    shape = tuple(int(r) + 1 for r in j.gens.max(axis=0, initial=0))
+    return shape, _table(j, shape)
 
 
-def _gens_from_upset(n: int, box: np.ndarray) -> MonomialIdeal:
+def _gens_from_upset(n: int, x: int, shape: tuple[int, ...]) -> MonomialIdeal:
     """Minimal members w of an upward-closed table: w - e_i is outside for each w_i > 0."""
-    minimal = box.copy()
-    for axis in range(n):
-        lead = (slice(None),) * axis
-        minimal[lead + (slice(1, None),)] &= ~box[lead + (slice(None, -1),)]
-    cells = np.unravel_index(np.flatnonzero(minimal), box.shape)  # np.argwhere, but faster
-    return MonomialIdeal(n, np.stack(cells, axis=-1).astype(np.int64))
-
-
-def _colon_table(box: np.ndarray) -> np.ndarray:
-    """The table of j : m: w is in it when each w + e_i is in j, read at the
-    top slice of axis i when w is there (the top slice is absorbing)."""
-    if box.ndim < 1:
-        raise ValueError("colon_maximal needs at least one variable")
-    colon = np.ones(box.shape, dtype=bool)
-    for lead in ((slice(None),) * axis for axis in range(box.ndim)):  # in place, slice by slice
-        colon[lead + (slice(None, -1),)] &= box[lead + (slice(1, None),)]
-        colon[lead + (slice(-1, None),)] &= box[lead + (slice(-1, None),)]
-    return colon
+    above = 0  # the cells w with some w - e_i in the table
+    for stride, _, _, below in _axes(shape):
+        above |= (x & below) << stride
+    return MonomialIdeal(n, _cells(x ^ x & above, shape).astype(np.int64, copy=False))
 
 
 def colon_maximal(j: MonomialIdeal) -> MonomialIdeal:
-    """j : m, the intersection of the colons j : x_i, read off the table of j."""
-    return _gens_from_upset(j.n, _colon_table(_bitmap(j)))
+    """j : m, the AND over i of the tables of j : x_i: w + e_i in j, read at w on
+    the absorbing top slice of axis i, and implied by w in j below it."""
+    shape, x = _lcm_box(j, "colon_maximal")
+    parts = ((x >> stride) & below | x for stride, _, _, below in _axes(shape))
+    return _gens_from_upset(j.n, reduce(and_, parts), shape)
 
 
 def saturate(j: MonomialIdeal) -> MonomialIdeal:
-    """sat(j), the intersection of the colons j : x_i^inf, in one pass: w is in
-    j : x_i^inf exactly when w raised to the top of axis i is in j (the top
-    slice is absorbing), so its table is the AND of the top slices of j's."""
-    if j.n < 1:
-        raise ValueError("saturate needs at least one variable")
-    box = _bitmap(j)
-    sat = np.ones(box.shape, dtype=bool)
-    for axis in range(j.n):
-        sat &= box[(slice(None),) * axis + (slice(-1, None),)]
-    return _gens_from_upset(j.n, sat)
+    """sat(j), the intersection of the colons j : x_i^inf: w is in j : x_i^inf
+    exactly when w raised to the top of axis i is in j (the top slice is
+    absorbing), so its table ANDs j's top slices, each spread down its axis."""
+    shape, x = _lcm_box(j, "saturate")
+    sat = -1
+    for stride, d, top, _ in _axes(shape):
+        spread = x & top
+        for _ in range(d - 1):
+            spread |= spread >> stride
+        sat &= spread
+    return _gens_from_upset(j.n, sat, shape)
 
 
 def ass_primes_oracle(j: MonomialIdeal) -> list[frozenset[int]]:
@@ -242,14 +277,10 @@ def ass_primes_oracle(j: MonomialIdeal) -> list[frozenset[int]]:
     outside F, has c + e_i in j for each i in F.  If j : x^w = P_F, raising w
     to the top outside F gives such a c; for such a c, j : x^c = P_F, because
     the top slice is absorbing."""
-    if j.n < 1:
-        raise ValueError("ass_primes_oracle needs at least one variable")
+    shape, x = _lcm_box(j, "ass_primes_oracle")
     if j.is_zero:
         raise ValueError("associated primes of the zero ideal are not swept")
-    box = _bitmap(j)
-    socle = ~box
-    for lead in ((slice(None),) * axis for axis in range(j.n)):  # the top slice stays
-        socle[lead + (slice(None, -1),)] &= box[lead + (slice(1, None),)]
-    masks = _unique_rows(np.stack(np.nonzero(socle), axis=-1) < np.array(box.shape) - 1)
+    up = reduce(and_, (x >> stride | top for stride, _, top, _ in _axes(shape)))
+    masks = _unique_rows(_cells(up ^ up & x, shape) < np.array(shape) - 1)
     found = [frozenset(int(i) + 1 for i in np.flatnonzero(f)) for f in masks]
     return sorted(found, key=_set_order)

@@ -276,9 +276,9 @@ def _weight_table(size: int, t: int) -> list[tuple[tuple[int, ...], int, bool, l
 
 def _saturating_graphs(
     g: SimpleGraph, t: int, region: int, dominated: int = 0
-) -> Iterator[tuple[tuple[int, ...], ExponentVector]]:
+) -> Iterator[tuple[tuple[int, ...], int, ExponentVector]]:
     """The t-saturating weighted graphs supported in `region` whose support's
-    closed neighbourhood contains the mask `dominated`, as (support, a).
+    closed neighbourhood contains the mask `dominated`, as (S, N[S] as a mask, a).
 
     Supports come by size, then in lexicographic order, and the weights on
     each support in lexicographic order.  The paper's bounds make the search
@@ -322,8 +322,8 @@ def _saturating_graphs(
     for size, level in enumerate(_odd_cycle_sets(g, region, 3 * (t - 1)), 3):
         table = None  # built at the first support of this size that is computed
         memo = _CACHE.saturating.setdefault((t, size), {})
-        kept = ((tuple(iter_bits(m)), m) for m, nb, _ in level if not dominated & ~(m | nb))
-        for sup, mask in sorted(kept):
+        kept = ((tuple(iter_bits(m)), m, m | nb) for m, nb, _ in level if not dominated & ~(m | nb))
+        for sup, mask, near in sorted(kept):
             bits = _edge_bits(g, sup)
             found = memo.get(bits)
             if found is None:
@@ -347,7 +347,7 @@ def _saturating_graphs(
                 a = [0] * g.n
                 for v, x in zip(sup, w):
                     a[v - 1] = x
-                yield sup, tuple(a)
+                yield sup, near, tuple(a)
 
 
 def _relabelled(weightings: Iterable[tuple[int, ...]], order: Sequence[int]) -> tuple:
@@ -383,7 +383,7 @@ def saturating_vectors(g: SimpleGraph, t: int) -> list[ExponentVector]:
     _check_t(t)
     if t < 2:
         raise ValueError("saturating graphs require t >= 2")
-    return sorted(a for _, a in _saturating_graphs(g, t, g.full_mask))
+    return sorted(a for _, _, a in _saturating_graphs(g, t, g.full_mask))
 
 
 def facets_delta(g: SimpleGraph, a: Sequence[int], t: int) -> list[frozenset[int]]:

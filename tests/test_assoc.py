@@ -150,7 +150,7 @@ class TestIsAssociated:
         def reference(g: SimpleGraph, f: frozenset[int], t: int) -> AssPrimeReport | None:
             if is_minimal_cover(g, f):
                 return AssPrimeReport(f, "minimal", {"type": "minimal-cover"})
-            for sup, a in _saturating_graphs(g, t, _core_mask(g, mask_of(f))):
+            for sup, _, a in _saturating_graphs(g, t, _core_mask(g, mask_of(f))):
                 if is_minimal_over(g, f, closed_neighborhood(g, sup)) and _core_inequalities_hold(
                     g, f, a, t
                 ):

@@ -78,6 +78,27 @@ def _colon_by_variables(j: MonomialIdeal) -> MonomialIdeal:
     return reduce(intersect, (colon_monomial(j, e) for e in units))
 
 
+def _saturation_by_colons(j: MonomialIdeal) -> MonomialIdeal:
+    """Reference: iterate K <- the intersection of the K : x_i to its fixpoint."""
+    k = j
+    while (nxt := _colon_by_variables(k)) != k:
+        k = nxt
+    return k
+
+
+def _prime_colons(j: MonomialIdeal) -> list[frozenset[int]]:
+    """Reference: the F with j : x^w = P_F for some w below the generators' lcm."""
+    divisors = product(*(range(int(r) + 1) for r in j.gens.max(axis=0)))
+    colons = (_prime_cover(colon_monomial(j, w)) for w in divisors)
+    return sorted({f for f in colons if f is not None}, key=lambda f: (len(f), sorted(f)))
+
+
+def _scaled(j: MonomialIdeal, k: int) -> MonomialIdeal:
+    """j with each x_i replaced by x_i^k, a flat substitution: it keeps the
+    associated primes, commutes with saturation, and scales the box."""
+    return MonomialIdeal(j.n, j.gens * k)
+
+
 def _divisibility_inputs(seed: int) -> list[np.ndarray]:
     """Seeded integer arrays with n = 1..5: mixed degrees, repeated rows, zero
     rows, empty arrays, and one input whose degree-15 class and the minimal
@@ -320,10 +341,7 @@ class TestGeneratorLevelDefinitions:
 
     def test_ass_primes_are_the_prime_colons(self):
         for j in self.IDEALS:
-            divisors = product(*(range(int(r) + 1) for r in j.gens.max(axis=0)))
-            colons = (_prime_cover(colon_monomial(j, w)) for w in divisors)
-            expected = {f for f in colons if f is not None}
-            assert ass_primes_oracle(j) == sorted(expected, key=lambda f: (len(f), sorted(f))), j
+            assert ass_primes_oracle(j) == _prime_colons(j), j
 
     def test_saturate_is_the_fixpoint_of_colon_maximal(self):
         zeros = [MonomialIdeal.from_gens(n, []) for n in range(1, 5)]
@@ -342,10 +360,7 @@ class TestGeneratorLevelDefinitions:
 
     def test_saturate_is_the_fixpoint_of_that_intersection(self):
         for j in self.IDEALS:
-            k = j
-            while (nxt := _colon_by_variables(k)) != k:
-                k = nxt
-            assert saturate(j) == k, j
+            assert saturate(j) == _saturation_by_colons(j), j
 
 
 class TestInvariants:
@@ -363,8 +378,8 @@ class TestInvariants:
 
 
 class TestKernels:
-    """The degree-ordered minimalisation and the slice-swept table against
-    their definitions."""
+    """The degree-ordered minimalisation and the packed table, one int shifted
+    along each axis, against their definitions."""
 
     INPUTS = _divisibility_inputs(8)
 
@@ -423,3 +438,48 @@ class TestKernels:
                          (unit, (2, 0, 3)), (zero, (2, 3, 1)), (zero, (1, 1, 1))):
             assert np.array_equal(membership_box(j, shape), _box_reference(j, shape)), (j, shape)
         assert membership_box(unit, (2, 3, 1)).all() and not membership_box(zero, (2, 3, 1)).any()
+
+    # (j, shape) at the edges of the packed table's geometry
+    GEOMETRY = [
+        (ideal(3, (1, 0, 2), (0, 2, 1)), (2, 0, 3)),  # an axis of length 0
+        (ideal(3, (1, 0, 2), (0, 2, 1)), (0, 0, 0)),
+        (ideal(1, (3,)), (4,)),  # n = 1
+        (ideal(1, (3,)), (7,)),
+        (ideal(1, (0,)), (1,)),
+        (ideal(4, (2, 0, 1, 0), (0, 0, 3, 0)), (3, 1, 4, 1)),  # axes of length 1, 12 cells
+        (ideal(3, (2, 1, 0), (0, 3, 4)), (3, 5, 7)),  # 105 cells
+        (ideal(3, (0, 0, 0)), (1, 1, 1)),  # the unit ideal
+        (ideal(3, (0, 0, 0)), (2, 3, 1)),
+        (MonomialIdeal.from_gens(3, []), (1, 1, 1)),  # the zero ideal
+        (MonomialIdeal.from_gens(2, []), (3, 5)),
+    ]
+
+    def test_geometry_reaches_the_edge_cases(self):
+        sizes = [int(np.prod(shape)) for _, shape in self.GEOMETRY]
+        assert 0 in sizes and any(size % 8 for size in sizes)
+        assert any(j.n == 1 for j, _ in self.GEOMETRY)
+        assert any(1 in shape and 0 not in shape for _, shape in self.GEOMETRY)
+
+    def test_table_geometry(self):
+        for j, shape in self.GEOMETRY:
+            got = membership_box(j, shape)
+            assert got.shape == shape and np.array_equal(got, _box_reference(j, shape)), (j, shape)
+            assert saturate(j) == _saturation_by_colons(j), j
+            assert colon_maximal(j) == _colon_by_variables(j), j
+            if not j.is_zero:
+                assert ass_primes_oracle(j) == _prime_colons(j), j
+
+    def test_table_past_a_million_cells(self):
+        # j with x_i -> x_i^11 spans a 34^4 box (1,336,336 cells); the box of
+        # 35 x 31 x 33 x 31 cells (1,109,955) is not a whole number of bytes
+        j = ideal(4, (0, 0, 3, 3), (1, 3, 0, 2), (2, 0, 3, 0), (2, 1, 0, 3), (3, 1, 1, 2))
+        big = _scaled(j, 11)
+        assert big.gens.max(axis=0).tolist() == [33, 33, 33, 33]
+        for shape in ((34,) * 4, (35, 31, 33, 31)):
+            cells = np.indices(shape).reshape(4, -1).T
+            want = membership_many(big, cells).reshape(shape)
+            assert np.array_equal(membership_box(big, shape), want), shape
+        assert saturate(big) == _scaled(_saturation_by_colons(j), 11)
+        assert colon_maximal(big) == _colon_by_variables(big)
+        assert ass_primes_oracle(big) == _prime_colons(j)
+        assert len(_prime_colons(j)) > 1 and saturate(j) != j

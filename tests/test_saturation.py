@@ -618,7 +618,8 @@ class TestSaturatingVectors:
 
 def walk_before_grown_keys(g: SimpleGraph, t: int, region: int, dominated: int):
     """`saturation._saturating_graphs` as it was when each support's mask and
-    key were built from scratch for every subset of `combinations`."""
+    key were built from scratch for every subset of `combinations`, each
+    yield carrying N[S] from `_closed_mask`."""
     verts = list(iter_bits(region))
     for size in range(3, min(len(verts), 3 * (t - 1)) + 1):
         table = None
@@ -653,7 +654,8 @@ def walk_before_grown_keys(g: SimpleGraph, t: int, region: int, dominated: int):
                 found = saturation._CACHE.remember(memo, bits, found)
             for w in found:
                 on_support = dict(zip(sup, w))
-                yield sup, tuple(on_support.get(v, 0) for v in range(1, g.n + 1))
+                a = tuple(on_support.get(v, 0) for v in range(1, g.n + 1))
+                yield sup, _closed_mask(g, mask), a
 
 
 class TestGrownSupports:
