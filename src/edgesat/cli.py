@@ -19,7 +19,7 @@ EXIT_USAGE = 2
 
 
 class InputError(Exception):
-    """Unparseable graph, weights or exponents (exit code 2)."""
+    """Unparseable graph, weights or exponents, or a query past its budget (exit code 2)."""
 
 
 def _load_graph(args: argparse.Namespace) -> SimpleGraph:
@@ -143,7 +143,10 @@ def cmd_ass(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     t = args.t
     if args.method == "oracle":
-        primes = sorted(census.oracle_ass(g, t), key=_set_order)
+        try:  # the oracle refuses a table past its cell budget
+            primes = sorted(census.oracle_ass(g, t), key=_set_order)
+        except ValueError as exc:
+            raise InputError(str(exc)) from None
         reports = [
             assoc.AssPrimeReport(p, "oracle", {"type": "colon-witness-sweep"})
             for p in primes

@@ -1,23 +1,20 @@
 """Brute-force monomial ideal arithmetic: the ground-truth side of every check.
 
 Ideals are stored by their unique minimal generating sets, as small integer
-matrices.  Powers and colons by a monomial are purely combinatorial:
-componentwise sums and clipping, a lexsort that drops repeated rows, and
-divisibility checked degree class by degree class.  No intersection of ideals
-is formed: the colon by the maximal ideal, the saturation (the AND of the
-table's top slices) and the associated primes (its socle cells) read one
-membership table over the box spanned by the generators.  The table is one
-Python int, bit c being cell c in C order, closed upward and read by
-whole-table shifts along each axis.  No Groebner machinery, and no matching
-theory.
-"""
+matrices.  A row inside a box is one integer, its cell in C order, so a power
+is the distinct sums of generator cells, repeated rows drop by one sort of the
+cells, and divisibility is checked degree class by degree class.  The colon by
+the maximal ideal, the saturation and the associated primes read one membership
+table over the generators' lcm box, held as one Python int (bit c is cell c),
+closed upward and read by whole-table shifts along each axis; no intersection
+of ideals is formed.  No Groebner machinery, and no matching theory."""
 
 from __future__ import annotations
 
 from functools import reduce
-from itertools import combinations_with_replacement, product
+from itertools import accumulate, product
 from math import prod
-from operator import and_, index
+from operator import and_, index, mul
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -26,35 +23,55 @@ from .graphs import SimpleGraph, _set_order
 
 
 _BLOCK = 2048  # rows per side of one divisibility test: at most _BLOCK**2 * n booleans
+_MAX_CELLS = 1 << 29  # the largest table: about 1 GB at 1.6 bytes a cell; G10 up to t = 6
+
+
+def _blocks(shape: tuple[int, ...]) -> np.ndarray:
+    """A C-order box's cell count, then each axis's stride; Python ints past 2**63 cells."""
+    blocks = list(accumulate(reversed(shape), mul, initial=1))[::-1]
+    return np.array(blocks, dtype=object if blocks[0] >> 63 else np.int64)
+
+
+def _codes(arr: np.ndarray, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's cell in the C-order box of the given shape, and its blocks."""
+    blocks = _blocks(shape)
+    return arr.astype(blocks.dtype, copy=False) @ blocks[1:], blocks
+
+
+def _rows(codes: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """The cells `codes` of the box with these blocks as int64 coordinate rows."""
+    return (codes[:, None] % blocks[:-1] // blocks[1:]).astype(np.int64)
+
+
+def _heads(values: np.ndarray) -> np.ndarray:
+    """Over a sorted 1-D array, True at the first of each run of equal entries."""
+    heads = np.ones(values.shape[0], dtype=bool)
+    heads[1:] = values[1:] != values[:-1]
+    return heads
 
 
 def _unique_rows(arr: np.ndarray) -> np.ndarray:
-    """The distinct rows in lexicographic order: a lexsort over the columns
-    (with none, all rows are equal), then a drop of each repeated row."""
-    arr = arr[np.lexsort(arr.T[::-1])] if arr.shape[1] else arr
-    keep = np.ones(arr.shape[0], dtype=bool)
-    keep[1:] = (arr[1:] != arr[:-1]).any(axis=1)
-    return arr[keep]
+    """The distinct rows of a non-negative array in lexicographic order, by one sort of cells."""
+    codes, _ = _codes(arr, tuple(r + 1 for r in arr.max(axis=0, initial=0).tolist()))
+    order = np.argsort(codes)
+    return arr[order[_heads(codes[order])]]
 
 
 def _divides(low: np.ndarray, high: np.ndarray) -> np.ndarray:
-    """The table [low[p] divides high[q]] over (q, p), built column by column:
-    numpy reduces a short last axis slowly."""
+    """The table [low[p] divides high[q]] over (q, p), column by column (a short axis is slow)."""
     le = [lo <= hi[:, None] for hi, lo in zip(high.T, low.T)]
     return np.logical_and.reduce(le) if le else np.ones((len(high), len(low)), dtype=bool)
 
 
 def _minimal_rows(arr: np.ndarray) -> np.ndarray:
     """Drop rows divisible by another row (the antichain of minimal elements).
-
-    After deduplication a divisor of a row is a proper divisor, of strictly
-    smaller total degree, so each degree class is compared only with the kept
-    rows of the lower classes (none for a power of an edge ideal).
-    """
+    Once repeats are dropped a divisor has smaller degree, so each degree class
+    meets only the kept rows of lower classes (none for powers of edge ideals)."""
     arr = _unique_rows(arr)
     deg = arr.sum(axis=1)
     keep = np.ones(arr.shape[0], dtype=bool)
-    for d in np.unique(deg)[1:]:
+    levels = np.sort(deg)
+    for d in levels[_heads(levels)][1:]:
         rows, lower = np.flatnonzero(deg == d), arr[keep & (deg < d)]
         for i, k in product(range(0, len(rows), _BLOCK), range(0, len(lower), _BLOCK)):
             block = rows[i : i + _BLOCK]
@@ -117,27 +134,30 @@ def edge_ideal(g: SimpleGraph) -> MonomialIdeal:
     if g.n < 1:
         raise ValueError("edge ideal needs at least one vertex")
     rows = np.zeros((len(g.edges), g.n), dtype=np.int64)
-    for i, (u, v) in enumerate(g.sorted_edges):
-        rows[i, u - 1] = 1
-        rows[i, v - 1] = 1
-    return MonomialIdeal(g.n, _minimal_rows(rows))
+    for i, (u, v) in enumerate(reversed(g.sorted_edges)):  # rows in lexicographic order
+        rows[i, u - 1] = rows[i, v - 1] = 1
+    return MonomialIdeal(g.n, rows)
 
 
 def power(j: MonomialIdeal, t: int) -> MonomialIdeal:
-    """Minimal generators of j**t (t-fold products as multisets of generators)."""
+    """Minimal generators of j**t: the distinct sums of t generators, grown one
+    factor at a time as cells of the box of t times the generators' lcm."""
     if t < 1:
         raise ValueError("power requires t >= 1")
     if t == 1 or j.is_zero:
         return j
-    combos = np.array(list(combinations_with_replacement(range(len(j.gens)), t)), dtype=np.int64)
-    rows = j.gens[combos].sum(axis=1)
-    return MonomialIdeal(j.n, _minimal_rows(rows))
+    top = _integer_array([t * int(r) for r in j.gens.max(axis=0)])  # t * lcm within int64
+    codes, blocks = _codes(j.gens, tuple(r + 1 for r in top.tolist()))
+    sums = codes
+    for _ in range(t - 1):  # one sort per factor, dropping repeated sums
+        sums = np.sort((sums[:, None] + codes).ravel())
+        sums = sums[_heads(sums)]
+    return MonomialIdeal(j.n, _minimal_rows(_rows(sums, blocks)))
 
 
 def _integer_array(rows) -> np.ndarray:
-    """`rows` as int64, refusing an entry that is not an integer or lies
-    outside int64 (an empty array is float64).  numpy reads ints beyond int64
-    as objects, floats or uint64, so such arrays are read entry by entry."""
+    """`rows` as int64, refusing an entry that is not an integer or lies outside int64
+    (numpy reads such ints as objects, floats or uint64, so those are read one by one)."""
     arr = np.asarray(rows)
     if not arr.size or arr.dtype.kind in "bi" or arr.dtype.kind == "u" and arr.itemsize < 8:
         return arr.astype(np.int64, copy=False)
@@ -152,8 +172,7 @@ def _integer_array(rows) -> np.ndarray:
 
 
 def _exponent_rows(n: int, rows) -> np.ndarray:
-    """`rows` as an int64 matrix of exponent vectors, refusing a vector whose
-    length is not n or an entry that is negative or not an integer."""
+    """`rows` as an int64 matrix of exponent vectors of length n, none negative."""
     arr = _integer_array(rows)
     if arr.ndim != 2:
         raise ValueError("exponent vectors must be the rows of a matrix")
@@ -182,9 +201,8 @@ def colon_monomial(j: MonomialIdeal, w: Sequence[int]) -> MonomialIdeal:
 
 def _axes(shape: tuple[int, ...]) -> Iterator[tuple[int, int, int, int]]:
     """(stride, length, top, below) of each axis of a non-empty C-order box:
-    the masks of the cells at the top of the axis and of the rest, built as
-    the axis comes up (one axis's alive at a time), and non-negative, as an
-    AND with a negative int is several times slower."""
+    the masks of the cells at the top of the axis and of the rest, built as the
+    axis comes up, and non-negative (an AND with a negative int is slower)."""
     size = block = prod(shape)
     full = (1 << size) - 1
     for d in shape:
@@ -197,15 +215,15 @@ def _axes(shape: tuple[int, ...]) -> Iterator[tuple[int, int, int, int]]:
 
 
 def _table(j: MonomialIdeal, shape: tuple[int, ...]) -> int:
-    """Membership table of j over a box of the given shape as one int, bit c
-    being cell c in C order: the generators inside the box seeded through a
-    byte buffer, then closed upward by shifts along each axis that mask off
-    its top cells (they would wrap into the next row)."""
+    """Membership table of j over a box of at most _MAX_CELLS cells as one int:
+    the generators' cells seeded through a byte buffer, then closed upward by
+    shifts along each axis that mask off its top cells (they would wrap)."""
     size = prod(shape)
+    if size > _MAX_CELLS:
+        raise ValueError(f"oracle table of {size} cells is past its budget of {_MAX_CELLS} cells")
     if not size:
         return 0
-    strides = np.array([prod(shape[i + 1 :]) for i in range(j.n)], dtype=np.int64)
-    cells = j.gens[(j.gens < shape).all(axis=1)] @ strides
+    cells, _ = _codes(j.gens[(j.gens < shape).all(axis=1)], shape)
     seed = np.zeros(-(-size // 8), dtype=np.uint8)
     np.bitwise_or.at(seed, cells >> 3, np.left_shift(1, cells & 7).astype(np.uint8))
     x = int.from_bytes(seed, "little")
@@ -216,12 +234,11 @@ def _table(j: MonomialIdeal, shape: tuple[int, ...]) -> int:
 
 
 def _cells(x: int, shape: tuple[int, ...]) -> np.ndarray:
-    """The cells of the set bits of x in increasing order, as coordinate rows,
-    unpacked from the non-zero bytes of x only."""
+    """The set bits of x in increasing order as coordinate rows, from its non-zero bytes."""
     raw = np.frombuffer(x.to_bytes((x.bit_length() + 7) // 8, "little"), dtype=np.uint8)
     at = np.flatnonzero(raw)
     row, bit = np.nonzero(np.unpackbits(raw[at, None], axis=1, bitorder="little"))
-    return np.stack(np.unravel_index(at[row] * 8 + bit, shape), axis=-1)
+    return _rows(at[row] * 8 + bit, _blocks(shape))
 
 
 def membership_box(j: MonomialIdeal, shape: tuple[int, ...]) -> np.ndarray:
@@ -233,8 +250,7 @@ def membership_box(j: MonomialIdeal, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _lcm_box(j: MonomialIdeal, what: str) -> tuple[tuple[int, ...], int]:
-    """The exponent box spanned by the generators and j's table over it; its
-    top slices are absorbing, so membership outside follows by clamping."""
+    """The generators' lcm box and j's table; its top slices are absorbing (clamp to them)."""
     if j.n < 1:
         raise ValueError(f"{what} needs at least one variable")
     shape = tuple(int(r) + 1 for r in j.gens.max(axis=0, initial=0))
@@ -246,7 +262,7 @@ def _gens_from_upset(n: int, x: int, shape: tuple[int, ...]) -> MonomialIdeal:
     above = 0  # the cells w with some w - e_i in the table
     for stride, _, _, below in _axes(shape):
         above |= (x & below) << stride
-    return MonomialIdeal(n, _cells(x ^ x & above, shape).astype(np.int64, copy=False))
+    return MonomialIdeal(n, _cells(x ^ x & above, shape))
 
 
 def colon_maximal(j: MonomialIdeal) -> MonomialIdeal:
@@ -258,9 +274,8 @@ def colon_maximal(j: MonomialIdeal) -> MonomialIdeal:
 
 
 def saturate(j: MonomialIdeal) -> MonomialIdeal:
-    """sat(j), the intersection of the colons j : x_i^inf: w is in j : x_i^inf
-    exactly when w raised to the top of axis i is in j (the top slice is
-    absorbing), so its table ANDs j's top slices, each spread down its axis."""
+    """sat(j), the intersection of the j : x_i^inf: w is in j : x_i^inf when w raised to the
+    top of axis i is in j (it is absorbing), so its table ANDs j's top slices spread down."""
     shape, x = _lcm_box(j, "saturate")
     sat = -1
     for stride, d, top, _ in _axes(shape):
@@ -272,11 +287,10 @@ def saturate(j: MonomialIdeal) -> MonomialIdeal:
 
 
 def ass_primes_oracle(j: MonomialIdeal) -> list[frozenset[int]]:
-    """Associated primes of R/j, read off the socle cells of j's table: P_F
-    is associated exactly when a cell c outside j, at the top of every axis
-    outside F, has c + e_i in j for each i in F.  If j : x^w = P_F, raising w
-    to the top outside F gives such a c; for such a c, j : x^c = P_F, because
-    the top slice is absorbing."""
+    """Associated primes of R/j, read off the socle cells of j's table: P_F is
+    associated exactly when a cell c outside j, at the top of every axis outside
+    F, has c + e_i in j for each i in F.  If j : x^w = P_F, raising w to the top
+    outside F gives such a c; for such a c, j : x^c = P_F (the top is absorbing)."""
     shape, x = _lcm_box(j, "ass_primes_oracle")
     if j.is_zero:
         raise ValueError("associated primes of the zero ideal are not swept")

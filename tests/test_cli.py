@@ -106,6 +106,13 @@ class TestAss:
     def test_classified_rejects_other_t(self, capsys, triangle_file):
         assert main(["ass", triangle_file, "4", "--method", "classified"]) == 2
 
+    def test_oracle_table_past_its_budget_refused(self, capsys):
+        # I^2 of the 30-vertex path spans a 3^30 box: refused before any table is built
+        path = ",".join(f"{i}-{i + 1}" for i in range(1, 30))
+        assert main(["ass", "--edges", path, "2", "--method", "oracle"]) == 2
+        captured = capsys.readouterr()
+        assert "past its budget" in captured.err and captured.out == ""
+
 
 class TestOtherCommands:
     def test_ass_infinity(self, capsys):

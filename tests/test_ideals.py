@@ -7,7 +7,7 @@ import random
 import subprocess
 import sys
 from functools import reduce
-from itertools import product
+from itertools import combinations_with_replacement, product
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +15,9 @@ import pytest
 
 from edgesat.census import all_graphs, all_graphs_upto, oracle_ass
 from edgesat.ideals import (
+    _MAX_CELLS,
     MonomialIdeal,
+    _codes,
     _minimal_rows,
     _unique_rows,
     ass_primes_oracle,
@@ -140,6 +142,23 @@ def _all_pairs_antichain(arr: np.ndarray) -> bool:
     return all((arr <= r).all(axis=1).sum() == 1 for r in arr)
 
 
+def _power_by_gather(j: MonomialIdeal, t: int) -> MonomialIdeal:
+    """Reference: the sum of every multiset of t generators, gathered as one
+    C(m+t-1, t) x t x n tensor, then minimalised."""
+    if t == 1 or j.is_zero:
+        return j
+    combos = np.array(list(combinations_with_replacement(range(len(j.gens)), t)), dtype=np.int64)
+    return MonomialIdeal(j.n, _minimal_rows(j.gens[combos].sum(axis=1)))
+
+
+def _huge_rows() -> np.ndarray:
+    """Two-variable rows near 2**40, repeats and divisors among them: their box
+    of the column maxima has more than 2**63 cells."""
+    top = 2**40
+    rows = [(top, 3), (top - 1, top), (5, top), (top, 3), (7, top - 2), (top, top), (0, top)]
+    return np.array(rows, dtype=np.int64)
+
+
 def _box_reference(j: MonomialIdeal, shape: tuple[int, ...]) -> np.ndarray:
     """Per-cell definition: w is in the table when some generator is <= w."""
     cells = [bool((j.gens <= np.array(w)).all(axis=1).any()) for w in np.ndindex(*shape)]
@@ -195,6 +214,61 @@ class TestBasics:
 
     def test_power_single_edge_cube(self):
         assert power(edge_ideal(graph(2, (1, 2))), 3).to_lists() == [[3, 3]]
+
+
+class TestPower:
+    """Distinct sums of generator cells against the gathered multiset sums."""
+
+    IDEALS = _random_ideals(55, 150)
+
+    def test_sample_reaches_the_edge_cases(self):
+        assert any(j.is_unit for j in self.IDEALS)
+        assert any((j.gens.max(axis=0) == 0).any() and not j.is_unit for j in self.IDEALS)
+        assert any(len(set(j.gens.sum(axis=1).tolist())) > 1 for j in self.IDEALS)
+
+    @staticmethod
+    def _same(j: MonomialIdeal, t: int) -> None:
+        got, want = power(j, t).gens, _power_by_gather(j, t).gens
+        assert got.dtype == want.dtype == np.int64 and np.array_equal(got, want), (j, t)
+
+    def test_random_ideals_match_the_gather(self):
+        for j in self.IDEALS:
+            for t in range(1, 6):
+                self._same(j, t)
+
+    def test_edge_ideals_match_the_gather(self):
+        for g in all_graphs_upto(5):
+            if g.edges:
+                j = edge_ideal(g)  # built in order, not minimalised: check it against that
+                rows = [[int(v in e) for v in range(1, g.n + 1)] for e in g.edges]
+                assert j == MonomialIdeal.from_gens(g.n, rows), g
+                for t in range(1, 5):
+                    self._same(j, t)
+
+    def test_cells_past_int64_are_python_ints(self):
+        arr = _huge_rows()
+        shape = tuple(int(r) + 1 for r in arr.max(axis=0))
+        assert _codes(arr, shape)[0].dtype == object and _codes(arr % 4, (4, 4))[0].dtype == np.int64
+        want = np.unique(arr, axis=0)
+        got = _unique_rows(arr)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert np.array_equal(_minimal_rows(arr), _all_pairs_minimal(arr))
+        j = MonomialIdeal(2, _minimal_rows(arr))
+        assert len(j.gens) > 2
+        for t in (2, 3):
+            self._same(j, t)
+
+    @pytest.mark.parametrize("t", [2, 4])
+    def test_refuses_exponents_past_int64(self, t):
+        # the sums once wrapped silently: [[-2**63]] at t = 2, the unit ideal at t = 4
+        with pytest.raises(ValueError, match="exponents must fit in a signed 64-bit integer"):
+            power(MonomialIdeal.from_gens(1, [[2**62]]), t)
+
+    def test_largest_int64_exponent_is_kept(self):
+        top = (2**63 - 1) // 3
+        assert power(MonomialIdeal.from_gens(2, [[top, 0], [0, 1]]), 3).to_lists() == [
+            [0, 3], [top, 2], [2 * top, 1], [3 * top, 0],
+        ]
 
 
 class TestMembership:
@@ -324,6 +398,16 @@ class TestAssPrimesOracle:
         primes, peak = _child_peak_on_g10_fourth_power("len(ass_primes_oracle(j))")
         assert primes == 23
         assert peak <= 4 * 5**10 + 100 * 10**6
+
+    def test_table_past_its_budget_refused_before_it_is_built(self):
+        # a 2**40 + 1 cell table would need 128 GB; G10's (t+1)^10 box first passes it at t = 7
+        assert 7**10 <= _MAX_CELLS < 8**10
+        huge = MonomialIdeal.from_gens(1, [[2**40]])
+        for query in (saturate, colon_maximal, ass_primes_oracle):
+            with pytest.raises(ValueError, match="past its budget of 536870912 cells"):
+                query(huge)
+        with pytest.raises(ValueError, match="past its budget"):
+            membership_box(edge_ideal(graph(3, (1, 2))), (1024, 1024, 1024))
 
     def test_oracle_ass_edgeless(self):
         assert oracle_ass(graph(3), 2) == {frozenset()}
