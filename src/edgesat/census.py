@@ -52,10 +52,10 @@ def oracle_ass(g: SimpleGraph, t: int) -> set[frozenset[int]]:
     """Ass(I^t) by the brute-force oracle; the empty cover for the zero ideal."""
     if not g.edges:
         return {frozenset()}
+    lcm = [t if bits else 0 for bits in g.adj_bits]  # of I^t's generators, by vertex
+    ideals._box_size([r + 1 for r in lcm])  # refuse the table before I^t is grown
     jt = ideals.power(ideals.edge_ideal(g), t)
-    rho = jt.gens.max(axis=0)  # the generators' lcm; g has an edge, so jt is not zero
-    isolated = {v for v in range(1, g.n + 1) if not g.adj[v]}
-    if not all(int(rho[v - 1]) == (0 if v in isolated else t) for v in range(1, g.n + 1)):
+    if jt.gens.max(axis=0).tolist() != lcm:  # g has an edge, so jt is not zero
         raise RuntimeError(
             "lcm of the generators of I^t must carry exponent t on non-isolated vertices"
         )

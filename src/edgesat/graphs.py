@@ -203,11 +203,12 @@ def _set_order(s: VertexSet) -> tuple[int, list[int]]:
 
 
 def minimal_covers(g: SimpleGraph) -> list[VertexSet]:
-    """All minimal vertex covers: the covers minimal over the empty set."""
-    out = covers_minimal_over(g, ())
-    if not all(is_minimal_cover(g, c) for c in out):
+    """All minimal vertex covers: the complements of the maximal independent sets,
+    each checked on its mask to cover every edge with an empty core."""
+    masks = {g.full_mask ^ m for m in _maximal_independent_sets(g, g.full_mask)}
+    if not all(_covers_edges(g, m) and not _core_mask(g, m) for m in masks):
         raise RuntimeError("Bron-Kerbosch produced a cover that is not minimal")
-    return out
+    return sorted(map(set_of, masks), key=_set_order)
 
 
 def covers_minimal_over(g: SimpleGraph, s: Iterable[int]) -> list[VertexSet]:

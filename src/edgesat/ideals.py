@@ -70,8 +70,7 @@ def _minimal_rows(arr: np.ndarray) -> np.ndarray:
     arr = _unique_rows(arr)
     deg = arr.sum(axis=1)
     keep = np.ones(arr.shape[0], dtype=bool)
-    levels = np.sort(deg)
-    for d in levels[_heads(levels)][1:]:
+    for d in sorted(set(deg.tolist()))[1:]:  # the degree classes above the lowest
         rows, lower = np.flatnonzero(deg == d), arr[keep & (deg < d)]
         for i, k in product(range(0, len(rows), _BLOCK), range(0, len(lower), _BLOCK)):
             block = rows[i : i + _BLOCK]
@@ -97,13 +96,7 @@ class MonomialIdeal:
     @classmethod
     def from_gens(cls, n: int, vectors: Iterable[Sequence[int]]) -> "MonomialIdeal":
         rows = [tuple(v) for v in vectors]
-        if not rows:
-            return cls(n, np.zeros((0, n), dtype=np.int64))
-        arr = _integer_array(rows)
-        if arr.ndim != 2 or arr.shape[1] != n:
-            raise ValueError(f"generators must have length {n}")
-        if (arr < 0).any():
-            raise ValueError("generator exponents must be non-negative")
+        arr = _exponent_rows(n, rows) if rows else np.zeros((0, n), dtype=np.int64)
         return cls(n, _minimal_rows(arr))
 
     @property
@@ -140,8 +133,8 @@ def edge_ideal(g: SimpleGraph) -> MonomialIdeal:
 
 
 def power(j: MonomialIdeal, t: int) -> MonomialIdeal:
-    """Minimal generators of j**t: the distinct sums of t generators, grown one
-    factor at a time as cells of the box of t times the generators' lcm."""
+    """Minimal generators of j**t: the distinct sums of t generators, grown one factor at
+    a time as cells of the box of t times the lcm; of one degree they are an antichain."""
     if t < 1:
         raise ValueError("power requires t >= 1")
     if t == 1 or j.is_zero:
@@ -152,7 +145,8 @@ def power(j: MonomialIdeal, t: int) -> MonomialIdeal:
     for _ in range(t - 1):  # one sort per factor, dropping repeated sums
         sums = np.sort((sums[:, None] + codes).ravel())
         sums = sums[_heads(sums)]
-    return MonomialIdeal(j.n, _minimal_rows(_rows(sums, blocks)))
+    rows, deg = _rows(sums, blocks), j.gens.sum(axis=1)  # distinct, in lexicographic order
+    return MonomialIdeal(j.n, rows if deg.min() == deg.max() else _minimal_rows(rows))
 
 
 def _integer_array(rows) -> np.ndarray:
@@ -161,12 +155,11 @@ def _integer_array(rows) -> np.ndarray:
     arr = np.asarray(rows)
     if not arr.size or arr.dtype.kind in "bi" or arr.dtype.kind == "u" and arr.itemsize < 8:
         return arr.astype(np.int64, copy=False)
-    try:
+    try:  # index() refuses a non-integer, the int64 array an integer outside it
         entries = [index(x) for x in np.asarray(rows, dtype=object).flat]
+        return np.array(entries, dtype=np.int64).reshape(arr.shape)
     except TypeError:
         raise ValueError("exponents must be integers") from None
-    try:
-        return np.array(entries, dtype=np.int64).reshape(arr.shape)
     except OverflowError:
         raise ValueError("exponents must fit in a signed 64-bit integer") from None
 
@@ -214,14 +207,18 @@ def _axes(shape: tuple[int, ...]) -> Iterator[tuple[int, int, int, int]]:
         block = stride
 
 
-def _table(j: MonomialIdeal, shape: tuple[int, ...]) -> int:
-    """Membership table of j over a box of at most _MAX_CELLS cells as one int:
-    the generators' cells seeded through a byte buffer, then closed upward by
-    shifts along each axis that mask off its top cells (they would wrap)."""
-    size = prod(shape)
-    if size > _MAX_CELLS:
+def _box_size(shape: Sequence[int]) -> int:
+    """The cell count of a table over the box, refused past _MAX_CELLS before it is built."""
+    if (size := prod(shape)) > _MAX_CELLS:
         raise ValueError(f"oracle table of {size} cells is past its budget of {_MAX_CELLS} cells")
-    if not size:
+    return size
+
+
+def _table(j: MonomialIdeal, shape: tuple[int, ...]) -> int:
+    """Membership table of j over a box within _box_size as one int: the
+    generators' cells seeded through a byte buffer, then closed upward by
+    shifts along each axis that mask off its top cells (they would wrap)."""
+    if not (size := _box_size(shape)):
         return 0
     cells, _ = _codes(j.gens[(j.gens < shape).all(axis=1)], shape)
     seed = np.zeros(-(-size // 8), dtype=np.uint8)
@@ -233,12 +230,12 @@ def _table(j: MonomialIdeal, shape: tuple[int, ...]) -> int:
     return x
 
 
-def _cells(x: int, shape: tuple[int, ...]) -> np.ndarray:
-    """The set bits of x in increasing order as coordinate rows, from its non-zero bytes."""
+def _cells(x: int) -> np.ndarray:
+    """The set bits of x in increasing order as int64 cells, from its non-zero bytes."""
     raw = np.frombuffer(x.to_bytes((x.bit_length() + 7) // 8, "little"), dtype=np.uint8)
     at = np.flatnonzero(raw)
     row, bit = np.nonzero(np.unpackbits(raw[at, None], axis=1, bitorder="little"))
-    return _rows(at[row] * 8 + bit, _blocks(shape))
+    return at[row] * 8 + bit
 
 
 def membership_box(j: MonomialIdeal, shape: tuple[int, ...]) -> np.ndarray:
@@ -262,7 +259,7 @@ def _gens_from_upset(n: int, x: int, shape: tuple[int, ...]) -> MonomialIdeal:
     above = 0  # the cells w with some w - e_i in the table
     for stride, _, _, below in _axes(shape):
         above |= (x & below) << stride
-    return MonomialIdeal(n, _cells(x ^ x & above, shape))
+    return MonomialIdeal(n, _rows(_cells(x ^ x & above), _blocks(shape)))
 
 
 def colon_maximal(j: MonomialIdeal) -> MonomialIdeal:
@@ -295,6 +292,8 @@ def ass_primes_oracle(j: MonomialIdeal) -> list[frozenset[int]]:
     if j.is_zero:
         raise ValueError("associated primes of the zero ideal are not swept")
     up = reduce(and_, (x >> stride | top for stride, _, top, _ in _axes(shape)))
-    masks = _unique_rows(_cells(up ^ up & x, shape) < np.array(shape) - 1)
-    found = [frozenset(int(i) + 1 for i in np.flatnonzero(f)) for f in masks]
+    blocks, axes = _blocks(shape), [i for i, d in enumerate(shape) if d > 1]  # at most 29
+    off = _cells(up ^ up & x)[:, None] % blocks[axes] < blocks[axes] - blocks[1:][axes]
+    codes = set((off @ (1 << np.arange(len(axes)))).tolist())  # bit b: off the top of axes[b]
+    found = [frozenset(i + 1 for b, i in enumerate(axes) if c >> b & 1) for c in codes]
     return sorted(found, key=_set_order)

@@ -113,6 +113,13 @@ class TestAss:
         captured = capsys.readouterr()
         assert "past its budget" in captured.err and captured.out == ""
 
+    def test_oracle_box_refused_before_the_power_is_grown(self, capsys):
+        # I^7 of G10 spans an 8^10 box; I^6 already has 54,978 generators
+        assert main(["ass", "--edges", G10, "7", "--method", "oracle"]) == 2
+        captured = capsys.readouterr()
+        assert f"oracle table of {8**10} cells is past its budget" in captured.err
+        assert captured.out == ""
+
 
 class TestOtherCommands:
     def test_ass_infinity(self, capsys):

@@ -9,6 +9,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from edgesat import graphs
 from edgesat.graphs import (
     SimpleGraph,
     _core_mask,
@@ -179,6 +180,14 @@ class TestCovers:
 
     def test_minimal_covers_triangle(self, triangle):
         assert minimal_covers(triangle) == [{1, 2}, {1, 3}, {2, 3}]
+
+    @pytest.mark.parametrize("independent", [0b000, 0b011])
+    def test_minimal_covers_self_check_fires(self, monkeypatch, triangle, independent):
+        # the complement of a non-maximal independent set keeps a vertex that
+        # could leave it; of a set that is not independent, it misses an edge
+        monkeypatch.setattr(graphs, "_maximal_independent_sets", lambda g, region: [0b001, independent])
+        with pytest.raises(RuntimeError, match="Bron-Kerbosch produced a cover that is not minimal"):
+            minimal_covers(triangle)
 
     def test_minimal_covers_pentagon(self, pentagon):
         got = minimal_covers(pentagon)

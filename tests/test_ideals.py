@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from edgesat import ideals
 from edgesat.census import all_graphs, all_graphs_upto, oracle_ass
 from edgesat.ideals import (
     _MAX_CELLS,
@@ -215,6 +216,12 @@ class TestBasics:
     def test_power_single_edge_cube(self):
         assert power(edge_ideal(graph(2, (1, 2))), 3).to_lists() == [[3, 3]]
 
+    def test_constructor_refuses_a_non_antichain(self):
+        # a divisor, then repeats within one degree: the only fault that sums of one degree can have
+        for rows in ([[0, 3], [1, 1], [2, 1]], [[1, 1], [1, 1]], [[2, 0], [1, 1], [1, 1]]):
+            with pytest.raises(ValueError, match="generators must form a minimal antichain"):
+                MonomialIdeal(2, np.array(rows, dtype=np.int64))
+
 
 class TestPower:
     """Distinct sums of generator cells against the gathered multiset sums."""
@@ -244,6 +251,27 @@ class TestPower:
                 assert j == MonomialIdeal.from_gens(g.n, rows), g
                 for t in range(1, 5):
                     self._same(j, t)
+
+    def test_one_degree_is_minimalised_once_by_the_constructor(self, monkeypatch, pentagon):
+        callers = []
+
+        def counted(arr):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return _minimal_rows(arr)
+
+        j = edge_ideal(pentagon)
+        monkeypatch.setattr(ideals, "_minimal_rows", counted)
+        for t in (2, 3, 4):
+            callers.clear()
+            got = power(j, t)
+            assert callers == ["_is_antichain"], t
+            assert got == _power_by_gather(j, t)
+
+    def test_mixed_degrees_are_minimalised(self):
+        # x^2 y^3 = (x^2)(y^3) is a product of two generators, but x^2 y^2 = (xy)^2 divides it
+        got = power(ideal(2, (2, 0), (1, 1), (0, 3)), 2)
+        assert got.to_lists() == [[0, 6], [1, 4], [2, 2], [3, 1], [4, 0]]
+        self._same(ideal(2, (2, 0), (1, 1), (0, 3)), 2)
 
     def test_cells_past_int64_are_python_ints(self):
         arr = _huge_rows()
@@ -411,6 +439,34 @@ class TestAssPrimesOracle:
 
     def test_oracle_ass_edgeless(self):
         assert oracle_ass(graph(3), 2) == {frozenset()}
+
+    def test_oracle_ass_refuses_the_box_before_power(self, monkeypatch):
+        # the lcm box of I^7 of G10 has 8^10 cells, known from the graph alone
+        def unreachable(j, t):
+            raise AssertionError("power was called")
+
+        monkeypatch.setattr(ideals, "power", unreachable)
+        with pytest.raises(ValueError, match=f"oracle table of {8**10} cells is past its budget"):
+            oracle_ass(graph(10, *G10), 7)
+
+    def test_oracle_ass_checks_the_lcm(self, monkeypatch, tailed_triangle):
+        real = ideals.power
+        monkeypatch.setattr(ideals, "power", lambda j, t: real(j, t - 1))
+        with pytest.raises(RuntimeError, match="lcm of the generators of I\\^t must carry exponent t"):
+            oracle_ass(tailed_triangle, 3)
+
+    def test_primes_decoded_for_any_n(self, triangle):
+        # in 3 of 70 variables, 67 axes of the table have length 1: a prime's
+        # code has one bit per longer axis, so it fits whatever n is
+        at = (5, 33, 70)
+        mixed = ideal(3, (3, 0, 0), (1, 2, 0), (0, 1, 2), (2, 0, 1))
+        for j3 in (power(edge_ideal(triangle), 2), mixed):
+            gens = np.zeros((len(j3.gens), 70), dtype=np.int64)
+            gens[:, [v - 1 for v in at]] = j3.gens
+            j = MonomialIdeal(70, gens)
+            want = [frozenset(at[i - 1] for i in f) for f in ass_primes_oracle(j3)]
+            assert len(want) > 1 and ass_primes_oracle(j) == want, j3
+            assert ass_primes_oracle(j) == _prime_colons(j), j3
 
 
 class TestGeneratorLevelDefinitions:
