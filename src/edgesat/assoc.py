@@ -243,38 +243,38 @@ def ass_infinity(g: SimpleGraph) -> list[AssPrimeReport]:
     )
 
 
-def _component_strong_level(g: SimpleGraph, comp: int) -> int:
-    """Largest s with an induced strongly s-saturating subgraph on 2s-1 vertices
-    of the component mask `comp`."""
-    verts = list(iter_bits(comp))
-    for s in range((len(verts) + 1) // 2, 1, -1):
-        for w in map(mask_of, combinations(verts, 2 * s - 1)):
-            a = [w >> i & 1 for i in range(g.n)]
-            if is_strongly_t_saturating(WeightedGraph(g, a), s):
-                return s
-    return 0
-
-
 def s_gamma(g: SimpleGraph) -> int:
     """The stability-index bound s(Gamma).
 
     Maximum of |U| - sum(s_i) + 1 over vertex sets U whose induced components
-    all contain odd cycles, where s_i is the largest strong-saturation level
-    of an induced odd-size subgraph of the i-th component; 1 for bipartite
-    graphs.
+    all contain odd cycles, where s_i is the largest s with a strongly
+    s-saturating unit weighting on 2s - 1 vertices of the i-th component; 1
+    for bipartite graphs.
+
+    The support of such a weighting is factor-critical, so connected with an
+    odd cycle: an odd-cycle set.  The walk yields a set after its subsets, so
+    one pass keeps the level of each connected set C: (|C|+1)/2 when the unit
+    weighting on C is strongly saturating there, which no smaller set
+    reaches, else the best level of a connected C - v.  That is the best over
+    each connected odd-cycle W inside C: W grows to C one neighbour at a time
+    through connected odd-cycle sets, so C drops to W one vertex at a time.
     """
-    comp_cache: dict[int, int] = {}
+    level: dict[int, int] = {}  # connected odd-cycle set -> its s_i
     best = 1
     for um, _, comps in _odd_cycle_supports(g):
+        k = um.bit_count()
+        if len(comps) == 1:
+            s = (k + 1) // 2
+            a = [um >> i & 1 for i in range(g.n)]
+            if not (k & 1 and is_strongly_t_saturating(WeightedGraph(g, a), s)):
+                s = max(level.get(um ^ 1 << (v - 1), 0) for v in iter_bits(um))
+            level[um] = s
         total = 0
         for cm in comps:
-            level = comp_cache.get(cm)
-            if level is None:
-                level = comp_cache[cm] = _component_strong_level(g, cm)
-            if level < 2:
+            if level[cm] < 2:
                 raise RuntimeError(f"odd-cycle component {list(iter_bits(cm))} has no strong level")
-            total += level
-        best = max(best, um.bit_count() - total + 1)
+            total += level[cm]
+        best = max(best, k - total + 1)
     return best
 
 

@@ -318,10 +318,6 @@ def _odd_cycle_sets(g: SimpleGraph, region: int, top: int) -> Iterator[list[tupl
         yield [(m, nb, (m,)) for m, nb in level.items()] + later.pop(k, [])
 
 
-def is_bipartite(g: SimpleGraph) -> bool:
-    return not any(odd for _, odd in _components(g, g.full_mask))
-
-
 def shortest_odd_cycle_masked(g: SimpleGraph, region: int) -> int | None:
     """Length of a shortest odd cycle within `region`, or None if bipartite.
 

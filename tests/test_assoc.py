@@ -36,6 +36,7 @@ from edgesat.graphs import (
     is_cover,
     is_minimal_cover,
     is_minimal_over,
+    iter_bits,
     mask_of,
     minimal_covers,
     set_of,
@@ -496,6 +497,44 @@ class TestOddCycleSupports:
         assert len(every) == 55433
 
 
+def _component_strong_level(g: SimpleGraph, comp: int) -> int:
+    """Largest s with an induced strongly s-saturating subgraph on 2s-1 vertices
+    of the component mask `comp`."""
+    verts = list(iter_bits(comp))
+    for s in range((len(verts) + 1) // 2, 1, -1):
+        for w in map(mask_of, combinations(verts, 2 * s - 1)):
+            a = [w >> i & 1 for i in range(g.n)]
+            if is_strongly_t_saturating(WeightedGraph(g, a), s):
+                return s
+    return 0
+
+
+def _s_gamma_reference(g: SimpleGraph) -> int:
+    """s(Gamma) by a subset search over each component of each odd-cycle set."""
+    comp_cache: dict[int, int] = {}
+    best = 1
+    for um, _, comps in _odd_cycle_supports(g):
+        total = 0
+        for cm in comps:
+            level = comp_cache.get(cm)
+            if level is None:
+                level = comp_cache[cm] = _component_strong_level(g, cm)
+            if level < 2:
+                raise RuntimeError(f"odd-cycle component {list(iter_bits(cm))} has no strong level")
+            total += level
+        best = max(best, um.bit_count() - total + 1)
+    return best
+
+
+def triangle_path(k: int) -> SimpleGraph:
+    """k triangles joined in a path, the last vertex of each to the first of
+    the next: 3k vertices, 4k - 1 edges."""
+    edges = [(b, b + 1) for b in range(3, 3 * k, 3)]
+    for b in range(0, 3 * k, 3):
+        edges += [(b + 1, b + 2), (b + 1, b + 3), (b + 2, b + 3)]
+    return SimpleGraph.from_edges(3 * k, edges)
+
+
 class TestSGamma:
     def test_bipartite_one(self, square, path3):
         assert s_gamma(square) == 1
@@ -516,6 +555,20 @@ class TestSGamma:
 
     def test_pentagon(self, pentagon):
         assert s_gamma(pentagon) == 3
+
+    def test_matches_the_subset_search(self):
+        # one pass over the walk against a C(|c|, 2s-1) search per component
+        graphs = [*all_graphs_upto(5), *(g for n in (6, 7, 8) for g in random_graphs(n, 100, 30))]
+        for g in graphs:
+            assert s_gamma(g) == _s_gamma_reference(g), g.edges
+
+    @pytest.mark.parametrize("k, want", [(5, 14), (6, 17)])
+    def test_triangle_paths(self, k, want):
+        # past the reference's reach: its subset search takes seconds at k = 5
+        # and minutes at k = 6
+        g = triangle_path(k)
+        assert (g.n, len(g.edges)) == (3 * k, 4 * k - 1)
+        assert s_gamma(g) == want
 
     def test_stabilization_small(self):
         for g in all_graphs_upto(4):

@@ -19,7 +19,6 @@ from edgesat.graphs import (
     core_of_cover,
     covers_minimal_over,
     induced_subgraph,
-    is_bipartite,
     is_cover,
     is_dominating,
     is_minimal_cover,
@@ -75,8 +74,6 @@ def _check_against_numpy(g: SimpleGraph, region: int) -> None:
     assert shortest_odd_cycle_masked(g, region) == min(odd, default=None), (g.edges, region)
     expected = comps if len(odd) == len(comps) else None
     assert odd_cycle_components(g, region) == expected, (g.edges, region)
-    if region == g.full_mask:
-        assert is_bipartite(g) == (not odd), g.edges
 
 
 class TestNeighborhoods:
@@ -255,8 +252,11 @@ class TestComponentsAndCycles:
         assert shortest_odd_cycle(path3) is None
 
     def test_odd_cycle_matches_bipartiteness(self):
+        # bipartite: some side S has every edge with one end in it
         for g in all_graphs_upto(5):
-            assert (shortest_odd_cycle(g) is None) == is_bipartite(g)
+            sides = range(1 << g.n)
+            bipartite = any(all((s >> u - 1 ^ s >> v - 1) & 1 for u, v in g.edges) for s in sides)
+            assert (shortest_odd_cycle(g) is None) == bipartite, g.edges
 
     def test_odd_cycle_components_exhaustive(self):
         # every region of every graph with n <= 5, against matrix powers

@@ -5,10 +5,10 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from edgesat.assoc import ass_primes, is_associated, prime_sets
+from edgesat.assoc import ass_infinity, ass_primes, is_associated, prime_sets, s_gamma
 from edgesat.graphs import SimpleGraph
 from edgesat.saturation import in_power, in_saturation
 
@@ -124,3 +124,17 @@ def test_an_isolated_vertex_changes_no_prime(cold_cache, g, t):
     assert prime_sets(ass_primes(plus, t)) == prime_sets(ass_primes(g, t))
     before, after = is_associated(g, g.vertices, t), is_associated(plus, g.vertices, t)
     assert (after and after.kind) == (before and before.kind)
+
+
+@settings(LAWS, max_examples=60)
+@given(g=graphs())
+def test_the_primes_stabilise_by_s_gamma(cold_cache, g):
+    # Ass(I^t) lies in Ass-infinity for every t, and reaches it by
+    # t = s(Gamma); checked up to t = s(Gamma) on graphs where that is at
+    # most 5
+    top = s_gamma(g)
+    assume(top <= 5)
+    stable = prime_sets(ass_infinity(g))
+    primes = [prime_sets(ass_primes(g, t)) for t in range(1, top + 1)]
+    assert all(p <= stable for p in primes), sorted(g.edges)
+    assert primes[-1] == stable, sorted(g.edges)
