@@ -59,23 +59,24 @@ def prime_sets(reports: Iterable[AssPrimeReport]) -> set[frozenset[int]]:
 def _reports_over(
     g: SimpleGraph,
     supports: Iterable[tuple[int, object]],
-    evidence: Callable[[object], dict],
-    keep: Callable[[frozenset[int], object], bool] | None = None,
+    decide: Callable[[frozenset[int], object], dict | None],
 ) -> list[AssPrimeReport]:
     """Minimal covers, then for each (closed neighbourhood N[S], x) pair the
-    covers minimal over N[S] that `keep(f, x)` accepts; a prime keeps the
-    evidence(x) of the first S that gives it, built only then.  The covers
-    are found once per distinct N[S]."""
+    covers minimal over N[S], each decided once, by the first pair that
+    gives it: `decide(f, x)` returns the evidence of an embedded prime, or
+    None.  The covers are found once per distinct N[S]."""
     reports = [AssPrimeReport(f, "minimal", {"type": "minimal-cover"}) for f in minimal_covers(g)]
-    seen = prime_sets(reports)
+    seen = prime_sets(reports)  # every cover decided so far, accepted or not
     over: dict[int, list[frozenset[int]]] = {}
     for closed, x in supports:
         if closed not in over:
             over[closed] = covers_minimal_over(g, iter_bits(closed))
         for f in over[closed]:
-            if f not in seen and (keep is None or keep(f, x)):
+            if f not in seen:
                 seen.add(f)
-                reports.append(AssPrimeReport(f, "embedded", evidence(x)))
+                evidence = decide(f, x)
+                if evidence is not None:
+                    reports.append(AssPrimeReport(f, "embedded", evidence))
     return sorted(reports, key=lambda r: _set_order(r.vertices))
 
 
@@ -104,31 +105,36 @@ def is_associated(g: SimpleGraph, f: Iterable[int], t: int) -> AssPrimeReport | 
     core = _core_mask(g, fm)
     if not core:  # no vertex can leave F
         return AssPrimeReport(f, "minimal", {"type": "minimal-cover"})
-    for _, _, a in _saturating_graphs(g, t, core, core):
+    for a in _saturating_graphs(g, t, core, core):
         if _core_inequalities_hold(g, f, a, t):
             return AssPrimeReport(f, "embedded", {"type": "witness", "exponents": list(a)})
     return None
 
 
 def ass_primes(g: SimpleGraph, t: int) -> list[AssPrimeReport]:
-    """Ass(I^t): minimal covers plus the embedded primes found by enumerating
-    t-saturating weighted graphs (none at t = 1), in the order of their
-    exponent vectors."""
+    """Ass(I^t): minimal covers plus the embedded primes (none at t = 1).
+
+    An embedded prime is minimal over N[S] for the support S of a
+    t-saturating weighted graph, an odd-cycle set of at most 3(t-1)
+    vertices.  So the candidates are the covers minimal over N[U] for those
+    odd-cycle sets U, and `is_associated` decides each once, its first
+    witness the evidence.
+    """
     _check_t(t)
-    found = sorted(_saturating_graphs(g, t, g.full_mask), key=lambda x: x[2])
-    return _reports_over(
-        g,
-        ((near, a) for _, near, a in found),
-        lambda a: {"type": "witness", "exponents": list(a)},
-        lambda f, a: _core_inequalities_hold(g, f, a, t),
-    )
+
+    def decide(f: frozenset[int], _) -> dict | None:
+        report = is_associated(g, f, t)
+        return report and report.evidence
+
+    sets = chain.from_iterable(_odd_cycle_sets(g, g.full_mask, 3 * (t - 1)))
+    return _reports_over(g, ((um | nb, None) for um, nb, _ in sets), decide)
 
 
 def _shape_reports(g: SimpleGraph, shapes: Iterable[tuple[str, int]]) -> list[AssPrimeReport]:
     return _reports_over(
         g,
         ((_closed_mask(g, s), (tag, s)) for tag, s in shapes),
-        lambda x: {"type": "shape", "shape": x[0], "vertices": list(iter_bits(x[1]))},
+        lambda _, x: {"type": "shape", "shape": x[0], "vertices": list(iter_bits(x[1]))},
     )
 
 
@@ -239,7 +245,7 @@ def ass_infinity(g: SimpleGraph) -> list[AssPrimeReport]:
     return _reports_over(
         g,
         ((um | nb, um) for um, nb, _ in _odd_cycle_supports(g)),
-        lambda um: {"type": "odd-cycle-support", "vertices": list(iter_bits(um))},
+        lambda _, um: {"type": "odd-cycle-support", "vertices": list(iter_bits(um))},
     )
 
 

@@ -241,21 +241,17 @@ def _layers(g: SimpleGraph, region: int, start: int) -> Iterator[tuple[int, int]
         seen |= layer
 
 
-def _components(g: SimpleGraph, region: int) -> Iterator[tuple[int, bool]]:
-    """Components of the induced subgraph on `region`, ordered by least vertex,
-    as (mask, whether it contains an odd cycle), each layered when it is asked for."""
-    while region:
-        comp, odd = 0, False
-        for layer, nbrs in _layers(g, region, region & -region):
-            comp |= layer
-            odd = odd or bool(nbrs & layer)
-        yield comp, odd
-        region &= ~comp
-
-
 def components_masked(g: SimpleGraph, region: int) -> list[int]:
-    """Connected components of the induced subgraph on `region`, as masks."""
-    return [comp for comp, _ in _components(g, region)]
+    """Connected components of the induced subgraph on `region`, as masks,
+    ordered by least vertex."""
+    comps = []
+    while region:
+        comp = 0
+        for layer, _ in _layers(g, region, region & -region):
+            comp |= layer
+        comps.append(comp)
+        region &= ~comp
+    return comps
 
 
 def connected_components(g: SimpleGraph) -> list[VertexSet]:

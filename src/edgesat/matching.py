@@ -4,8 +4,7 @@ The weighted graph G_a of a monomial x^a is the ambient `SimpleGraph` with
 the exponent vector a: the induced subgraph on the support of a (a bit mask),
 vertex i weighted a_i.  It is a frozen dataclass over (graph, a), and
 computes what every `nu` call reads, the support and its key (the weights and
-the edge bits relabelled 0..k-1), once when it is built.  `_canonical_key`
-gives one form per isomorphism class of such edge bits.
+the edge bits relabelled 0..k-1), once when it is built.
 A matching is an edge multiset in which every vertex appears at most its
 weight many times; nu is the maximum size of one.
 The canonical algorithm blows each vertex up into weight-many clones and
@@ -276,80 +275,6 @@ def _degree_order(k: int, bits: int) -> list[tuple[int, int]]:
     return sorted(edges, key=lambda e: sorted((deg[e[0]], deg[e[1]])))
 
 
-_CANON_LEAVES = 64  # the leaves `_canonical_key` visits before it gives up
-
-
-def _refine(adj: Sequence[int], cells: list[int]) -> list[int]:
-    """The ordered partition `cells` (vertex masks) of the graph with
-    neighbour masks `adj`, refined until the vertices of each cell have
-    equally many neighbours in every cell.  Each round splits every cell by
-    those counts, in increasing order."""
-    while True:
-        split = []
-        for cell in cells:
-            if not cell & (cell - 1):  # one vertex
-                split.append(cell)
-                continue
-            groups: dict[tuple[int, ...], int] = {}
-            while cell:
-                low = cell & -cell
-                cell ^= low
-                row = adj[low.bit_length() - 1]
-                counts = tuple([(row & c).bit_count() for c in cells])
-                groups[counts] = groups.get(counts, 0) | low
-            split += [groups[counts] for counts in sorted(groups)]
-        if len(split) == len(cells):
-            return cells
-        cells = split
-
-
-def _canonical_key(k: int, bits: int) -> tuple[int, tuple[int, ...]] | None:
-    """The canonical form of the edge bits of a k-vertex key, and the position
-    pos[p] of each vertex p in it: relabelling vertex p of `bits` as pos[p]
-    gives the form, and isomorphic keys have one form.  None when the search
-    passes `_CANON_LEAVES` leaves.
-
-    Individualisation-refinement (McKay and Piperno, "Practical graph
-    isomorphism, II", J. Symbolic Comput. 60, 2014).  The partition of all
-    vertices into one cell is refined by `_refine`, whose first round splits
-    by degree.  A partition that is not discrete individualises in turn each
-    vertex of its first smallest cell of two or more vertices, and is refined
-    again; a discrete one is a leaf, which places each vertex at the index of
-    its cell.  Each step commutes with relabelling, so isomorphic keys have
-    the same leaves, and the form is the least edge bits among them.  Every
-    automorphism maps a leaf to another, so a symmetric key (K_5, two
-    disjoint triangles) gives up."""
-    edges = _key_edges(k, bits)
-    adj = [0] * k
-    for p, q in edges:
-        adj[p] |= 1 << q
-        adj[q] |= 1 << p
-    best, leaves, stack = None, 0, [[(1 << k) - 1]]
-    while stack:
-        cells = _refine(adj, stack.pop())
-        if len(cells) < k:
-            _, i = min((c.bit_count(), i) for i, c in enumerate(cells) if c & (c - 1))
-            cell = cells[i]
-            while cell:
-                low = cell & -cell
-                cell ^= low
-                stack.append(cells[:i] + [low, cells[i] ^ low] + cells[i + 1:])
-            continue
-        leaves += 1
-        if leaves > _CANON_LEAVES:
-            return None
-        pos = [0] * k
-        for i, cell in enumerate(cells):
-            pos[cell.bit_length() - 1] = i
-        form = 0
-        for p, q in edges:
-            a, b = pos[p], pos[q]
-            form |= 1 << (a * k + b if a < b else b * k + a)
-        if best is None or form < best[0]:
-            best = (form, tuple(pos))
-    return best
-
-
 def _greedy_counts(weights: Sequence[int], edges: Sequence[tuple[int, int]]) -> list[int]:
     """A greedy b-matching: each edge (p, q) in turn takes as many copies as
     both of its ends have weight left.  Its size is a lower bound on nu."""
@@ -369,9 +294,7 @@ _CACHE_LIMIT = 1 << 18  # entries over all three stores, well above any benchmar
 class _Cache:
     """The process's exact answers, at most `_CACHE_LIMIT` entries over three
     stores: `nu` by `cache_key`; `saturating`, per (t, support size), a
-    support's t-saturating weightings by its relabelled edge bits, which
-    also holds, under a canonical form from `_canonical_key`, the entry that
-    every support of its isomorphism class maps back to its own labels (see
+    support's t-saturating weightings by its relabelled edge bits (see
     `saturation._saturating_graphs`); and `supports`, what the membership
     questions read per support mask, one entry per mask, built for the graph
     it names (see `saturation._in_power`).  Only `clear` empties a store: an

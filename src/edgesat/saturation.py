@@ -14,9 +14,8 @@ built for another graph.  The search for saturating graphs settles each
 weighting by its cheapest exact test first: the prune (some w - e_p already
 failed), then a greedy b-matching that reaches t, then the inequalities, and
 only then a blossom run for nu(w) < t.  The supports are odd-cycle sets, and
-a support's weightings are cached by its key and computed once per
-isomorphism class: a new support whose all-ones weighting does not already
-reach t reads the entry of its key's canonical form, relabelled.
+a support's weightings are cached by its relabelled edge bits, so supports
+that induce the same labelled graph share one entry.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ from .graphs import (
 from .matching import (
     _CACHE,
     WeightedGraph,
-    _canonical_key,
     _degree_order,
     _edge_bits,
     _exponent_vector,
@@ -276,9 +274,10 @@ def _weight_table(size: int, t: int) -> list[tuple[tuple[int, ...], int, bool, l
 
 def _saturating_graphs(
     g: SimpleGraph, t: int, region: int, dominated: int = 0
-) -> Iterator[tuple[tuple[int, ...], int, ExponentVector]]:
-    """The t-saturating weighted graphs supported in `region` whose support's
-    closed neighbourhood contains the mask `dominated`, as (S, N[S] as a mask, a).
+) -> Iterator[ExponentVector]:
+    """The exponent vectors a of the t-saturating weighted graphs supported
+    in `region` whose support's closed neighbourhood contains the mask
+    `dominated`.
 
     Supports come by size, then in lexicographic order, and the weights on
     each support in lexicographic order.  The paper's bounds make the search
@@ -291,21 +290,12 @@ def _saturating_graphs(
 
     Whether (S, w) is t-saturating depends on H = G[S] and t alone, so a
     support's weightings are kept in `matching._CACHE` under (t, |S|, the
-    edge bits B of H relabelled 0..|S|-1, from `_edge_bits`) and read back
+    edge bits of H relabelled 0..|S|-1, from `_edge_bits`) and read back
     for any support with that key; vectors are built only for a non-empty
-    entry.  The entry under any key is the weightings of the labelled graph
-    it spells, so isomorphic supports share one entry, under the canonical
-    form C of B (`matching._canonical_key`).  On a miss:
-    a. a support of 2t or more vertices whose all-ones weighting has a
-       greedy b-matching of size t keeps () under B (nu is monotone);
-    b. when C has an entry, the support p reads w[p] = w_C[pos[p]] off each
-       of its weightings w_C, pos being the vertices' canonical positions,
-       and keeps the re-sorted weightings under B;
-    c. otherwise, and when the canonical search gives up, it runs
-       `_support_weightings` and keeps the result under B, and when C
-       differs from B, their image in canonical positions under C.
-    `_support_weightings`, with no `WeightedGraph` built, gives each w its
-    cheapest exact test first:
+    entry.  On a miss, a support of 2t or more vertices whose all-ones
+    weighting has a greedy b-matching of size t keeps () (nu is monotone);
+    any other runs `_support_weightings`, which builds no `WeightedGraph` and
+    gives each w its cheapest exact test first:
     1. the prune: w fails if some w - e_p on the support already failed (nu
        is monotone in the weights);
     2. the greedy: when w sums to 2t or more, a greedy b-matching over the
@@ -322,8 +312,8 @@ def _saturating_graphs(
     for size, level in enumerate(_odd_cycle_sets(g, region, 3 * (t - 1)), 3):
         table = None  # built at the first support of this size that is computed
         memo = _CACHE.saturating.setdefault((t, size), {})
-        kept = ((tuple(iter_bits(m)), m, m | nb) for m, nb, _ in level if not dominated & ~(m | nb))
-        for sup, mask, near in sorted(kept):
+        kept = ((tuple(iter_bits(m)), m) for m, nb, _ in level if not dominated & ~(m | nb))
+        for sup, mask in sorted(kept):
             bits = _edge_bits(g, sup)
             found = memo.get(bits)
             if found is None:
@@ -332,28 +322,14 @@ def _saturating_graphs(
                 ):
                     found = ()
                 else:
-                    canon = _canonical_key(size, bits)
-                    known = canon and memo.get(canon[0])
-                    if known is not None:
-                        found = _relabelled(known, canon[1])
-                    else:
-                        table = table or _weight_table(size, t)
-                        found = tuple(_support_weightings(g, mask, bits, t, table))
-                        if canon and canon[0] != bits:
-                            inverse = sorted(range(size), key=canon[1].__getitem__)
-                            _CACHE.remember(memo, canon[0], _relabelled(found, inverse))
+                    table = table or _weight_table(size, t)
+                    found = tuple(_support_weightings(g, mask, bits, t, table))
                 found = _CACHE.remember(memo, bits, found)
             for w in found:
                 a = [0] * g.n
                 for v, x in zip(sup, w):
                     a[v - 1] = x
-                yield sup, near, tuple(a)
-
-
-def _relabelled(weightings: Iterable[tuple[int, ...]], order: Sequence[int]) -> tuple:
-    """Each weighting w read as (w[order[0]], w[order[1]], ...), in
-    lexicographic order."""
-    return tuple(sorted(map(itemgetter(*order), weightings)))
+                yield tuple(a)
 
 
 def _support_weightings(g: SimpleGraph, mask: int, bits: int, t: int, table: list) -> Iterator:
@@ -383,7 +359,7 @@ def saturating_vectors(g: SimpleGraph, t: int) -> list[ExponentVector]:
     _check_t(t)
     if t < 2:
         raise ValueError("saturating graphs require t >= 2")
-    return sorted(a for _, _, a in _saturating_graphs(g, t, g.full_mask))
+    return sorted(_saturating_graphs(g, t, g.full_mask))
 
 
 def facets_delta(g: SimpleGraph, a: Sequence[int], t: int) -> list[frozenset[int]]:

@@ -8,8 +8,21 @@ from typing import Iterable
 import pytest
 
 from edgesat import matching, saturation
-from edgesat.graphs import SimpleGraph, _components, shortest_odd_cycle_masked
+from edgesat.assoc import AssPrimeReport, _core_inequalities_hold
+from edgesat.graphs import (
+    SimpleGraph,
+    _closed_mask,
+    _layers,
+    _set_order,
+    components_masked,
+    covers_minimal_over,
+    iter_bits,
+    mask_of,
+    minimal_covers,
+    shortest_odd_cycle_masked,
+)
 from edgesat.matching import WeightedGraph
+from edgesat.saturation import _check_t, _saturating_graphs, support
 
 _acceptance_lines: list[str] = []
 
@@ -36,13 +49,34 @@ def shortest_odd_cycle(g: SimpleGraph) -> int | None:
 
 def odd_cycle_components(g: SimpleGraph, region: int) -> list[int] | None:
     """The components of `region`, as masks, when each contains an odd cycle,
-    else None, returned at the first bipartite component."""
-    comps = []
-    for comp, odd in _components(g, region):
-        if not odd:
+    else None: a component is bipartite when none of its breadth-first
+    layers meets its own neighbourhood."""
+    comps = components_masked(g, region)
+    for comp in comps:
+        if not any(nbrs & layer for layer, nbrs in _layers(g, comp, comp & -comp)):
             return None
-        comps.append(comp)
     return comps
+
+
+def ass_primes_reference(g: SimpleGraph, t: int) -> list[AssPrimeReport]:
+    """Ass(I^t) by enumerating, then reading: every t-saturating weighted
+    graph of g, in the order of its exponent vector a, and for each the
+    covers F minimal over N[S] at whose core the witness condition holds;
+    a prime keeps the first a that gives it.  Independent of the route of
+    `assoc.ass_primes`, which decides each candidate cover on its own."""
+    _check_t(t)
+    reports = [AssPrimeReport(f, "minimal", {"type": "minimal-cover"}) for f in minimal_covers(g)]
+    seen = {r.vertices for r in reports}
+    over: dict[int, list[frozenset[int]]] = {}
+    for a in sorted(_saturating_graphs(g, t, g.full_mask)):
+        near = _closed_mask(g, mask_of(support(a)))
+        if near not in over:
+            over[near] = covers_minimal_over(g, iter_bits(near))
+        for f in over[near]:
+            if f not in seen and _core_inequalities_hold(g, f, a, t):
+                seen.add(f)
+                reports.append(AssPrimeReport(f, "embedded", {"type": "witness", "exponents": list(a)}))
+    return sorted(reports, key=lambda r: _set_order(r.vertices))
 
 
 def disjoint_triangles(k: int) -> SimpleGraph:

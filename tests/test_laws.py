@@ -12,6 +12,8 @@ from edgesat.assoc import ass_infinity, ass_primes, is_associated, prime_sets, s
 from edgesat.graphs import SimpleGraph
 from edgesat.saturation import in_power, in_saturation
 
+from conftest import ass_primes_reference
+
 LAWS = settings(
     derandomize=True,  # the same examples on every run
     database=None,
@@ -38,16 +40,28 @@ def relabelled_graphs(draw) -> tuple[SimpleGraph, list[int]]:
 
 
 @LAWS
-@given(case=relabelled_graphs(), t=st.sampled_from([2, 3, 4]))
+@given(case=relabelled_graphs(), t=st.sampled_from([2, 3, 4, 5]))
 def test_relabelling_maps_the_primes(cold_cache, case, t):
     # Ass(I^t) of sigma G is sigma of Ass(I^t) of G, read through a cache
-    # warmed by G alone, so that sigma G's supports meet the class entries of
-    # G's supports under other labels
+    # warmed by G alone, so that sigma G's supports meet the entries of G's
+    # supports that induce the same labelled graph
     g, sigma = case
     cold_cache.clear()
     want = {(frozenset(sigma[v - 1] for v in r.vertices), r.kind) for r in ass_primes(g, t)}
     moved = SimpleGraph.from_edges(g.n, [(sigma[u - 1], sigma[v - 1]) for u, v in g.edges])
     assert {(frozenset(r.vertices), r.kind) for r in ass_primes(moved, t)} == want
+
+
+@LAWS
+@given(g=graphs(), t=st.sampled_from([2, 3, 4]))
+def test_deciding_each_candidate_lists_what_enumeration_reads(cold_cache, g, t):
+    # ass_primes decides each cover minimal over N[U], U an odd-cycle set of
+    # at most 3(t-1) vertices, by is_associated; enumerating every
+    # t-saturating weighted graph and reading the covers it gives lists the
+    # same primes, of the same kinds, in the same order
+    want = [(r.vertices, r.kind) for r in ass_primes_reference(g, t)]
+    cold_cache.clear()
+    assert [(r.vertices, r.kind) for r in ass_primes(g, t)] == want, sorted(g.edges)
 
 
 @settings(LAWS, max_examples=400)

@@ -6,17 +6,15 @@ import copy
 import pickle
 import random
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 
 import pytest
 
-from edgesat import matching
 from edgesat.census import all_graphs, all_graphs_upto, random_graphs
 from edgesat.graphs import SimpleGraph
 from edgesat.matching import (
     Matching,
     WeightedGraph,
-    _canonical_key,
     _degree_order,
     _edge_bits,
     _greedy_counts,
@@ -27,7 +25,7 @@ from edgesat.matching import (
     validate_matching,
 )
 
-from conftest import disjoint_triangles, graph, minus
+from conftest import graph, minus
 
 
 def wg(g: SimpleGraph, *weights: int) -> WeightedGraph:
@@ -342,75 +340,3 @@ class TestRepresentation:
                 WeightedGraph(triangle, a)
         h, ref = WeightedGraph(triangle, [2, 0, 1]), wg(triangle, 2, 0, 1)
         assert h.a == (2, 0, 1) and h == ref and hash(h) == hash(ref)
-
-
-def _relabel(k: int, bits: int, pos) -> int:
-    """The edge bits of a k-vertex key with vertex p moved to pos[p]."""
-    out = 0
-    for p in range(k):
-        for q in range(p + 1, k):
-            if bits >> (p * k + q) & 1:
-                a, b = sorted((pos[p], pos[q]))
-                out |= 1 << (a * k + b)
-    return out
-
-
-def _key_of(k: int, edges) -> int:
-    """The key bits of the edges (p, q), p < q, of a k-vertex graph."""
-    return sum(1 << (p * k + q) for p, q in edges)
-
-
-class TestCanonicalKey:
-    """One form per isomorphism class, reached from the key by its positions."""
-
-    def test_one_form_per_class_exhaustive_k6(self, monkeypatch):
-        monkeypatch.setattr(matching, "_CANON_LEAVES", 720)  # K_6 has 6! leaves
-        for k, classes in zip(range(1, 7), (1, 2, 4, 11, 34, 156)):  # OEIS A000088
-            pairs = list(combinations(range(k), 2))
-            forms = set()
-            for m in range(1 << len(pairs)):
-                bits = _key_of(k, [e for i, e in enumerate(pairs) if m >> i & 1])
-                form, pos = _canonical_key(k, bits)
-                assert sorted(pos) == list(range(k)) and _relabel(k, bits, pos) == form
-                forms.add(form)
-            assert len(forms) == classes, k
-
-    def test_relabelled_keys_share_the_form_k7_to_k10(self):
-        rng = random.Random(2014)
-        found = 0
-        for k in range(7, 11):
-            pairs = list(combinations(range(k), 2))
-            for _ in range(60):
-                bits = _key_of(k, rng.sample(pairs, rng.randrange(len(pairs) + 1)))
-                canon = _canonical_key(k, bits)
-                for _ in range(3):
-                    other = _relabel(k, bits, rng.sample(range(k), k))
-                    got = _canonical_key(k, other)
-                    assert (got and got[0]) == (canon and canon[0]), (k, bits, other)
-                    if got:
-                        assert _relabel(k, other, got[1]) == got[0]
-                found += canon is not None
-        # the law is seen on forms, not only on refusals: 189 of the 240 keys
-        # have one at a 64-leaf cap; near-empty and near-complete graphs pass it
-        assert found > 150
-
-    def test_symmetric_keys_give_up_at_the_cap(self, monkeypatch):
-        # the search stops one leaf past the cap, however many leaves it has
-        real, leaves = matching._refine, []
-
-        def counted(adj, cells):
-            cells = real(adj, cells)
-            leaves.append(len(cells) == len(adj))  # a discrete partition is a leaf
-            return cells
-
-        monkeypatch.setattr(matching, "_refine", counted)
-        cap = matching._CANON_LEAVES
-        cases = [
-            (9, _key_of(9, combinations(range(9), 2)), cap + 1),  # K_9: 9! leaves
-            (15, _edge_bits(disjoint_triangles(5), range(1, 16)), cap + 1),  # 6^5 * 5! leaves
-            (4, _key_of(4, [(0, 1), (1, 2), (2, 3), (0, 3)]), 8),  # the square's 8 automorphisms
-        ]
-        for k, bits, count in cases:
-            leaves.clear()
-            assert (_canonical_key(k, bits) is None) == (count > cap)
-            assert sum(leaves) == count

@@ -618,8 +618,7 @@ class TestSaturatingVectors:
 
 def walk_before_grown_keys(g: SimpleGraph, t: int, region: int, dominated: int):
     """`saturation._saturating_graphs` as it was when each support's mask and
-    key were built from scratch for every subset of `combinations`, each
-    yield carrying N[S] from `_closed_mask`."""
+    key were built from scratch for every subset of `combinations`."""
     verts = list(iter_bits(region))
     for size in range(3, min(len(verts), 3 * (t - 1)) + 1):
         table = None
@@ -640,22 +639,13 @@ def walk_before_grown_keys(g: SimpleGraph, t: int, region: int, dominated: int):
                 if odd_cycle_components(g, mask) is None:
                     found = ()
                 else:
-                    canon = matching._canonical_key(size, bits)
-                    known = canon and memo.get(canon[0])
-                    if known is not None:
-                        found = saturation._relabelled(known, canon[1])
-                    else:
-                        table = table or saturation._weight_table(size, t)
-                        found = tuple(saturation._support_weightings(g, mask, bits, t, table))
-                        if canon and canon[0] != bits:
-                            inverse = sorted(range(size), key=canon[1].__getitem__)
-                            found_c = saturation._relabelled(found, inverse)
-                            saturation._CACHE.remember(memo, canon[0], found_c)
+                    table = table or saturation._weight_table(size, t)
+                    found = tuple(saturation._support_weightings(g, mask, bits, t, table))
                 found = saturation._CACHE.remember(memo, bits, found)
             for w in found:
                 on_support = dict(zip(sup, w))
                 a = tuple(on_support.get(v, 0) for v in range(1, g.n + 1))
-                yield sup, _closed_mask(g, mask), a
+                yield a
 
 
 class TestGrownSupports:
@@ -720,20 +710,6 @@ class TestGrownSupports:
                 cold_cache.clear()
                 assert got == list(walk_before_grown_keys(g, t, region, dominated))
         assert skipped or 2 * t > 3 * (t - 1)  # at t = 2 no support has 2t vertices
-
-    def test_dense_supports_skip_the_canonical_search(self, cold_cache, monkeypatch):
-        # every 6-vertex support of K7 has unit-weight nu 3: the miss path's
-        # all-ones greedy reaches t = 3 and keeps () without a canonical form
-        real, sizes = saturation._canonical_key, []
-
-        def counted(k, bits):
-            sizes.append(k)
-            return real(k, bits)
-
-        monkeypatch.setattr(saturation, "_canonical_key", counted)
-        k7 = graph(7, *combinations(range(1, 8), 2))
-        assert saturating_vectors(k7, 3) == _unpruned(k7, 3, 2)
-        assert sizes and max(sizes) < 6
 
 
 class TestOracleEquivalenceSmall:
