@@ -18,14 +18,14 @@ from .graphs import (
     _closed_mask,
     _core_mask,
     _covers_edges,
+    _covers_over,
+    _mask_order,
     _nbrs,
     _odd_cycle_sets,
-    _set_order,
     _vertex_mask,
-    covers_minimal_over,
     iter_bits,
     mask_of,
-    minimal_covers,
+    set_of,
     triangles,
 )
 from .matching import WeightedGraph, nu
@@ -33,6 +33,7 @@ from .saturation import (
     _check_t,
     _inequalities_hold_at,
     _saturating_graphs,
+    _support_vectors,
     is_strongly_t_saturating,
 )
 
@@ -59,31 +60,33 @@ def prime_sets(reports: Iterable[AssPrimeReport]) -> set[frozenset[int]]:
 def _reports_over(
     g: SimpleGraph,
     supports: Iterable[tuple[int, object]],
-    decide: Callable[[frozenset[int], object], dict | None],
+    decide: Callable[[int, object], dict | None],
 ) -> list[AssPrimeReport]:
     """Minimal covers, then for each (closed neighbourhood N[S], x) pair the
     covers minimal over N[S], each decided once, by the first pair that
-    gives it: `decide(f, x)` returns the evidence of an embedded prime, or
-    None.  The covers are found once per distinct N[S]."""
-    reports = [AssPrimeReport(f, "minimal", {"type": "minimal-cover"}) for f in minimal_covers(g)]
-    seen = prime_sets(reports)  # every cover decided so far, accepted or not
-    over: dict[int, list[frozenset[int]]] = {}
+    gives it: `decide(f, x)`, f a cover mask, returns the evidence of an
+    embedded prime, or None.  The covers come from g's catalogue."""
+    reports = {f: ("minimal", {"type": "minimal-cover"}) for f in _covers_over(g, 0)}
+    seen = set(reports)  # every cover decided so far, accepted or not
     for closed, x in supports:
-        if closed not in over:
-            over[closed] = covers_minimal_over(g, iter_bits(closed))
-        for f in over[closed]:
+        for f in _covers_over(g, closed):
             if f not in seen:
                 seen.add(f)
                 evidence = decide(f, x)
                 if evidence is not None:
-                    reports.append(AssPrimeReport(f, "embedded", evidence))
-    return sorted(reports, key=lambda r: _set_order(r.vertices))
+                    reports[f] = ("embedded", evidence)
+    return [AssPrimeReport(set_of(f), *reports[f]) for f in sorted(reports, key=_mask_order)]
 
 
-def _core_inequalities_hold(g: SimpleGraph, f: Iterable[int], a: Sequence[int], t: int) -> bool:
-    """The witness condition at core(F): x^a is not in I^t, and the inequalities off V_a hold."""
-    h = WeightedGraph(g, a)
-    return nu(h) < t and _inequalities_hold_at(h, t, iter_bits(_core_mask(g, mask_of(f)) & ~h.mask))
+def _witness(g: SimpleGraph, t: int, core: int, vectors: Iterable[Sequence[int]]) -> dict | None:
+    """The evidence of the first of `vectors` that is a witness at the core
+    mask `core` of a cover: x^a is not in I^t, and the inequalities at the
+    core vertices off V_a hold.  None if there is none."""
+    for a in vectors:
+        h = WeightedGraph(g, a)
+        if nu(h) < t and _inequalities_hold_at(h, t, iter_bits(core & ~h.mask)):
+            return {"type": "witness", "exponents": list(a)}
+    return None
 
 
 def is_associated(g: SimpleGraph, f: Iterable[int], t: int) -> AssPrimeReport | None:
@@ -105,10 +108,8 @@ def is_associated(g: SimpleGraph, f: Iterable[int], t: int) -> AssPrimeReport | 
     core = _core_mask(g, fm)
     if not core:  # no vertex can leave F
         return AssPrimeReport(f, "minimal", {"type": "minimal-cover"})
-    for a in _saturating_graphs(g, t, core, core):
-        if _core_inequalities_hold(g, f, a, t):
-            return AssPrimeReport(f, "embedded", {"type": "witness", "exponents": list(a)})
-    return None
+    evidence = _witness(g, t, core, _saturating_graphs(g, t, core, core))
+    return None if evidence is None else AssPrimeReport(f, "embedded", evidence)
 
 
 def ass_primes(g: SimpleGraph, t: int) -> list[AssPrimeReport]:
@@ -117,17 +118,21 @@ def ass_primes(g: SimpleGraph, t: int) -> list[AssPrimeReport]:
     An embedded prime is minimal over N[S] for the support S of a
     t-saturating weighted graph, an odd-cycle set of at most 3(t-1)
     vertices.  So the candidates are the covers minimal over N[U] for those
-    odd-cycle sets U, and `is_associated` decides each once, its first
-    witness the evidence.
+    odd-cycle sets U, each decided once, its first witness the evidence, by
+    the search of `is_associated` on the supports it walks: the U in core(F),
+    as N[U] lies in F, with core(F) in N[U].  One walk grouped by N[U] serves.
     """
     _check_t(t)
+    groups: dict[int, list[int]] = {}  # N[U] -> the odd-cycle sets U under it
+    for um, nb, _ in chain.from_iterable(_odd_cycle_sets(g, g.full_mask, 3 * (t - 1))):
+        groups.setdefault(um | nb, []).append(um)
 
-    def decide(f: frozenset[int], _) -> dict | None:
-        report = is_associated(g, f, t)
-        return report and report.evidence
+    def decide(f: int, _) -> dict | None:
+        core = _core_mask(g, f)
+        sets = [u for near, us in groups.items() if not core & ~near and not near & ~f for u in us]
+        return _witness(g, t, core, _support_vectors(g, t, sorted(sets, key=_mask_order)))
 
-    sets = chain.from_iterable(_odd_cycle_sets(g, g.full_mask, 3 * (t - 1)))
-    return _reports_over(g, ((um | nb, None) for um, nb, _ in sets), decide)
+    return _reports_over(g, ((near, None) for near in groups), decide)
 
 
 def _shape_reports(g: SimpleGraph, shapes: Iterable[tuple[str, int]]) -> list[AssPrimeReport]:

@@ -86,6 +86,11 @@ class SimpleGraph:
     def sorted_edges(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self.edges))
 
+    @cached_property
+    def _cover_catalogue(self) -> dict[int, tuple[int, ...]]:
+        """The memo of `_covers_over`: vertex mask S -> the covers minimal over S."""
+        return {}
+
     def has_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self.edges
 
@@ -202,26 +207,36 @@ def _set_order(s: VertexSet) -> tuple[int, list[int]]:
     return (len(s), sorted(s))
 
 
+def _mask_order(m: int) -> int:
+    """Sort key of vertex masks in `_set_order`'s order.  Of two sets of one
+    size, the one holding the least vertex of their symmetric difference
+    comes first, so the key is the size above the bit-reversed mask, negated."""
+    return (m.bit_count() << MAX_VERTICES) - int(bin(m)[:1:-1].ljust(MAX_VERTICES, "0"), 2)
+
+
+def _covers_over(g: SimpleGraph, s: int) -> tuple[int, ...]:
+    """The covers minimal over the vertex mask s (s = 0: the minimal covers),
+    as masks in `_mask_order`, memoised on g: s with rest \\ I for the maximal
+    independent sets I of rest = V \\ s, each checked to have N(I) meet rest
+    in exactly rest \\ I."""
+    memo = g._cover_catalogue
+    if s not in memo:
+        rest = g.full_mask & ~s
+        sets = _maximal_independent_sets(g, rest)
+        if any(_nbrs(g, i) & rest != rest & ~i for i in sets):
+            raise RuntimeError("Bron-Kerbosch produced a cover that is not minimal")
+        memo[s] = tuple(sorted((s | rest & ~i for i in sets), key=_mask_order))
+    return memo[s]
+
+
 def minimal_covers(g: SimpleGraph) -> list[VertexSet]:
-    """All minimal vertex covers: the complements of the maximal independent sets,
-    each checked on its mask to cover every edge with an empty core."""
-    masks = {g.full_mask ^ m for m in _maximal_independent_sets(g, g.full_mask)}
-    if not all(_covers_edges(g, m) and not _core_mask(g, m) for m in masks):
-        raise RuntimeError("Bron-Kerbosch produced a cover that is not minimal")
-    return sorted(map(set_of, masks), key=_set_order)
+    """All minimal vertex covers, in `_set_order`."""
+    return [set_of(m) for m in _covers_over(g, 0)]
 
 
 def covers_minimal_over(g: SimpleGraph, s: Iterable[int]) -> list[VertexSet]:
-    """Covers F containing s that are minimal among covers containing s.
-
-    Every edge avoiding s lies in the induced subgraph on V \\ s, so these are
-    exactly s union a minimal cover of that subgraph: the complement in V \\ s
-    of a maximal independent set.
-    """
-    sm = _vertex_mask(g, s)
-    rest = g.full_mask & ~sm
-    masks = {sm | (rest ^ m) for m in _maximal_independent_sets(g, rest)}
-    return sorted(map(set_of, masks), key=_set_order)
+    """The covers minimal among those containing s, in `_set_order`."""
+    return [set_of(m) for m in _covers_over(g, _vertex_mask(g, s))]
 
 
 def _layers(g: SimpleGraph, region: int, start: int) -> Iterator[tuple[int, int]]:

@@ -28,6 +28,7 @@ from .graphs import (
     SimpleGraph,
     _core_mask,
     _covers_edges,
+    _mask_order,
     _nbrs,
     _odd_cycle_sets,
     _set_order,
@@ -284,9 +285,9 @@ def _saturating_graphs(
     complete: weights below t, weight sum at most 3(t-1), and every component
     of the support containing an odd cycle: the supports are the sets of
     `_odd_cycle_sets`, kept when N[S] contains `dominated` and sorted by
-    vertex tuple.  Its bound of 2t-1 on the length of those odd cycles needs
-    no filter: a longer one carries t disjoint edges, so the all-ones
-    weighting fails first and the prune the rest.
+    vertex tuple (`_mask_order`).  Its bound of 2t-1 on the length of those
+    odd cycles needs no filter: a longer one carries t disjoint edges, so the
+    all-ones weighting fails first and the prune the rest.
 
     Whether (S, w) is t-saturating depends on H = G[S] and t alone, so a
     support's weightings are kept in `matching._CACHE` under (t, |S|, the
@@ -309,27 +310,35 @@ def _saturating_graphs(
     same whichever step finds them.  The yields and their order are those
     of w.
     """
-    for size, level in enumerate(_odd_cycle_sets(g, region, 3 * (t - 1)), 3):
-        table = None  # built at the first support of this size that is computed
+    for level in _odd_cycle_sets(g, region, 3 * (t - 1)):
+        kept = (m for m, nb, _ in level if not dominated & ~(m | nb))
+        yield from _support_vectors(g, t, sorted(kept, key=_mask_order))
+
+
+def _support_vectors(g: SimpleGraph, t: int, masks: Iterable[int]) -> Iterator[ExponentVector]:
+    """The exponent vectors of the t-saturating weighted graphs on the odd-cycle
+    sets `masks` of g, in their order, each one's weights lexicographically."""
+    tables: dict[int, list] = {}  # size -> `_weight_table`, built at its first computed support
+    for mask in masks:
+        sup = tuple(iter_bits(mask))
+        size, bits = len(sup), _edge_bits(g, sup)
         memo = _CACHE.saturating.setdefault((t, size), {})
-        kept = ((tuple(iter_bits(m)), m) for m, nb, _ in level if not dominated & ~(m | nb))
-        for sup, mask in sorted(kept):
-            bits = _edge_bits(g, sup)
-            found = memo.get(bits)
-            if found is None:
-                if size >= 2 * t and (
-                    sum(_greedy_counts((1,) * size, _degree_order(size, bits))) >= t
-                ):
-                    found = ()
-                else:
-                    table = table or _weight_table(size, t)
-                    found = tuple(_support_weightings(g, mask, bits, t, table))
-                found = _CACHE.remember(memo, bits, found)
-            for w in found:
-                a = [0] * g.n
-                for v, x in zip(sup, w):
-                    a[v - 1] = x
-                yield tuple(a)
+        found = memo.get(bits)
+        if found is None:
+            if size >= 2 * t and (
+                sum(_greedy_counts((1,) * size, _degree_order(size, bits))) >= t
+            ):
+                found = ()
+            else:
+                if size not in tables:
+                    tables[size] = _weight_table(size, t)
+                found = tuple(_support_weightings(g, mask, bits, t, tables[size]))
+            found = _CACHE.remember(memo, bits, found)
+        for w in found:
+            a = [0] * g.n
+            for v, x in zip(sup, w):
+                a[v - 1] = x
+            yield tuple(a)
 
 
 def _support_weightings(g: SimpleGraph, mask: int, bits: int, t: int, table: list) -> Iterator:

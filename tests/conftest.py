@@ -8,10 +8,11 @@ from typing import Iterable
 import pytest
 
 from edgesat import matching, saturation
-from edgesat.assoc import AssPrimeReport, _core_inequalities_hold
+from edgesat.assoc import AssPrimeReport, _witness
 from edgesat.graphs import (
     SimpleGraph,
     _closed_mask,
+    _core_mask,
     _layers,
     _set_order,
     components_masked,
@@ -73,7 +74,7 @@ def ass_primes_reference(g: SimpleGraph, t: int) -> list[AssPrimeReport]:
         if near not in over:
             over[near] = covers_minimal_over(g, iter_bits(near))
         for f in over[near]:
-            if f not in seen and _core_inequalities_hold(g, f, a, t):
+            if f not in seen and _witness(g, t, _core_mask(g, mask_of(f)), [a]) is not None:
                 seen.add(f)
                 reports.append(AssPrimeReport(f, "embedded", {"type": "witness", "exponents": list(a)}))
     return sorted(reports, key=lambda r: _set_order(r.vertices))

@@ -10,12 +10,12 @@ from pathlib import Path
 
 import pytest
 
-from edgesat import assoc, matching, saturation
+from edgesat import graphs, matching, saturation
 from edgesat.assoc import (
     AssPrimeReport,
-    _core_inequalities_hold,
     _odd_cycle_supports,
     _three_shapes,
+    _witness,
     ass_infinity,
     ass_primes,
     ass_primes_2,
@@ -113,9 +113,9 @@ class TestIsAssociated:
     def test_core_condition_refuses_a_member_of_the_power(self, triangle):
         # F = V: core(F) is the whole triangle, so for a supported on all of it
         # no inequality is asked and only nu(a) < t tells the witness apart.
-        f = {1, 2, 3}
-        assert _core_inequalities_hold(triangle, f, (1, 1, 1), 2)
-        assert not _core_inequalities_hold(triangle, f, (2, 2, 2), 2)  # nu = 3: in I^2
+        core = _core_mask(triangle, mask_of({1, 2, 3}))
+        assert _witness(triangle, 2, core, [(1, 1, 1)]) == {"type": "witness", "exponents": [1, 1, 1]}
+        assert _witness(triangle, 2, core, [(2, 2, 2)]) is None  # nu = 3: in I^2
 
     def test_agrees_with_oracle_small(self):
         rng = random.Random(51)
@@ -156,10 +156,10 @@ class TestIsAssociated:
             if is_minimal_cover(g, f):
                 return AssPrimeReport(f, "minimal", {"type": "minimal-cover"})
             for a in _saturating_graphs(g, t, _core_mask(g, mask_of(f))):
-                if is_minimal_over(g, f, closed_neighborhood(g, support(a))) and _core_inequalities_hold(
-                    g, f, a, t
-                ):
-                    return AssPrimeReport(f, "embedded", {"type": "witness", "exponents": list(a)})
+                if is_minimal_over(g, f, closed_neighborhood(g, support(a))):
+                    evidence = _witness(g, t, _core_mask(g, mask_of(f)), [a])
+                    if evidence is not None:
+                        return AssPrimeReport(f, "embedded", evidence)
             return None
 
         embedded = 0
@@ -188,6 +188,17 @@ class TestAssPrimes:
     def test_tailed_triangle_t2(self, tailed_triangle):
         got = prime_sets(ass_primes(tailed_triangle, 2))
         assert got == set(minimal_covers(tailed_triangle)) | {frozenset({1, 2, 3, 4})}
+
+    def test_reports_equal_the_decision_exhaustive(self):
+        # the N[U] groups of the one walk give each candidate the witness that
+        # is_associated finds on its own walk of core(F), on every n <= 5
+        embedded = 0
+        for g in all_graphs_upto(5):
+            for t in (2, 3):
+                for r in ass_primes(g, t):
+                    assert is_associated(g, r.vertices, t) == r, (g.edges, t)
+                    embedded += r.kind == "embedded"
+        assert embedded > 0
 
     def test_t1_is_minimal_covers(self):
         for g in all_graphs_upto(4):
@@ -328,33 +339,43 @@ class TestCache:
 
 
 class TestReportWalk:
+    # The covers minimal over S come from one Bron-Kerbosch run on V \ S,
+    # memoised on the graph object; S = 0 gives the minimal covers.
     @pytest.fixture
-    def cover_calls(self, monkeypatch):
-        real, calls = assoc.covers_minimal_over, []
+    def runs(self, monkeypatch):
+        real, bases = graphs._maximal_independent_sets, []
 
-        def counted(g, s):
-            calls.append(frozenset(s))
-            return real(g, calls[-1])
+        def counted(g, region):
+            bases.append(g.full_mask & ~region)
+            return real(g, region)
 
-        monkeypatch.setattr(assoc, "covers_minimal_over", counted)
-        return calls
+        monkeypatch.setattr(graphs, "_maximal_independent_sets", counted)
+        return bases
 
     @pytest.mark.parametrize("t", [3, 4])
-    def test_covers_once_per_closed_neighbourhood_g10(self, cover_calls, t):
+    def test_covers_once_per_closed_neighbourhood_g10(self, runs, t):
         # thousands of saturating graphs on G10, but only 11 distinct N[S]
         assert len(ass_primes(SimpleGraph.from_edges(10, G10), t)) == 23
-        assert len(cover_calls) == len(set(cover_calls)) == 11
+        assert runs[0] == 0 and len(runs) == len(set(runs)) == 1 + 11
 
-    def test_closed_forms_once_per_closed_neighbourhood_g10(self, cover_calls):
-        g = SimpleGraph.from_edges(10, G10)
+    def test_closed_forms_once_per_closed_neighbourhood_g10(self, runs):
         for route, supports in (
-            (ass_primes_3, [m for _, m in _three_shapes(g, g.full_mask)]),
-            (ass_infinity, [m for m, _, _ in _odd_cycle_supports(g)]),
+            (ass_primes_3, lambda g: [m for _, m in _three_shapes(g, g.full_mask)]),
+            (ass_infinity, lambda g: [m for m, _, _ in _odd_cycle_supports(g)]),
         ):
-            cover_calls.clear()
+            g = SimpleGraph.from_edges(10, G10)
+            runs.clear()
             route(g)
-            closed = {set_of(_closed_mask(g, m)) for m in supports}
-            assert len(cover_calls) == len(set(cover_calls)) and set(cover_calls) == closed
+            closed = {_closed_mask(g, m) for m in supports(g)}
+            assert len(runs) == len(set(runs)) and set(runs) == closed | {0}
+
+    def test_one_catalogue_across_routes(self, runs):
+        # the census asks the formula and the closed form of one graph object
+        g = SimpleGraph.from_edges(10, G10)
+        assert prime_sets(ass_primes(g, 3)) == prime_sets(ass_primes_3(g))
+        closed = {_closed_mask(g, m) for m, _, _ in _odd_cycle_supports(g) if m.bit_count() <= 6}
+        closed |= {_closed_mask(g, m) for _, m in _three_shapes(g, g.full_mask)}
+        assert len(runs) == len(set(runs)) and set(runs) == closed | {0}
 
 
 def _three_shapes_reference(g: SimpleGraph) -> list[tuple[str, frozenset[int]]]:

@@ -13,6 +13,8 @@ from edgesat import graphs
 from edgesat.graphs import (
     SimpleGraph,
     _core_mask,
+    _mask_order,
+    _set_order,
     closed_neighborhood,
     components_masked,
     connected_components,
@@ -29,6 +31,7 @@ from edgesat.graphs import (
     open_neighborhood,
     parse_graph_text,
     graph_to_text,
+    set_of,
     shortest_odd_cycle_masked,
     triangles,
 )
@@ -181,10 +184,25 @@ class TestCovers:
     @pytest.mark.parametrize("independent", [0b000, 0b011])
     def test_minimal_covers_self_check_fires(self, monkeypatch, triangle, independent):
         # the complement of a non-maximal independent set keeps a vertex that
-        # could leave it; of a set that is not independent, it misses an edge
+        # could leave it; of a set that is not independent, it misses an edge.
+        # Over {3} the run is on {1, 2}, where the same sets are bad.
         monkeypatch.setattr(graphs, "_maximal_independent_sets", lambda g, region: [0b001, independent])
-        with pytest.raises(RuntimeError, match="Bron-Kerbosch produced a cover that is not minimal"):
-            minimal_covers(triangle)
+        for route in (minimal_covers, lambda g: covers_minimal_over(g, {3})):
+            with pytest.raises(RuntimeError, match="Bron-Kerbosch produced a cover that is not minimal"):
+                route(triangle)
+        monkeypatch.setattr(graphs, "_maximal_independent_sets", lambda g, region: [0b001])
+        assert covers_minimal_over(triangle, {3}) == minimal_covers(triangle) == [{2, 3}]
+
+    @pytest.mark.parametrize("source", ["n<=10", "64-bit"])
+    def test_mask_order_is_the_set_order(self, source):
+        if source == "n<=10":
+            masks = list(range(1 << 10))
+        else:  # with vertex 64 flipped, and the extremes
+            rng = random.Random(64)
+            masks = [rng.getrandbits(64) for _ in range(5000)]
+            masks += [m ^ 1 << 63 for m in masks] + [(1 << 64) - 1, 1 << 63, 1, 0]
+        want = sorted(masks, key=lambda m: _set_order(set_of(m)))
+        assert sorted(masks, key=_mask_order) == want
 
     def test_minimal_covers_pentagon(self, pentagon):
         got = minimal_covers(pentagon)

@@ -64,6 +64,16 @@ def test_deciding_each_candidate_lists_what_enumeration_reads(cold_cache, g, t):
     assert [(r.vertices, r.kind) for r in ass_primes(g, t)] == want, sorted(g.edges)
 
 
+@LAWS
+@given(g=graphs(), t=st.sampled_from([2, 3, 4]))
+def test_every_report_is_what_is_associated_decides(cold_cache, g, t):
+    # ass_primes decides each candidate F from its one walk's odd-cycle sets
+    # U, grouped by N[U]; is_associated walks core(F) afresh.  Both give the
+    # same kind and the same first witness
+    for r in ass_primes(g, t):
+        assert is_associated(g, r.vertices, t) == r, (sorted(g.edges), t)
+
+
 @settings(LAWS, max_examples=400)
 @given(g=graphs())
 def test_associated_primes_persist(cold_cache, g):
