@@ -10,7 +10,7 @@ core vertices outside that support.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, combinations
+from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
 from .graphs import (
@@ -21,7 +21,7 @@ from .graphs import (
     _covers_over,
     _mask_order,
     _nbrs,
-    _odd_cycle_sets,
+    _odd_cycle_catalogue,
     _vertex_mask,
     iter_bits,
     mask_of,
@@ -120,19 +120,18 @@ def ass_primes(g: SimpleGraph, t: int) -> list[AssPrimeReport]:
     vertices.  So the candidates are the covers minimal over N[U] for those
     odd-cycle sets U, each decided once, its first witness the evidence, by
     the search of `is_associated` on the supports it walks: the U in core(F),
-    as N[U] lies in F, with core(F) in N[U].  One walk grouped by N[U] serves.
+    as N[U] lies in F, with core(F) in N[U].  g's odd-cycle catalogue gives
+    the distinct N[U] and, filtered in its order, each candidate's supports.
     """
     _check_t(t)
-    groups: dict[int, list[int]] = {}  # N[U] -> the odd-cycle sets U under it
-    for um, nb, _ in chain.from_iterable(_odd_cycle_sets(g, g.full_mask, 3 * (t - 1))):
-        groups.setdefault(um | nb, []).append(um)
+    closed = [(um, um | nb) for um, nb, _ in _odd_cycle_catalogue(g, g.full_mask, 3 * (t - 1))]
 
     def decide(f: int, _) -> dict | None:
         core = _core_mask(g, f)
-        sets = [u for near, us in groups.items() if not core & ~near and not near & ~f for u in us]
-        return _witness(g, t, core, _support_vectors(g, t, sorted(sets, key=_mask_order)))
+        sets = (um for um, near in closed if not core & ~near and not near & ~f)
+        return _witness(g, t, core, _support_vectors(g, t, sets))
 
-    return _reports_over(g, ((near, None) for near in groups), decide)
+    return _reports_over(g, ((near, None) for near in {near for _, near in closed}), decide)
 
 
 def _shape_reports(g: SimpleGraph, shapes: Iterable[tuple[str, int]]) -> list[AssPrimeReport]:
@@ -237,8 +236,8 @@ def classify_3_saturating(h: WeightedGraph) -> str | None:
 
 
 def _odd_cycle_supports(g: SimpleGraph) -> list[tuple[int, int, tuple[int, ...]]]:
-    """The odd-cycle sets U of g, as (U, N(U), components), in increasing order."""
-    return sorted(chain.from_iterable(_odd_cycle_sets(g, g.full_mask, g.n)))
+    """g's uncapped odd-cycle catalogue (U, N(U), components), sorted by U."""
+    return sorted(_odd_cycle_catalogue(g, g.full_mask, g.n))
 
 
 def ass_infinity(g: SimpleGraph) -> list[AssPrimeReport]:
@@ -263,8 +262,8 @@ def s_gamma(g: SimpleGraph) -> int:
     for bipartite graphs.
 
     The support of such a weighting is factor-critical, so connected with an
-    odd cycle: an odd-cycle set.  The walk yields a set after its subsets, so
-    one pass keeps the level of each connected set C: (|C|+1)/2 when the unit
+    odd cycle: an odd-cycle set.  The catalogue lists a set after its subsets,
+    so one pass keeps the level of each connected set C: (|C|+1)/2 when the unit
     weighting on C is strongly saturating there, which no smaller set
     reaches, else the best level of a connected C - v.  That is the best over
     each connected odd-cycle W inside C: W grows to C one neighbour at a time
@@ -272,7 +271,7 @@ def s_gamma(g: SimpleGraph) -> int:
     """
     level: dict[int, int] = {}  # connected odd-cycle set -> its s_i
     best = 1
-    for um, _, comps in _odd_cycle_supports(g):
+    for um, _, comps in _odd_cycle_catalogue(g, g.full_mask, g.n):
         k = um.bit_count()
         if len(comps) == 1:
             s = (k + 1) // 2

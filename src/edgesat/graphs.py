@@ -11,6 +11,7 @@ from functools import cached_property
 from typing import Iterable, Iterator
 
 MAX_VERTICES = 64
+_REVERSED_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 VertexSet = frozenset[int]
 
@@ -89,6 +90,11 @@ class SimpleGraph:
     @cached_property
     def _cover_catalogue(self) -> dict[int, tuple[int, ...]]:
         """The memo of `_covers_over`: vertex mask S -> the covers minimal over S."""
+        return {}
+
+    @cached_property
+    def _odd_cycle_memo(self) -> dict[tuple[int, int], tuple[tuple, ...]]:
+        """The memo of `_odd_cycle_catalogue`: (region, size cap) -> its sets."""
         return {}
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -210,8 +216,10 @@ def _set_order(s: VertexSet) -> tuple[int, list[int]]:
 def _mask_order(m: int) -> int:
     """Sort key of vertex masks in `_set_order`'s order.  Of two sets of one
     size, the one holding the least vertex of their symmetric difference
-    comes first, so the key is the size above the bit-reversed mask, negated."""
-    return (m.bit_count() << MAX_VERTICES) - int(bin(m)[:1:-1].ljust(MAX_VERTICES, "0"), 2)
+    comes first, so the key is the size above the bit-reversed mask (reversed
+    a byte at a time, through a table), negated."""
+    rev = int.from_bytes(m.to_bytes(8, "little").translate(_REVERSED_BYTES), "big")
+    return (m.bit_count() << MAX_VERTICES) - rev
 
 
 def _covers_over(g: SimpleGraph, s: int) -> tuple[int, ...]:
@@ -283,6 +291,7 @@ def _odd_cycle_sets(g: SimpleGraph, region: int, top: int) -> Iterator[list[tupl
     """The vertex sets U of `region`, with at most `top` vertices, whose
     induced components each contain an odd cycle: one list for each size
     from 3 up, unordered, of (U, N(U), the components of U by least vertex).
+    The engines read it through `_odd_cycle_catalogue`, memoised per graph.
 
     A shortest odd cycle of a connected U is chordless, and a vertex of U
     farthest from it can leave U with U still connected and odd.  So the
@@ -327,6 +336,16 @@ def _odd_cycle_sets(g: SimpleGraph, region: int, top: int) -> Iterator[list[tupl
                 for r, rn, comps in sets:
                     later.setdefault(k + r.bit_count(), []).append((m | r, nb | rn, (m, *comps)))
         yield [(m, nb, (m,)) for m, nb in level.items()] + later.pop(k, [])
+
+
+def _odd_cycle_catalogue(g: SimpleGraph, region: int, top: int) -> tuple[tuple, ...]:
+    """The (U, N(U), components) of one `_odd_cycle_sets` run, sorted once by
+    `_mask_order` of U, memoised on g under region and min(top, |region|)."""
+    key = (region, min(top, region.bit_count()))
+    if key not in g._odd_cycle_memo:
+        sets = (entry for level in _odd_cycle_sets(g, *key) for entry in level)
+        g._odd_cycle_memo[key] = tuple(sorted(sets, key=lambda entry: _mask_order(entry[0])))
+    return g._odd_cycle_memo[key]
 
 
 def shortest_odd_cycle_masked(g: SimpleGraph, region: int) -> int | None:

@@ -28,9 +28,8 @@ from .graphs import (
     SimpleGraph,
     _core_mask,
     _covers_edges,
-    _mask_order,
     _nbrs,
-    _odd_cycle_sets,
+    _odd_cycle_catalogue,
     _set_order,
     _vertex_mask,
     components_masked,
@@ -283,11 +282,11 @@ def _saturating_graphs(
     Supports come by size, then in lexicographic order, and the weights on
     each support in lexicographic order.  The paper's bounds make the search
     complete: weights below t, weight sum at most 3(t-1), and every component
-    of the support containing an odd cycle: the supports are the sets of
-    `_odd_cycle_sets`, kept when N[S] contains `dominated` and sorted by
-    vertex tuple (`_mask_order`).  Its bound of 2t-1 on the length of those
-    odd cycles needs no filter: a longer one carries t disjoint edges, so the
-    all-ones weighting fails first and the prune the rest.
+    of the support containing an odd cycle: the supports are the sets of g's
+    `_odd_cycle_catalogue` of `region` (walked whole before the first yield),
+    in its order, kept when N[S] contains `dominated`.  Its bound of 2t-1 on
+    the length of those odd cycles needs no filter: a longer one carries t
+    disjoint edges, so the all-ones weighting fails first and the prune the rest.
 
     Whether (S, w) is t-saturating depends on H = G[S] and t alone, so a
     support's weightings are kept in `matching._CACHE` under (t, |S|, the
@@ -304,15 +303,13 @@ def _saturating_graphs(
        their ends, fails w if it reaches size t;
     3. the inequalities, which mostly answer from the `nu` cache;
     4. nu(w) < t by a blossom run, skipped when w sums to less than 2t.
-    Saturating is the AND of the inequalities and nu(w) < t.  A w with
-    nu >= t satisfies every inequality, so the greedy fails only weightings
-    that step 4 would fail, and the failures that the prune reads are the
-    same whichever step finds them.  The yields and their order are those
-    of w.
+    Saturating is the AND of the inequalities and nu(w) < t.  A w with nu >= t
+    satisfies every inequality, so the greedy fails only weightings that step 4
+    would fail, and the failures that the prune reads are the same whichever
+    step finds them.  The yields and their order are those of w.
     """
-    for level in _odd_cycle_sets(g, region, 3 * (t - 1)):
-        kept = (m for m, nb, _ in level if not dominated & ~(m | nb))
-        yield from _support_vectors(g, t, sorted(kept, key=_mask_order))
+    catalogue = _odd_cycle_catalogue(g, region, 3 * (t - 1))
+    yield from _support_vectors(g, t, (m for m, nb, _ in catalogue if not dominated & ~(m | nb)))
 
 
 def _support_vectors(g: SimpleGraph, t: int, masks: Iterable[int]) -> Iterator[ExponentVector]:

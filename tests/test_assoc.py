@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from edgesat import graphs, matching, saturation
+from edgesat import assoc, graphs, matching, saturation
 from edgesat.assoc import (
     AssPrimeReport,
     _odd_cycle_supports,
@@ -190,7 +190,7 @@ class TestAssPrimes:
         assert got == set(minimal_covers(tailed_triangle)) | {frozenset({1, 2, 3, 4})}
 
     def test_reports_equal_the_decision_exhaustive(self):
-        # the N[U] groups of the one walk give each candidate the witness that
+        # the catalogue filtered by N[U] gives each candidate the witness that
         # is_associated finds on its own walk of core(F), on every n <= 5
         embedded = 0
         for g in all_graphs_upto(5):
@@ -376,6 +376,47 @@ class TestReportWalk:
         closed = {_closed_mask(g, m) for m, _, _ in _odd_cycle_supports(g) if m.bit_count() <= 6}
         closed |= {_closed_mask(g, m) for _, m in _three_shapes(g, g.full_mask)}
         assert len(runs) == len(set(runs)) and set(runs) == closed | {0}
+
+
+class TestOddCycleCatalogue:
+    # The odd-cycle sets of a region come from one walk, sorted once and
+    # memoised on the graph object under (region, min(top, |region|)).
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        real, caps = graphs._odd_cycle_sets, []
+
+        def counted(g, region, top):
+            if region == g.full_mask:  # the walk's own recursion runs on smaller regions
+                caps.append(top)
+            return real(g, region, top)
+
+        for module in (graphs, saturation, assoc):  # and wherever it is imported by name
+            if hasattr(module, "_odd_cycle_sets"):
+                monkeypatch.setattr(module, "_odd_cycle_sets", counted)
+        return caps
+
+    def test_one_walk_across_routes(self, walks):
+        # the `ass` benchmark op asks ass_primes and is_associated(g, V, t)
+        g = SimpleGraph.from_edges(10, G10)
+        assert len(ass_primes(g, 3)) == 23
+        assert is_associated(g, range(1, 11), 3).kind == "embedded"
+        assert saturating_vectors(g, 3)
+        assert walks == [6]
+        ass_primes(SimpleGraph.from_edges(10, G10), 3)
+        assert walks == [6, 6]
+
+    def test_memo_key_is_exact(self):
+        # a catalogue read under another region or another cap changes some
+        # decision or witness, so a graph object that has answered ass_primes
+        # at t = 2 and 3 must decide every cover as a fresh object does
+        for g in all_graphs_upto(5):
+            shared = SimpleGraph(g.n, g.edges)
+            covers = [s for s in map(set_of, range(1 << g.n)) if is_cover(g, s)]
+            for t in (2, 3):
+                ass_primes(shared, t)
+                for f in covers:
+                    want = is_associated(SimpleGraph(g.n, g.edges), f, t)
+                    assert is_associated(shared, f, t) == want, (g.edges, t, sorted(f))
 
 
 def _three_shapes_reference(g: SimpleGraph) -> list[tuple[str, frozenset[int]]]:
