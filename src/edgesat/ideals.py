@@ -15,7 +15,7 @@ from functools import reduce
 from itertools import accumulate, product
 from math import prod
 from operator import and_, index, mul
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .graphs import SimpleGraph, _set_order
 
 
 _BLOCK = 2048  # rows per side of one divisibility test: at most _BLOCK**2 * n booleans
-_MAX_CELLS = 1 << 29  # the largest table: about 1 GB at 1.6 bytes a cell; G10 up to t = 6
+_MAX_CELLS = 1 << 29  # the largest table: about 1 GB at 1.6 bytes a cell, n/8 more for axis masks
 
 
 def _blocks(shape: tuple[int, ...]) -> np.ndarray:
@@ -192,19 +192,20 @@ def colon_monomial(j: MonomialIdeal, w: Sequence[int]) -> MonomialIdeal:
     return MonomialIdeal(j.n, _minimal_rows(np.clip(j.gens - w, 0, None)))
 
 
-def _axes(shape: tuple[int, ...]) -> Iterator[tuple[int, int, int, int]]:
-    """(stride, length, top, below) of each axis of a non-empty C-order box:
-    the masks of the cells at the top of the axis and of the rest, built as the
-    axis comes up, and non-negative (an AND with a negative int is slower)."""
-    size = block = prod(shape)
-    full = (1 << size) - 1
-    for d in shape:
+def _axes(shape: tuple[int, ...]) -> list[tuple[int, int, int]]:
+    """(stride, length, below) of each axis of a C-order box within _box_size (checked
+    first; none for an empty box): below masks the cells off the top of the axis, and is
+    non-negative (an AND with a negative int is slower); x ^ x & below is x's top slice."""
+    size = block = _box_size(shape)
+    full, axes = (1 << size) - 1, []
+    for d in shape if size else ():
         stride = block // d
         top = ((1 << stride) - 1) << (block - stride)  # in the first block
         while (k := top.bit_length()) < size:  # doubled; a shift by whole blocks
             top |= top << min(k, size - k)  # may overlap, never overshoot
-        yield stride, d, top, full ^ top
+        axes.append((stride, d, full ^ top))
         block = stride
+    return axes
 
 
 def _box_size(shape: Sequence[int]) -> int:
@@ -214,17 +215,15 @@ def _box_size(shape: Sequence[int]) -> int:
     return size
 
 
-def _table(j: MonomialIdeal, shape: tuple[int, ...]) -> int:
-    """Membership table of j over a box within _box_size as one int: the
+def _table(j: MonomialIdeal, shape: tuple[int, ...], axes: list) -> int:
+    """Membership table of j over a box with these `_axes` as one int: the
     generators' cells seeded through a byte buffer, then closed upward by
     shifts along each axis that mask off its top cells (they would wrap)."""
-    if not (size := _box_size(shape)):
-        return 0
     cells, _ = _codes(j.gens[(j.gens < shape).all(axis=1)], shape)
-    seed = np.zeros(-(-size // 8), dtype=np.uint8)
+    seed = np.zeros(-(-prod(shape) // 8), dtype=np.uint8)
     np.bitwise_or.at(seed, cells >> 3, np.left_shift(1, cells & 7).astype(np.uint8))
     x = int.from_bytes(seed, "little")
-    for stride, d, _, below in _axes(shape):
+    for stride, d, below in axes:
         for _ in range(d - 1):
             x |= (x & below) << stride
     return x
@@ -241,23 +240,24 @@ def _cells(x: int) -> np.ndarray:
 def membership_box(j: MonomialIdeal, shape: tuple[int, ...]) -> np.ndarray:
     """Membership table of j over a box of the given shape, as booleans."""
     shape = tuple(map(int, _exponent_rows(j.n, [shape])[0]))
-    x, size = _table(j, shape), prod(shape)
+    x, size = _table(j, shape, _axes(shape)), prod(shape)
     raw = np.frombuffer(x.to_bytes(-(-size // 8), "little"), dtype=np.uint8)
     return np.unpackbits(raw, count=size, bitorder="little").view(bool).reshape(shape)
 
 
-def _lcm_box(j: MonomialIdeal, what: str) -> tuple[tuple[int, ...], int]:
-    """The generators' lcm box and j's table; its top slices are absorbing (clamp to them)."""
+def _lcm_box(j: MonomialIdeal, what: str) -> tuple[tuple[int, ...], int, list]:
+    """The generators' lcm box, j's table and its `_axes` for every pass; the top slices absorb."""
     if j.n < 1:
         raise ValueError(f"{what} needs at least one variable")
     shape = tuple(int(r) + 1 for r in j.gens.max(axis=0, initial=0))
-    return shape, _table(j, shape)
+    axes = _axes(shape)
+    return shape, _table(j, shape, axes), axes
 
 
-def _gens_from_upset(n: int, x: int, shape: tuple[int, ...]) -> MonomialIdeal:
+def _gens_from_upset(n: int, x: int, shape: tuple[int, ...], axes: list) -> MonomialIdeal:
     """Minimal members w of an upward-closed table: w - e_i is outside for each w_i > 0."""
     above = 0  # the cells w with some w - e_i in the table
-    for stride, _, _, below in _axes(shape):
+    for stride, _, below in axes:
         above |= (x & below) << stride
     return MonomialIdeal(n, _rows(_cells(x ^ x & above), _blocks(shape)))
 
@@ -265,22 +265,22 @@ def _gens_from_upset(n: int, x: int, shape: tuple[int, ...]) -> MonomialIdeal:
 def colon_maximal(j: MonomialIdeal) -> MonomialIdeal:
     """j : m, the AND over i of the tables of j : x_i: w + e_i in j, read at w on
     the absorbing top slice of axis i, and implied by w in j below it."""
-    shape, x = _lcm_box(j, "colon_maximal")
-    parts = ((x >> stride) & below | x for stride, _, _, below in _axes(shape))
-    return _gens_from_upset(j.n, reduce(and_, parts), shape)
+    shape, x, axes = _lcm_box(j, "colon_maximal")
+    parts = ((x >> stride) & below | x for stride, _, below in axes)
+    return _gens_from_upset(j.n, reduce(and_, parts), shape, axes)
 
 
 def saturate(j: MonomialIdeal) -> MonomialIdeal:
     """sat(j), the intersection of the j : x_i^inf: w is in j : x_i^inf when w raised to the
     top of axis i is in j (it is absorbing), so its table ANDs j's top slices spread down."""
-    shape, x = _lcm_box(j, "saturate")
+    shape, x, axes = _lcm_box(j, "saturate")
     sat = -1
-    for stride, d, top, _ in _axes(shape):
-        spread = x & top
+    for stride, d, below in axes:
+        spread = x ^ x & below
         for _ in range(d - 1):
             spread |= spread >> stride
         sat &= spread
-    return _gens_from_upset(j.n, sat, shape)
+    return _gens_from_upset(j.n, sat, shape, axes)
 
 
 def ass_primes_oracle(j: MonomialIdeal) -> list[frozenset[int]]:
@@ -288,10 +288,11 @@ def ass_primes_oracle(j: MonomialIdeal) -> list[frozenset[int]]:
     associated exactly when a cell c outside j, at the top of every axis outside
     F, has c + e_i in j for each i in F.  If j : x^w = P_F, raising w to the top
     outside F gives such a c; for such a c, j : x^c = P_F (the top is absorbing)."""
-    shape, x = _lcm_box(j, "ass_primes_oracle")
+    shape, x, axes = _lcm_box(j, "ass_primes_oracle")
     if j.is_zero:
         raise ValueError("associated primes of the zero ideal are not swept")
-    up = reduce(and_, (x >> stride | top for stride, _, top, _ in _axes(shape)))
+    full = (1 << prod(shape)) - 1  # full ^ below: the top of an axis
+    up = reduce(and_, (x >> stride | full ^ below for stride, _, below in axes))
     blocks, axes = _blocks(shape), [i for i, d in enumerate(shape) if d > 1]  # at most 29
     off = _cells(up ^ up & x)[:, None] % blocks[axes] < blocks[axes] - blocks[1:][axes]
     codes = set((off @ (1 << np.arange(len(axes)))).tolist())  # bit b: off the top of axes[b]

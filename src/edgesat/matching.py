@@ -297,9 +297,10 @@ class _Cache:
     support's t-saturating weightings by its relabelled edge bits (see
     `saturation._saturating_graphs`); and `supports`, what the membership
     questions read per support mask, one entry per mask, built for the graph
-    it names (see `saturation._in_power`).  Only `clear` empties a store: an
-    insert into a full cache clears it first, in place, so a caller's
-    reference to a store stays good."""
+    it names: the unit-weight graph, its edges in `_degree_order`, the drop
+    plans and the slot of the last answer (see `saturation._in_power`).
+    Only `clear` empties a store: an insert into a full cache clears it
+    first, in place, so a caller's reference to a store stays good."""
 
     def __init__(self) -> None:
         self.nu: dict[tuple[tuple[int, ...], int], int] = {}

@@ -8,14 +8,16 @@ of the ambient graph.  Every check of them goes through one kernel: the plan
 of each inequality (an `itemgetter` of the support indices outside N and the
 edge bits of H - N) is made once per support, and each weight tuple meets the
 `nu` cache by key.  The membership questions keep, per support mask, its
-unit-weight graph, that graph's nu and the plans in `matching._CACHE`, so a
+unit-weight graph (for the vertices, mask and edge bits), the edges in
+`_degree_order`, the plans and the last answer in `matching._CACHE`, so a
 question builds a weighted graph only for a mask with no entry or with one
-built for another graph.  The search for saturating graphs settles each
-weighting by its cheapest exact test first: the prune (some w - e_p already
-failed), then a greedy b-matching that reaches t, then the inequalities, and
-only then a blossom run for nu(w) < t.  The supports are odd-cycle sets, and
-a support's weightings are cached by its relabelled edge bits, so supports
-that induce the same labelled graph share one entry.
+built for another graph.  A question is settled by nu <= w/2 and by a
+greedy b-matching before it runs a blossom.  The search for saturating
+graphs settles each weighting by its cheapest exact test first: the prune
+(some w - e_p already failed), then a greedy b-matching that reaches t, then
+the inequalities, and only then a blossom run for nu(w) < t.  The supports
+are odd-cycle sets, and a support's weightings are cached by its relabelled
+edge bits, so supports that induce the same labelled graph share one entry.
 """
 
 from __future__ import annotations
@@ -66,16 +68,21 @@ def _check_t(t: int) -> None:
         raise ValueError("power exponent t must be at least 1")
 
 
-def _in_power(g: SimpleGraph, a: Sequence[int], t: int) -> tuple[bool, tuple[int, ...], list]:
-    """Whether x^a lies in I^t, with the support's weights capped at t and its
-    entry in the support store: the unit-weight graph H on the support, nu(H),
-    and the drop plans, None until a saturation question first needs them.
-    The store keeps one entry per support mask; an entry built for another
-    graph object is replaced by one for g.
+def _in_power(g: SimpleGraph, a: Sequence[int], t: int) -> tuple[tuple, list]:
+    """Whether x^a lies in I^t, as the slot (t, w, in_power, in_sat) of the
+    support's entry in the support store, w being the support's weights
+    capped at t and in_sat None until a saturation question asks it; with
+    the entry.  An entry is [the unit-weight graph H on the support, the
+    `_degree_order` of its edges, the drop plans (None until a saturation
+    question first needs them), the slot of the last question].  The store
+    keeps one entry per support mask; an entry built for another graph
+    object is replaced by one for g.
 
     The cap decides membership in I^t and sat(I^t) alike: a size-t matching
     uses no vertex more than t times, and a weight of t or more on N gives
-    w(N) >= t.  Each capped weight is at least 1, so nu(H) >= t answers at once.
+    w(N) >= t.  The cheapest exact test answers first: nu(w) is at most half
+    the weight sum, and at least the size of a greedy b-matching; only then
+    is nu(H) >= t asked (each capped weight is at least 1), then nu(w) >= t.
     """
     _check_t(t)
     mask, w = 0, []
@@ -87,14 +94,21 @@ def _in_power(g: SimpleGraph, a: Sequence[int], t: int) -> tuple[bool, tuple[int
     entry = _CACHE.supports.get(mask)
     if entry is None or entry[0].graph is not g:
         h = WeightedGraph(g, [mask >> i & 1 for i in range(g.n)])
-        entry = _CACHE.remember(_CACHE.supports, mask, [h, nu(h), None])
-    h, unit_nu, _ = entry
-    return unit_nu >= t or _nu_of_key((w, h.cache_key[1])) >= t, w, entry
+        order = _degree_order(len(w), h.cache_key[1])
+        entry = _CACHE.remember(_CACHE.supports, mask, [h, order, None, None])
+    slot = entry[3]  # read once: another thread may replace it
+    if slot is None or slot[0] != t or slot[1] != w:
+        h, order = entry[0], entry[1]
+        in_pow = sum(w) >= 2 * t and (
+            sum(_greedy_counts(w, order)) >= t or nu(h) >= t or _nu_of_key((w, h.cache_key[1])) >= t
+        )
+        slot = entry[3] = (t, w, in_pow, in_pow or None)
+    return slot, entry
 
 
 def in_power(g: SimpleGraph, a: Sequence[int], t: int) -> bool:
     """x^a lies in I^t exactly when nu of its weighted graph is at least t."""
-    return _in_power(g, a, t)[0]
+    return _in_power(g, a, t)[0][2]
 
 
 def _drop_plans(
@@ -138,15 +152,17 @@ def _inequalities_hold_at(h: WeightedGraph, t: int, vertices: Iterable[int]) -> 
 def _membership(g: SimpleGraph, a: Sequence[int], t: int) -> tuple[bool, bool]:
     """Whether x^a lies in I^t and in sat(I^t): the latter is the inequality at
     every vertex of g, which members of I^t satisfy automatically.  Vertices
-    with the same neighbours in the support share one plan."""
-    in_pow, w, entry = _in_power(g, a, t)
-    if in_pow:
-        return True, True
-    h, _, plans = entry
-    if plans is None:  # an empty N, if any, comes first: it asks nu(w) >= t, just failed
-        drops = sorted({b & h.mask for b in g.adj_bits})
-        plans = entry[2] = list(_drop_plans(g, h.vertices, drops))
-    return False, _inequalities_hold(w, t, plans)
+    with the same neighbours in the support share one plan, and the answer
+    is kept in the entry's slot, so a question asked again on the same
+    capped weights runs no inequality."""
+    slot, entry = _in_power(g, a, t)
+    if slot[3] is None:
+        h, _, plans, _ = entry
+        if plans is None:  # an empty N, if any, comes first: it asks nu(w) >= t, just refused
+            drops = sorted({b & h.mask for b in g.adj_bits})
+            plans = entry[2] = list(_drop_plans(g, h.vertices, drops))
+        slot = entry[3] = (*slot[:3], _inequalities_hold(slot[1], t, plans))
+    return slot[2], slot[3]
 
 
 def in_saturation(g: SimpleGraph, a: Sequence[int], t: int) -> bool:

@@ -609,6 +609,22 @@ class TestKernels:
             if not j.is_zero:
                 assert ass_primes_oracle(j) == _prime_colons(j), j
 
+    def test_each_query_builds_the_axis_masks_once(self, monkeypatch):
+        # the table, the spread or colon, and the minimal cells all read one
+        # list of masks, built after _box_size accepts the box
+        real, shapes = ideals._axes, []
+
+        def counted(shape):
+            shapes.append(shape)
+            return real(shape)
+
+        monkeypatch.setattr(ideals, "_axes", counted)
+        j = power(edge_ideal(graph(7, *[(i, i % 7 + 1) for i in range(1, 8)], (1, 4))), 3)
+        for query in (saturate, colon_maximal, ass_primes_oracle):
+            shapes.clear()
+            query(j)
+            assert shapes == [(4,) * 7], query.__name__
+
     def test_table_past_a_million_cells(self):
         # j with x_i -> x_i^11 spans a 34^4 box (1,336,336 cells); the box of
         # 35 x 31 x 33 x 31 cells (1,109,955) is not a whole number of bytes

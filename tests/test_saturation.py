@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 import sys
 import threading
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -310,6 +310,102 @@ class TestSupportStore:
         cold_cache.clear()
         assert cold_cache.supports == {} and cold_cache.entries == 0
         assert in_saturation(triangle, (1, 1, 1), 2) and len(cold_cache.supports) == 1
+
+
+def _graphs_up_to_relabelling(n: int) -> list[SimpleGraph]:
+    """One labelled graph on n vertices for each graph up to relabelling."""
+    seen, kept = set(), []
+    perms = list(permutations(range(n)))
+    for g in all_graphs(n):
+        relabelled = (sorted(tuple(sorted((p[u - 1], p[v - 1]))) for u, v in g.edges) for p in perms)
+        key = tuple(min(relabelled))
+        if key not in seen:
+            seen.add(key)
+            kept.append(g)
+    return kept
+
+
+class TestMembershipBounds:
+    """A membership question answers by nu <= w/2 or by a greedy b-matching
+    before any blossom run, and keeps its answer in the entry's slot."""
+
+    def test_blossom_runs_on_the_benchmark_vectors(self, monkeypatch, cold_cache):
+        # the `membership` benchmark's two kinds of vector on random 7-vertex
+        # graphs: 186 blossom runs from an empty cache (763 when every new
+        # support ran one for its unit-weight nu and no bound came first)
+        real, runs = matching._max_matching_simple, []
+
+        def counted(n, adj):
+            runs.append(n)
+            return real(n, adj)
+
+        monkeypatch.setattr(matching, "_max_matching_simple", counted)
+        rng = random.Random(34)
+        for t in (2, 3, 4):
+            for g in random_graphs(7, 20, 340 + t):
+                vectors = [[rng.randrange(t) for _ in range(7)] for _ in range(8)]
+                vectors += [[rng.randrange(65) for _ in range(7)] for _ in range(8)]
+                for a in vectors:
+                    for predicate in PREDICATES:
+                        predicate(g, a, t)
+        assert 0 < len(runs) <= 186
+
+    def test_questions_a_bound_settles_run_no_blossom(self, monkeypatch, cold_cache, triangle):
+        def unreachable(n, adj):
+            raise AssertionError("a blossom ran")
+
+        monkeypatch.setattr(matching, "_max_matching_simple", unreachable)
+        # the greedy takes 400 copies of the edge 1-2: no 1,199-clone blow-up
+        assert [p(triangle, (400, 400, 399), 400) for p in PREDICATES] == [True, True, False]
+        # a capped weight sum below 2t leaves nu below t
+        rng = random.Random(35)
+        asked = 0
+        for g in random_graphs(7, 30, 35):
+            for t in (2, 3, 4):
+                large = [rng.randrange(65) for _ in range(7)]
+                for i in rng.sample(range(7), 5):
+                    large[i] = 0
+                for a in (large, [rng.randrange(2) for _ in range(7)]):
+                    if sum(min(x, t) for x in a) < 2 * t:
+                        assert not in_power(g, a, t)
+                        asked += 1
+        assert asked >= 60
+
+    @pytest.mark.parametrize("t", [2, 3])
+    def test_the_bounds_are_exact(self, t):
+        # every graph with n <= 5 up to relabelling and every a in {0..t+1}^n,
+        # against nu_bruteforce on the capped weighted graph and the
+        # saturation inequality at every vertex
+        for g in [g for n in range(1, 6) for g in _graphs_up_to_relabelling(n)]:
+            want: dict[tuple[int, ...], list[bool]] = {}
+            for a in product(range(t + 2), repeat=g.n):
+                capped = tuple(min(x, t) for x in a)
+                if capped not in want:
+                    h = WeightedGraph(g, capped)
+                    in_pow = nu_bruteforce(h, cutoff=t * g.n) >= t
+                    in_sat = in_pow or all(
+                        nu_bruteforce(minus(h, g.adj[i]), cutoff=t * g.n)
+                        >= t - sum(capped[j - 1] for j in g.adj[i])
+                        for i in g.vertices
+                    )
+                    want[capped] = [in_pow, in_sat, in_sat and not in_pow]
+                assert [p(g, a, t) for p in PREDICATES] == want[capped], (sorted(g.edges), a)
+
+    def test_the_slot_keeps_one_answer(self, monkeypatch, cold_cache, pentagon):
+        # the three predicates on one vector run the inequalities once, and
+        # so does asking them again; the slot keeps the last question only
+        calls = []
+        real = saturation._inequalities_hold
+        monkeypatch.setattr(
+            saturation, "_inequalities_hold", lambda *args: calls.append(args[1]) or real(*args)
+        )
+        for _ in range(2):
+            assert [p(pentagon, (1, 1, 1, 1, 1), 3) for p in PREDICATES] == [False, True, True]
+        assert calls == [3]
+        assert in_saturation(pentagon, (1, 1, 1, 1, 1), 2)  # in I^2: no inequality
+        assert not in_saturation(pentagon, (1, 1, 1, 1, 2), 4)
+        assert in_sat_minus_power(pentagon, (1, 1, 1, 1, 1), 3)
+        assert calls == [3, 4, 3] and len(cold_cache.supports) == 1
 
 
 class TestLargeExponents:
