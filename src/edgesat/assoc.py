@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Callable, Iterable, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .graphs import (
     SimpleGraph,
@@ -37,19 +38,28 @@ from .saturation import (
     is_strongly_t_saturating,
 )
 
-@dataclass
-class AssPrimeReport:
-    """One associated prime P_F with a re-verifiable certificate."""
+# The evidence of every minimal cover: one read-only object, shared.
+_MINIMAL = MappingProxyType({"type": "minimal-cover"})
 
-    vertices: frozenset[int]
+
+@dataclass(slots=True)
+class AssPrimeReport:
+    """One associated prime P_F with a re-verifiable certificate; the cover F
+    is held as its vertex mask (bit k-1 <-> vertex k)."""
+
+    mask: int
     kind: str  # "minimal" | "embedded"
-    evidence: dict = field(default_factory=dict)
+    evidence: Mapping = field(default_factory=dict)
+
+    @property
+    def vertices(self) -> frozenset[int]:
+        return set_of(self.mask)
 
     def to_dict(self) -> dict:
         return {
-            "vertices": sorted(self.vertices),
+            "vertices": list(iter_bits(self.mask)),
             "kind": self.kind,
-            "evidence": self.evidence,
+            "evidence": dict(self.evidence),
         }
 
 
@@ -66,7 +76,7 @@ def _reports_over(
     covers minimal over N[S], each decided once, by the first pair that
     gives it: `decide(f, x)`, f a cover mask, returns the evidence of an
     embedded prime, or None.  The covers come from g's catalogue."""
-    reports = {f: ("minimal", {"type": "minimal-cover"}) for f in _covers_over(g, 0)}
+    reports = dict.fromkeys(_covers_over(g, 0), ("minimal", _MINIMAL))
     seen = set(reports)  # every cover decided so far, accepted or not
     for closed, x in supports:
         for f in _covers_over(g, closed):
@@ -75,7 +85,7 @@ def _reports_over(
                 evidence = decide(f, x)
                 if evidence is not None:
                     reports[f] = ("embedded", evidence)
-    return [AssPrimeReport(set_of(f), *reports[f]) for f in sorted(reports, key=_mask_order)]
+    return [AssPrimeReport(f, *reports[f]) for f in sorted(reports, key=_mask_order)]
 
 
 def _witness(g: SimpleGraph, t: int, core: int, vectors: Iterable[Sequence[int]]) -> dict | None:
@@ -100,16 +110,15 @@ def is_associated(g: SimpleGraph, f: Iterable[int], t: int) -> AssPrimeReport | 
     over N[S] exactly when core(F) lies in N[S], and the search walks only
     the supports that dominate core(F).
     """
-    f = frozenset(f)
     _check_t(t)
     fm = _vertex_mask(g, f)
     if not _covers_edges(g, fm):
         raise ValueError("is_associated requires a vertex cover")
     core = _core_mask(g, fm)
     if not core:  # no vertex can leave F
-        return AssPrimeReport(f, "minimal", {"type": "minimal-cover"})
+        return AssPrimeReport(fm, "minimal", _MINIMAL)
     evidence = _witness(g, t, core, _saturating_graphs(g, t, core, core))
-    return None if evidence is None else AssPrimeReport(f, "embedded", evidence)
+    return None if evidence is None else AssPrimeReport(fm, "embedded", evidence)
 
 
 def ass_primes(g: SimpleGraph, t: int) -> list[AssPrimeReport]:
@@ -156,11 +165,11 @@ def _has_spanning_cycle(g: SimpleGraph, verts: tuple[int, ...]) -> bool:
     """Is there a cycle through the five `verts` (chords ignored)?  It runs
     first-a-..-d-first for neighbours a < d of the first vertex, with the two
     vertices left, x and y, between them in either order."""
-    first, rest = verts[0], mask_of(verts[1:])
-    e = g.has_edge
-    for a, d in combinations(iter_bits(g.adj_bits[first - 1] & rest), 2):
+    adj, first, rest = g.adj_bits, verts[0], mask_of(verts[1:])
+    for a, d in combinations(iter_bits(adj[first - 1] & rest), 2):
         x, y = iter_bits(rest & ~mask_of((a, d)))
-        if e(x, y) and (e(a, x) and e(y, d) or e(a, y) and e(x, d)):
+        xb, yb, na, nd = 1 << (x - 1), 1 << (y - 1), adj[a - 1], adj[d - 1]
+        if adj[x - 1] & yb and (na & xb and nd & yb or na & yb and nd & xb):
             return True
     return False
 

@@ -7,10 +7,10 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import assoc, census, saturation
-from .graphs import SimpleGraph, _set_order, parse_graph_text
+from .graphs import SimpleGraph, _mask_order, parse_graph_text
 from .matching import WeightedGraph, maximum_matching
 
 EXIT_OK = 0
@@ -76,32 +76,55 @@ def _weighted_graph_dict(h: WeightedGraph) -> dict:
     }
 
 
-def _prime_name(vertices: frozenset[int], n: int) -> str:
-    if len(vertices) == n:
-        return "m"
-    return "{" + ",".join(map(str, sorted(vertices))) + "}"
+def _prime_namer(n: int) -> Callable[[int], str]:
+    """The name of a prime by its cover mask: "m" for all n vertices, else its vertices in
+    braces, joined from the labels of the mask's bytes (byte k, value b: the vertices 8k + i + 1
+    for the bits i of b), each label made once."""
+    width, full = (n + 7) // 8, (1 << n) - 1
+    labels = [
+        [",".join(str(8 * k + i + 1) for i in range(8) if b >> i & 1) for b in range(256)]
+        for k in range(width)
+    ]
+
+    def name(m: int) -> str:
+        if m == full:
+            return "m"
+        parts = map(list.__getitem__, labels, m.to_bytes(width, "little"))
+        return "{" + ",".join(filter(None, parts)) + "}"
+
+    return name
 
 
-def _emit(args: argparse.Namespace, payload: dict, human: list[str]) -> None:
-    """Set the command's output; `main` writes it once the command has its exit status."""
+def _emit(
+    args: argparse.Namespace, payload: Callable[[], dict], human: Callable[[], list[str]]
+) -> None:
+    """Set the command's output, building only the form asked for (`payload` for --json,
+    else the `human` lines); `main` writes it once the command has its exit status."""
     if args.json:
-        args.output = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        args.output = json.dumps(payload(), sort_keys=True, separators=(",", ":"))
     else:
-        args.output = "\n".join(human)
+        args.output = "\n".join(human())
 
 
-def _report_payload(t: int | None, reports: list[assoc.AssPrimeReport]) -> dict:
-    payload: dict = {"primes": [r.to_dict() for r in reports]}
-    if t is not None:
-        payload["t"] = t
-    return payload
+def _emit_reports(
+    args: argparse.Namespace,
+    g: SimpleGraph,
+    t: int | None,
+    reports: list[assoc.AssPrimeReport],
+    title: str,
+) -> None:
+    """`_emit` for prime reports: the payload lists their dicts (and t, if given), the
+    lines name each prime by its cover mask under the title."""
 
+    def payload() -> dict:
+        primes = {"primes": [r.to_dict() for r in reports]}
+        return primes if t is None else {**primes, "t": t}
 
-def _report_lines(g: SimpleGraph, reports: list[assoc.AssPrimeReport], title: str) -> list[str]:
-    lines = [title]
-    for r in reports:
-        lines.append(f"  {_prime_name(r.vertices, g.n):<16} {r.kind}")
-    return lines
+    def lines() -> list[str]:
+        name = _prime_namer(g.n)
+        return [title] + [f"  {name(r.mask):<16} {r.kind}" for r in reports]
+
+    _emit(args, payload, lines)
 
 
 def cmd_nu(args: argparse.Namespace) -> int:
@@ -112,12 +135,12 @@ def cmd_nu(args: argparse.Namespace) -> int:
     value = len(witness)
     _emit(
         args,
-        {
+        lambda: {
             "nu": value,
             "matching": [list(e) for e in witness.edges],
             "graph": _weighted_graph_dict(h),
         },
-        [f"nu = {value}", "matching: " + " ".join(f"{u}-{v}" for u, v in witness.edges)],
+        lambda: [f"nu = {value}", "matching: " + " ".join(f"{u}-{v}" for u, v in witness.edges)],
     )
     return EXIT_OK
 
@@ -129,8 +152,8 @@ def cmd_sat(args: argparse.Namespace) -> int:
     in_diff = in_sat and not in_pow
     _emit(
         args,
-        {"t": args.t, "in_power": in_pow, "in_saturation": in_sat, "in_diff": in_diff},
-        [
+        lambda: {"t": args.t, "in_power": in_pow, "in_saturation": in_sat, "in_diff": in_diff},
+        lambda: [
             f"x^a in I^{args.t}: {str(in_pow).lower()}",
             f"x^a in sat(I^{args.t}): {str(in_sat).lower()}",
             f"x^a in sat(I^{args.t}) \\ I^{args.t}: {str(in_diff).lower()}",
@@ -143,13 +166,13 @@ def cmd_ass(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     t = args.t
     if args.method == "oracle":
-        try:  # the oracle refuses a table past its cell budget
-            primes = sorted(census.oracle_ass(g, t), key=_set_order)
+        try:  # the oracle refuses a table past its budget
+            masks = census._oracle_masks(g, t)
         except ValueError as exc:
             raise InputError(str(exc)) from None
         reports = [
-            assoc.AssPrimeReport(p, "oracle", {"type": "colon-witness-sweep"})
-            for p in primes
+            assoc.AssPrimeReport(m, "oracle", {"type": "colon-witness-sweep"})
+            for m in sorted(masks, key=_mask_order)
         ]
     elif args.method == "classified":
         if t == 2:
@@ -160,29 +183,21 @@ def cmd_ass(args: argparse.Namespace) -> int:
             raise InputError("--method classified supports t = 2 or 3 only")
     else:
         reports = assoc.ass_primes(g, t)
-    _emit(
-        args,
-        _report_payload(t, reports),
-        _report_lines(g, reports, f"Ass(I^{t}) [{args.method}]: {len(reports)} primes"),
-    )
+    _emit_reports(args, g, t, reports, f"Ass(I^{t}) [{args.method}]: {len(reports)} primes")
     return EXIT_OK
 
 
 def cmd_ass_infinity(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     reports = assoc.ass_infinity(g)
-    _emit(
-        args,
-        _report_payload(None, reports),
-        _report_lines(g, reports, f"Ass^infinity(I): {len(reports)} primes"),
-    )
+    _emit_reports(args, g, None, reports, f"Ass^infinity(I): {len(reports)} primes")
     return EXIT_OK
 
 
 def cmd_astab_bound(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     bound = assoc.s_gamma(g)
-    _emit(args, {"astab_bound": bound}, [f"astab(I) <= s(Gamma) = {bound}"])
+    _emit(args, lambda: {"astab_bound": bound}, lambda: [f"astab(I) <= s(Gamma) = {bound}"])
     return EXIT_OK
 
 
@@ -194,8 +209,8 @@ def cmd_depth(args: argparse.Namespace) -> int:
         raise InputError(str(exc)) from None
     _emit(
         args,
-        {"t": args.t, "depth_positive": positive},
-        [f"depth R/I^{args.t} > 0: {str(positive).lower()}"],
+        lambda: {"t": args.t, "depth_positive": positive},
+        lambda: [f"depth R/I^{args.t} > 0: {str(positive).lower()}"],
     )
     return EXIT_OK
 
@@ -209,8 +224,8 @@ def cmd_facets(args: argparse.Namespace) -> int:
         raise InputError(str(exc)) from None
     _emit(
         args,
-        {"t": args.t, "facets": [sorted(f) for f in facets]},
-        [f"{len(facets)} facet(s):"]
+        lambda: {"t": args.t, "facets": [sorted(f) for f in facets]},
+        lambda: [f"{len(facets)} facet(s):"]
         + ["  {" + ",".join(map(str, sorted(f))) + "}" for f in facets],
     )
     return EXIT_OK
@@ -223,13 +238,15 @@ def cmd_census(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise InputError(str(exc)) from None
-    human = [
+    summary = (
         f"census n={report.n} t={report.t}: {report.graphs_checked} graphs, "
         f"{len(report.mismatches)} mismatches, {report.elapsed:.1f}s"
-    ]
-    for m in report.mismatches[:10]:
-        human.append(f"  mismatch at edges {m['edges']}")
-    _emit(args, report.to_dict(), human)
+    )
+    _emit(
+        args,
+        report.to_dict,
+        lambda: [summary] + [f"  mismatch at edges {m['edges']}" for m in report.mismatches[:10]],
+    )
     return EXIT_OK if report.passed else EXIT_MISMATCH
 
 

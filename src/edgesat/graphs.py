@@ -68,10 +68,6 @@ class SimpleGraph:
         return (1 << self.n) - 1
 
     @cached_property
-    def adj(self) -> dict[int, VertexSet]:
-        return {v: set_of(b) for v, b in enumerate(self.adj_bits, 1)}
-
-    @cached_property
     def adj_bits(self) -> tuple[int, ...]:
         bits = [0] * self.n
         for u, v in self.edges:

@@ -1,29 +1,28 @@
 """Brute-force monomial ideal arithmetic: the ground-truth side of every check.
 
-Ideals are stored by their unique minimal generating sets, as small integer
-matrices.  A row inside a box is one integer, its cell in C order, so a power
-is the distinct sums of generator cells, repeated rows drop by one sort of the
-cells, and divisibility is checked degree class by degree class.  The colon by
-the maximal ideal, the saturation and the associated primes read one membership
-table over the generators' lcm box, held as one Python int (bit c is cell c),
-closed upward and read by whole-table shifts along each axis; no intersection
-of ideals is formed.  No Groebner machinery, and no matching theory."""
+Ideals are stored by their minimal generators, as small integer matrices.  A row in a box
+is one integer, its cell in C order: a power is the distinct sums of generator cells, and
+divisibility is checked degree class by degree class.  The colon by the maximal ideal,
+the saturation and the associated primes read one membership table over the generators'
+lcm box, one Python int (bit c is cell c), closed upward and read by whole-table shifts
+along each axis.  No Groebner machinery, and no matching theory."""
 
 from __future__ import annotations
 
 from functools import reduce
 from itertools import accumulate, product
 from math import prod
-from operator import and_, index, mul
+from operator import and_, index, mul, or_
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graphs import SimpleGraph, _set_order
+from .graphs import SimpleGraph, _set_order, set_of
 
 
 _BLOCK = 2048  # rows per side of one divisibility test: at most _BLOCK**2 * n booleans
-_MAX_CELLS = 1 << 29  # the largest table: about 1 GB at 1.6 bytes a cell, n/8 more for axis masks
+_MAX_CELLS = 1 << 29  # the most cells of one table
+_MAX_BYTES = 1 << 30  # of a table: about 1.6 a cell, and cells/8 for each `_axes` mask (axis > 1)
 
 
 def _blocks(shape: tuple[int, ...]) -> np.ndarray:
@@ -84,8 +83,7 @@ class MonomialIdeal:
     __slots__ = ("n", "gens")
 
     def __init__(self, n: int, gens: np.ndarray):
-        self.n = n
-        self.gens = gens
+        self.n, self.gens = n, gens
         if not self._is_antichain():
             raise ValueError("generators must form a minimal antichain")
 
@@ -209,9 +207,11 @@ def _axes(shape: tuple[int, ...]) -> list[tuple[int, int, int]]:
 
 
 def _box_size(shape: Sequence[int]) -> int:
-    """The cell count of a table over the box, refused past _MAX_CELLS before it is built."""
+    """The cell count of a table over the box, refused past _MAX_CELLS or _MAX_BYTES first."""
     if (size := prod(shape)) > _MAX_CELLS:
         raise ValueError(f"oracle table of {size} cells is past its budget of {_MAX_CELLS} cells")
+    if size * (1.6 + sum(d > 1 for d in shape) / 8) > _MAX_BYTES:
+        raise ValueError(f"oracle table of {size} cells with axis masks is past {_MAX_BYTES} bytes")
     return size
 
 
@@ -250,15 +250,12 @@ def _lcm_box(j: MonomialIdeal, what: str) -> tuple[tuple[int, ...], int, list]:
     if j.n < 1:
         raise ValueError(f"{what} needs at least one variable")
     shape = tuple(int(r) + 1 for r in j.gens.max(axis=0, initial=0))
-    axes = _axes(shape)
-    return shape, _table(j, shape, axes), axes
+    return shape, _table(j, shape, axes := _axes(shape)), axes
 
 
 def _gens_from_upset(n: int, x: int, shape: tuple[int, ...], axes: list) -> MonomialIdeal:
-    """Minimal members w of an upward-closed table: w - e_i is outside for each w_i > 0."""
-    above = 0  # the cells w with some w - e_i in the table
-    for stride, _, below in axes:
-        above |= (x & below) << stride
+    """Minimal members w of an upward-closed table x: the cells of x with no w - e_i in x."""
+    above = reduce(or_, ((x & below) << stride for stride, _, below in axes), 0)
     return MonomialIdeal(n, _rows(_cells(x ^ x & above), _blocks(shape)))
 
 
@@ -283,11 +280,10 @@ def saturate(j: MonomialIdeal) -> MonomialIdeal:
     return _gens_from_upset(j.n, sat, shape, axes)
 
 
-def ass_primes_oracle(j: MonomialIdeal) -> list[frozenset[int]]:
-    """Associated primes of R/j, read off the socle cells of j's table: P_F is
-    associated exactly when a cell c outside j, at the top of every axis outside
-    F, has c + e_i in j for each i in F.  If j : x^w = P_F, raising w to the top
-    outside F gives such a c; for such a c, j : x^c = P_F (the top is absorbing)."""
+def _ass_masks(j: MonomialIdeal) -> set[int]:
+    """Ass(R/j) as variable masks (bit i-1 <-> x_i), off the socle cells of j's table: P_F is
+    associated exactly when a cell c outside j, at the top of every axis outside F, has c + e_i
+    in j for each i in F (raise w with j : x^w = P_F to the top outside F; j : x^c = P_F)."""
     shape, x, axes = _lcm_box(j, "ass_primes_oracle")
     if j.is_zero:
         raise ValueError("associated primes of the zero ideal are not swept")
@@ -295,6 +291,10 @@ def ass_primes_oracle(j: MonomialIdeal) -> list[frozenset[int]]:
     up = reduce(and_, (x >> stride | full ^ below for stride, _, below in axes))
     blocks, axes = _blocks(shape), [i for i, d in enumerate(shape) if d > 1]  # at most 29
     off = _cells(up ^ up & x)[:, None] % blocks[axes] < blocks[axes] - blocks[1:][axes]
-    codes = set((off @ (1 << np.arange(len(axes)))).tolist())  # bit b: off the top of axes[b]
-    found = [frozenset(i + 1 for b, i in enumerate(axes) if c >> b & 1) for c in codes]
-    return sorted(found, key=_set_order)
+    bits = np.array([1 << i for i in axes], dtype=object if axes and axes[-1] >= 63 else np.int64)
+    return set((off @ bits).tolist())  # bit i: off the top of axis i
+
+
+def ass_primes_oracle(j: MonomialIdeal) -> list[frozenset[int]]:
+    """Associated primes of R/j as sets of variable indices, in `_set_order`."""
+    return sorted(map(set_of, _ass_masks(j)), key=_set_order)

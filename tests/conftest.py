@@ -20,6 +20,7 @@ from edgesat.graphs import (
     iter_bits,
     mask_of,
     minimal_covers,
+    set_of,
     shortest_odd_cycle_masked,
 )
 from edgesat.matching import WeightedGraph
@@ -41,6 +42,11 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 def graph(n: int, *edges: tuple[int, int]) -> SimpleGraph:
     return SimpleGraph.from_edges(n, edges)
+
+
+def nbrs(g: SimpleGraph, v: int) -> frozenset[int]:
+    """The neighbours of v, as a vertex set read off g's adjacency masks."""
+    return set_of(g.adj_bits[v - 1])
 
 
 def shortest_odd_cycle(g: SimpleGraph) -> int | None:
@@ -66,7 +72,9 @@ def ass_primes_reference(g: SimpleGraph, t: int) -> list[AssPrimeReport]:
     a prime keeps the first a that gives it.  Independent of the route of
     `assoc.ass_primes`, which decides each candidate cover on its own."""
     _check_t(t)
-    reports = [AssPrimeReport(f, "minimal", {"type": "minimal-cover"}) for f in minimal_covers(g)]
+    reports = [
+        AssPrimeReport(mask_of(f), "minimal", {"type": "minimal-cover"}) for f in minimal_covers(g)
+    ]
     seen = {r.vertices for r in reports}
     over: dict[int, list[frozenset[int]]] = {}
     for a in sorted(_saturating_graphs(g, t, g.full_mask)):
@@ -76,7 +84,8 @@ def ass_primes_reference(g: SimpleGraph, t: int) -> list[AssPrimeReport]:
         for f in over[near]:
             if f not in seen and _witness(g, t, _core_mask(g, mask_of(f)), [a]) is not None:
                 seen.add(f)
-                reports.append(AssPrimeReport(f, "embedded", {"type": "witness", "exponents": list(a)}))
+                evidence = {"type": "witness", "exponents": list(a)}
+                reports.append(AssPrimeReport(mask_of(f), "embedded", evidence))
     return sorted(reports, key=lambda r: _set_order(r.vertices))
 
 

@@ -52,7 +52,7 @@ from edgesat.saturation import (
     support,
 )
 
-from conftest import ass_primes_reference, disjoint_triangles, graph, odd_cycle_components
+from conftest import ass_primes_reference, disjoint_triangles, graph, nbrs, odd_cycle_components
 
 
 DATA = Path(__file__).parent / "data"
@@ -154,12 +154,12 @@ class TestIsAssociated:
         # core(F) that checks each yield with `is_minimal_over`.
         def reference(g: SimpleGraph, f: frozenset[int], t: int) -> AssPrimeReport | None:
             if is_minimal_cover(g, f):
-                return AssPrimeReport(f, "minimal", {"type": "minimal-cover"})
+                return AssPrimeReport(mask_of(f), "minimal", {"type": "minimal-cover"})
             for a in _saturating_graphs(g, t, _core_mask(g, mask_of(f))):
                 if is_minimal_over(g, f, closed_neighborhood(g, support(a))):
                     evidence = _witness(g, t, _core_mask(g, mask_of(f)), [a])
                     if evidence is not None:
-                        return AssPrimeReport(f, "embedded", evidence)
+                        return AssPrimeReport(mask_of(f), "embedded", evidence)
             return None
 
         embedded = 0
@@ -424,7 +424,7 @@ def _three_shapes_reference(g: SimpleGraph) -> list[tuple[str, frozenset[int]]]:
     tris = [frozenset(t) for t in triangles(g)]
     shapes = [("triangle", t) for t in tris]
     for t in tris:
-        attach = set().union(*(g.adj[v] for v in t)) - t
+        attach = set().union(*(nbrs(g, v) for v in t)) - t
         shapes += [("edge-plus-triangle", t | {v}) for v in sorted(attach)]
     nonadjacent, shared = [], []
     for t1, t2 in combinations(tris, 2):
@@ -684,7 +684,7 @@ class TestStrongSufficiency:
                 formula = prime_sets(ass_primes(g, t))
                 for size in range(1, 5):
                     for sup in combinations(range(1, 5), size):
-                        if any(not (g.adj[v] & set(sup)) for v in sup):
+                        if any(not (nbrs(g, v) & set(sup)) for v in sup):
                             continue
                         found = None
                         for weights in product(range(1, t), repeat=size):
@@ -809,6 +809,38 @@ def _answer_digests() -> list[str]:
         .hexdigest()[:16]
         for g in _digest_graphs()
     ]
+
+
+class TestReports:
+    # A report holds its cover as a vertex mask; the vertex set is read off it.
+    # The minimal covers share one read-only evidence object, and to_dict hands
+    # out a fresh plain dict.
+    def test_vertices_are_the_mask(self):
+        count = 0
+        for g in _digest_graphs():
+            routes = [ass_primes(g, t) for t in (1, 2, 3, 4)]
+            routes += [ass_primes_2(g), ass_primes_3(g), ass_infinity(g)]
+            for r in (r for reports in routes for r in reports):
+                assert type(r.mask) is int and r.vertices == set_of(r.mask)
+                assert type(r.vertices) is frozenset and mask_of(r.vertices) == r.mask
+                assert r.to_dict()["vertices"] == sorted(r.vertices)
+                count += 1
+        assert count > 10000
+
+    def test_minimal_evidence_is_shared_and_read_only(self, bowtie):
+        reports = [r for r in ass_primes(bowtie, 3) if r.kind == "minimal"]
+        decided = is_associated(bowtie, reports[0].vertices, 3)
+        assert len(reports) > 1 and all(r.evidence is decided.evidence for r in reports)
+        with pytest.raises(TypeError):
+            decided.evidence["type"] = "tampered"
+        assert reports[0].evidence == {"type": "minimal-cover"}
+
+    def test_to_dict_gives_a_fresh_plain_dict(self, bowtie):
+        for r in ass_primes(bowtie, 3):
+            first, again = r.to_dict()["evidence"], r.to_dict()["evidence"]
+            assert type(first) is dict and first == again and first is not again
+            first["type"] = "tampered"
+            assert r.evidence["type"] != "tampered" and r.to_dict()["evidence"] == again
 
 
 class TestAnswerDigest:

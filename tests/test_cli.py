@@ -113,6 +113,14 @@ class TestAss:
         captured = capsys.readouterr()
         assert "past its budget" in captured.err and captured.out == ""
 
+    def test_oracle_axis_masks_past_their_budget_refused(self, capsys):
+        # I^1 of the 29-vertex path: 2^29 cells pass the cell budget, 29 axis masks do not
+        path = ",".join(f"{i}-{i + 1}" for i in range(1, 29))
+        assert main(["ass", "--edges", path, "1", "--method", "oracle"]) == 2
+        captured = capsys.readouterr()
+        assert f"oracle table of {2**29} cells with axis masks is past" in captured.err
+        assert captured.out == ""
+
     def test_oracle_box_refused_before_the_power_is_grown(self, capsys):
         # I^7 of G10 spans an 8^10 box; I^6 already has 54,978 generators
         assert main(["ass", "--edges", G10, "7", "--method", "oracle"]) == 2

@@ -295,15 +295,14 @@ class TestComponentsAndCycles:
             for m in [g.full_mask] + [rng.getrandbits(g.n) for _ in range(8)]:
                 _check_against_numpy(g, m)
 
-    def test_adj_matches_the_edge_built_dict(self):
+    def test_adj_bits_match_the_edge_built_dict(self):
         for g in all_graphs_upto(5):
             nbrs: dict[int, set[int]] = {v: set() for v in range(1, g.n + 1)}
             for u, v in g.edges:
                 nbrs[u].add(v)
                 nbrs[v].add(u)
-            assert g.adj == {v: frozenset(s) for v, s in nbrs.items()}
-            assert list(g.adj) == list(range(1, g.n + 1))
-            assert all(type(s) is frozenset for s in g.adj.values())
+            assert len(g.adj_bits) == g.n
+            assert {v: set_of(b) for v, b in enumerate(g.adj_bits, 1)} == nbrs
 
     def test_pentagon_with_chord_still_five(self, bowtie):
         # bowtie has triangles, so 3

@@ -16,8 +16,11 @@ import pytest
 from edgesat import ideals
 from edgesat.census import all_graphs, all_graphs_upto, oracle_ass
 from edgesat.ideals import (
+    _MAX_BYTES,
     _MAX_CELLS,
     MonomialIdeal,
+    _axes,
+    _box_size,
     _codes,
     _minimal_rows,
     _unique_rows,
@@ -436,6 +439,26 @@ class TestAssPrimesOracle:
                 query(huge)
         with pytest.raises(ValueError, match="past its budget"):
             membership_box(edge_ideal(graph(3, (1, 2))), (1024, 1024, 1024))
+
+    def test_axis_masks_past_their_budget_refused_from_the_shape(self, monkeypatch):
+        # 2**29 cells is within the cell budget, but over 29 axes of length 2 the
+        # masks of _axes would add 29 * 64 MB; only the shape is read, nothing built
+        assert _box_size((7,) * 10) == 7**10  # G10's box at t = 6, about 805 MB
+        # at _MAX_CELLS (half of _MAX_BYTES), three long axes fit (1.975 bytes a cell)
+        # and four do not (2.1); axes of length 1 keep no mask
+        assert _box_size((1 << 27, 2, 2) + (1,) * 60) == 1 << 29 == _MAX_CELLS == _MAX_BYTES // 2
+        for refuse in (_box_size, _axes):
+            for shape in ((2,) * 29, (1 << 26, 2, 2, 2)):
+                with pytest.raises(ValueError, match=f"cells with axis masks is past {_MAX_BYTES} "):
+                    refuse(shape)
+
+        def unreachable(j, t):
+            raise AssertionError("power was called")
+
+        monkeypatch.setattr(ideals, "power", unreachable)
+        path = graph(29, *[(i, i + 1) for i in range(1, 29)])
+        with pytest.raises(ValueError, match=f"oracle table of {1 << 29} cells with axis masks"):
+            oracle_ass(path, 1)
 
     def test_oracle_ass_edgeless(self):
         assert oracle_ass(graph(3), 2) == {frozenset()}

@@ -51,7 +51,14 @@ from edgesat.saturation import (
     support,
 )
 
-from conftest import disjoint_triangles, graph, minus, odd_cycle_components, shortest_odd_cycle
+from conftest import (
+    disjoint_triangles,
+    graph,
+    minus,
+    nbrs,
+    odd_cycle_components,
+    shortest_odd_cycle,
+)
 
 
 def wg(g: SimpleGraph, *weights: int) -> WeightedGraph:
@@ -84,9 +91,9 @@ def _saturating_by_brute_force(h: WeightedGraph, t: int, memo: dict) -> bool:
     if not h.vertices or nu_bf(h) >= t:
         return False
     for i in h.vertices:
-        nbrs = h.graph.adj[i] & set(h.vertices)
-        w = sum(h.a[j - 1] for j in nbrs)
-        if w < t and nu_bf(minus(h, nbrs)) < t - w:
+        near = nbrs(h.graph, i) & set(h.vertices)
+        w = sum(h.a[j - 1] for j in near)
+        if w < t and nu_bf(minus(h, near)) < t - w:
             return False
     return True
 
@@ -384,8 +391,8 @@ class TestMembershipBounds:
                     h = WeightedGraph(g, capped)
                     in_pow = nu_bruteforce(h, cutoff=t * g.n) >= t
                     in_sat = in_pow or all(
-                        nu_bruteforce(minus(h, g.adj[i]), cutoff=t * g.n)
-                        >= t - sum(capped[j - 1] for j in g.adj[i])
+                        nu_bruteforce(minus(h, nbrs(g, i)), cutoff=t * g.n)
+                        >= t - sum(capped[j - 1] for j in nbrs(g, i))
                         for i in g.vertices
                     )
                     want[capped] = [in_pow, in_sat, in_sat and not in_pow]
@@ -611,7 +618,7 @@ class TestBuildStrong:
             current = tuple(int(v in seed) for v in range(1, g.n + 1))
             while support(current) != u:
                 sup = support(current)
-                j, h = sorted((j, h) for h in sup for j in g.adj[h] if j in u and j not in sup)[0]
+                j, h = sorted((j, h) for h in sup for j in nbrs(g, h) if j in u and j not in sup)[0]
                 current = extend_by_edge(g, current, (h, j))
             return current
 
