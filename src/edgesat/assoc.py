@@ -33,7 +33,6 @@ from .matching import WeightedGraph, nu
 from .saturation import (
     _check_t,
     _inequalities_hold_at,
-    _saturating_graphs,
     _support_vectors,
     is_strongly_t_saturating,
 )
@@ -99,16 +98,25 @@ def _witness(g: SimpleGraph, t: int, core: int, vectors: Iterable[Sequence[int]]
     return None
 
 
+def _cover_witness(g: SimpleGraph, t: int, core: int, catalogue: Iterable[tuple]) -> dict | None:
+    """The evidence of an embedded prime P_F, from the core mask `core` of
+    the cover F and an odd-cycle catalogue (U, N(U), components) of at most
+    3(t-1) vertices that holds every U inside core(F): the first witness of
+    the saturating graphs on the catalogue's U with U <= core(F) <= N[U], in
+    its order, or None.  For a support S inside core(F), N[S] lies in F, and
+    a vertex of F outside N[S] can leave the cover exactly when it lies in
+    core(F); so F is minimal over N[S] exactly when core(F) lies in N[S]."""
+    sets = (um for um, nb, _ in catalogue if not um & ~core and not core & ~(um | nb))
+    return _witness(g, t, core, _support_vectors(g, t, sets))
+
+
 def is_associated(g: SimpleGraph, f: Iterable[int], t: int) -> AssPrimeReport | None:
     """Decide whether P_F is an associated prime of I^t, with a certificate.
 
-    Minimal covers are associated outright.  Otherwise, a witness exponent
-    vector supported in core(F) is searched with weights below t and weight
-    sum at most 3(t-1); those bounds exhaust the possible saturating graphs.
-    For a support S inside core(F), N[S] lies in F, and a vertex of F outside
-    N[S] can leave the cover exactly when it lies in core(F); so F is minimal
-    over N[S] exactly when core(F) lies in N[S], and the search walks only
-    the supports that dominate core(F).
+    Minimal covers are associated outright.  Otherwise `_cover_witness`
+    searches the saturating graphs supported in core(F), on g's odd-cycle
+    catalogue of that region: weights below t and weight sum at most 3(t-1),
+    the bounds that exhaust the possible saturating graphs.
     """
     _check_t(t)
     fm = _vertex_mask(g, f)
@@ -117,7 +125,7 @@ def is_associated(g: SimpleGraph, f: Iterable[int], t: int) -> AssPrimeReport | 
     core = _core_mask(g, fm)
     if not core:  # no vertex can leave F
         return AssPrimeReport(fm, "minimal", _MINIMAL)
-    evidence = _witness(g, t, core, _saturating_graphs(g, t, core, core))
+    evidence = _cover_witness(g, t, core, _odd_cycle_catalogue(g, core, 3 * (t - 1)))
     return None if evidence is None else AssPrimeReport(fm, "embedded", evidence)
 
 
@@ -127,20 +135,17 @@ def ass_primes(g: SimpleGraph, t: int) -> list[AssPrimeReport]:
     An embedded prime is minimal over N[S] for the support S of a
     t-saturating weighted graph, an odd-cycle set of at most 3(t-1)
     vertices.  So the candidates are the covers minimal over N[U] for those
-    odd-cycle sets U, each decided once, its first witness the evidence, by
-    the search of `is_associated` on the supports it walks: the U in core(F),
-    as N[U] lies in F, with core(F) in N[U].  g's odd-cycle catalogue gives
-    the distinct N[U] and, filtered in its order, each candidate's supports.
+    odd-cycle sets U, each decided once by `_cover_witness`, as
+    `is_associated` decides it, but on g's whole catalogue, which holds every
+    U of core(F) in the order of core(F)'s own: the same first witness.
     """
     _check_t(t)
-    closed = [(um, um | nb) for um, nb, _ in _odd_cycle_catalogue(g, g.full_mask, 3 * (t - 1))]
-
-    def decide(f: int, _) -> dict | None:
-        core = _core_mask(g, f)
-        sets = (um for um, near in closed if not core & ~near and not near & ~f)
-        return _witness(g, t, core, _support_vectors(g, t, sets))
-
-    return _reports_over(g, ((near, None) for near in {near for _, near in closed}), decide)
+    catalogue = _odd_cycle_catalogue(g, g.full_mask, 3 * (t - 1))
+    return _reports_over(
+        g,
+        ((near, None) for near in {um | nb for um, nb, _ in catalogue}),
+        lambda f, _: _cover_witness(g, t, _core_mask(g, f), catalogue),
+    )
 
 
 def _shape_reports(g: SimpleGraph, shapes: Iterable[tuple[str, int]]) -> list[AssPrimeReport]:
@@ -244,20 +249,16 @@ def classify_3_saturating(h: WeightedGraph) -> str | None:
     return None
 
 
-def _odd_cycle_supports(g: SimpleGraph) -> list[tuple[int, int, tuple[int, ...]]]:
-    """g's uncapped odd-cycle catalogue (U, N(U), components), sorted by U."""
-    return sorted(_odd_cycle_catalogue(g, g.full_mask, g.n))
-
-
 def ass_infinity(g: SimpleGraph) -> list[AssPrimeReport]:
     """The stable set of associated primes of large powers.
 
     Embedded members come from vertex sets U whose induced components each
-    contain an odd cycle; the covers minimal over N[U] are stable primes.
+    contain an odd cycle; the covers minimal over N[U] are stable primes, each
+    with the first such U of g's uncapped catalogue (the smallest) as evidence.
     """
     return _reports_over(
         g,
-        ((um | nb, um) for um, nb, _ in _odd_cycle_supports(g)),
+        ((um | nb, um) for um, nb, _ in _odd_cycle_catalogue(g, g.full_mask, g.n)),
         lambda _, um: {"type": "odd-cycle-support", "vertices": list(iter_bits(um))},
     )
 

@@ -17,6 +17,9 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 
+_MAX_CLONES = 1024  # of the blow-up that `nu` builds: its blossom grows as the cube
+_MAX_FREE = 20  # of `facets`: it walks 2^(free vertices) subsets
+
 
 class InputError(Exception):
     """Unparseable graph, weights or exponents, or a query past its budget (exit code 2)."""
@@ -130,6 +133,8 @@ def _emit_reports(
 def cmd_nu(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     weights = _parse_vector(args.weights, g.n)
+    if (clones := sum(weights)) > _MAX_CLONES:
+        raise InputError(f"a blow-up of {clones} clones is past its budget of {_MAX_CLONES}")
     h = WeightedGraph(g, weights)
     witness = maximum_matching(h)
     value = len(witness)
@@ -218,6 +223,8 @@ def cmd_depth(args: argparse.Namespace) -> int:
 def cmd_facets(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     a = _parse_vector(args.exponents, g.n, signed=True)
+    if (free := sum(x >= 0 for x in a)) > _MAX_FREE:
+        raise InputError(f"{free} free vertices (entries >= 0) are past the budget of {_MAX_FREE}")
     try:
         facets = saturation.facets_delta(g, a, args.t)
     except ValueError as exc:

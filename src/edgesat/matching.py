@@ -295,7 +295,7 @@ class _Cache:
     """The process's exact answers, at most `_CACHE_LIMIT` entries over three
     stores: `nu` by `cache_key`; `saturating`, per (t, support size), a
     support's t-saturating weightings by its relabelled edge bits (see
-    `saturation._saturating_graphs`); and `supports`, what the membership
+    `saturation._support_vectors`); and `supports`, what the membership
     questions read per support mask, one entry per mask, built for the graph
     it names: the unit-weight graph, its edges in `_degree_order`, the drop
     plans and the slot of the last answer (see `saturation._in_power`).

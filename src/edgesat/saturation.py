@@ -288,49 +288,24 @@ def _weight_table(size: int, t: int) -> list[tuple[tuple[int, ...], int, bool, l
     return table
 
 
-def _saturating_graphs(
-    g: SimpleGraph, t: int, region: int, dominated: int = 0
-) -> Iterator[ExponentVector]:
-    """The exponent vectors a of the t-saturating weighted graphs supported
-    in `region` whose support's closed neighbourhood contains the mask
-    `dominated`.
+def _support_vectors(g: SimpleGraph, t: int, masks: Iterable[int]) -> Iterator[ExponentVector]:
+    """The exponent vectors of the t-saturating weighted graphs on the odd-cycle
+    sets `masks` of g, in their order, each one's weights lexicographically.
 
-    Supports come by size, then in lexicographic order, and the weights on
-    each support in lexicographic order.  The paper's bounds make the search
-    complete: weights below t, weight sum at most 3(t-1), and every component
-    of the support containing an odd cycle: the supports are the sets of g's
-    `_odd_cycle_catalogue` of `region` (walked whole before the first yield),
-    in its order, kept when N[S] contains `dominated`.  Its bound of 2t-1 on
-    the length of those odd cycles needs no filter: a longer one carries t
-    disjoint edges, so the all-ones weighting fails first and the prune the rest.
+    The paper's bounds make a search over g's `_odd_cycle_catalogue` of at
+    most 3(t-1) vertices complete: weights below t, weight sum at most
+    3(t-1), and every component of the support containing an odd cycle.  Its
+    bound of 2t-1 on the length of those odd cycles needs no filter: a longer
+    one carries t disjoint edges, so the all-ones weighting fails first and
+    the prune the rest.
 
     Whether (S, w) is t-saturating depends on H = G[S] and t alone, so a
     support's weightings are kept in `matching._CACHE` under (t, |S|, the
-    edge bits of H relabelled 0..|S|-1, from `_edge_bits`) and read back
-    for any support with that key; vectors are built only for a non-empty
-    entry.  On a miss, a support of 2t or more vertices whose all-ones
+    edge bits of H relabelled 0..|S|-1) and read back for any support with
+    that key.  On a miss, a support of 2t or more vertices whose all-ones
     weighting has a greedy b-matching of size t keeps () (nu is monotone);
-    any other runs `_support_weightings`, which builds no `WeightedGraph` and
-    gives each w its cheapest exact test first:
-    1. the prune: w fails if some w - e_p on the support already failed (nu
-       is monotone in the weights);
-    2. the greedy: when w sums to 2t or more, a greedy b-matching over the
-       support's edges, ordered once per support by the smaller degree of
-       their ends, fails w if it reaches size t;
-    3. the inequalities, which mostly answer from the `nu` cache;
-    4. nu(w) < t by a blossom run, skipped when w sums to less than 2t.
-    Saturating is the AND of the inequalities and nu(w) < t.  A w with nu >= t
-    satisfies every inequality, so the greedy fails only weightings that step 4
-    would fail, and the failures that the prune reads are the same whichever
-    step finds them.  The yields and their order are those of w.
+    any other runs `_support_weightings`.
     """
-    catalogue = _odd_cycle_catalogue(g, region, 3 * (t - 1))
-    yield from _support_vectors(g, t, (m for m, nb, _ in catalogue if not dominated & ~(m | nb)))
-
-
-def _support_vectors(g: SimpleGraph, t: int, masks: Iterable[int]) -> Iterator[ExponentVector]:
-    """The exponent vectors of the t-saturating weighted graphs on the odd-cycle
-    sets `masks` of g, in their order, each one's weights lexicographically."""
     tables: dict[int, list] = {}  # size -> `_weight_table`, built at its first computed support
     for mask in masks:
         sup = tuple(iter_bits(mask))
@@ -356,7 +331,21 @@ def _support_vectors(g: SimpleGraph, t: int, masks: Iterable[int]) -> Iterator[E
 
 def _support_weightings(g: SimpleGraph, mask: int, bits: int, t: int, table: list) -> Iterator:
     """The t-saturating weightings in `table` of the support mask `mask` of g,
-    with edge bits `bits`, each component of the support having an odd cycle."""
+    with edge bits `bits`, each component of the support having an odd cycle.
+
+    It builds no `WeightedGraph` and gives each w its cheapest exact test first:
+    1. the prune: w fails if some w - e_p on the support already failed (nu
+       is monotone in the weights);
+    2. the greedy: when w sums to 2t or more, a greedy b-matching over the
+       support's edges, ordered once per support by the smaller degree of
+       their ends, fails w if it reaches size t;
+    3. the inequalities, which mostly answer from the `nu` cache;
+    4. nu(w) < t by a blossom run, skipped when w sums to less than 2t.
+    Saturating is the AND of the inequalities and nu(w) < t.  A w with nu >= t
+    satisfies every inequality, so the greedy fails only weightings that step 4
+    would fail, and the failures that the prune reads are the same whichever
+    step finds them.  The yields and their order are those of `table`.
+    """
     sup = list(iter_bits(mask))
     order = _degree_order(len(sup), bits)
     plans = list(_drop_plans(g, sup, (g.adj_bits[v - 1] & mask for v in sup)))
@@ -372,16 +361,13 @@ def _support_weightings(g: SimpleGraph, mask: int, bits: int, t: int, table: lis
 
 
 def saturating_vectors(g: SimpleGraph, t: int) -> list[ExponentVector]:
-    """All exponent vectors whose weighted graph is t-saturating, sorted.
-
-    The search is `_saturating_graphs` over all of g: weights below t, weight
-    sum at most 3(t-1), and supports whose components each contain an odd
-    cycle (one longer than 2t-1 already gives nu >= t).
-    """
+    """All exponent vectors whose weighted graph is t-saturating, sorted: the
+    search of `_support_vectors` over g's whole odd-cycle catalogue."""
     _check_t(t)
     if t < 2:
         raise ValueError("saturating graphs require t >= 2")
-    return sorted(_saturating_graphs(g, t, g.full_mask))
+    catalogue = _odd_cycle_catalogue(g, g.full_mask, 3 * (t - 1))
+    return sorted(_support_vectors(g, t, (m for m, _, _ in catalogue)))
 
 
 def facets_delta(g: SimpleGraph, a: Sequence[int], t: int) -> list[frozenset[int]]:

@@ -14,6 +14,7 @@ from edgesat.graphs import (
     _closed_mask,
     _core_mask,
     _layers,
+    _odd_cycle_catalogue,
     _set_order,
     components_masked,
     covers_minimal_over,
@@ -24,7 +25,7 @@ from edgesat.graphs import (
     shortest_odd_cycle_masked,
 )
 from edgesat.matching import WeightedGraph
-from edgesat.saturation import _check_t, _saturating_graphs, support
+from edgesat.saturation import _check_t, _support_vectors, support
 
 _acceptance_lines: list[str] = []
 
@@ -65,6 +66,15 @@ def odd_cycle_components(g: SimpleGraph, region: int) -> list[int] | None:
     return comps
 
 
+def saturating_graphs(g: SimpleGraph, t: int, region: int, dominated: int = 0):
+    """The exponent vectors of the t-saturating weighted graphs supported in
+    `region` whose support's closed neighbourhood contains the mask
+    `dominated`: g's odd-cycle catalogue of `region`, filtered, searched in
+    its order."""
+    catalogue = _odd_cycle_catalogue(g, region, 3 * (t - 1))
+    return _support_vectors(g, t, (m for m, nb, _ in catalogue if not dominated & ~(m | nb)))
+
+
 def ass_primes_reference(g: SimpleGraph, t: int) -> list[AssPrimeReport]:
     """Ass(I^t) by enumerating, then reading: every t-saturating weighted
     graph of g, in the order of its exponent vector a, and for each the
@@ -77,7 +87,7 @@ def ass_primes_reference(g: SimpleGraph, t: int) -> list[AssPrimeReport]:
     ]
     seen = {r.vertices for r in reports}
     over: dict[int, list[frozenset[int]]] = {}
-    for a in sorted(_saturating_graphs(g, t, g.full_mask)):
+    for a in sorted(saturating_graphs(g, t, g.full_mask)):
         near = _closed_mask(g, mask_of(support(a)))
         if near not in over:
             over[near] = covers_minimal_over(g, iter_bits(near))

@@ -13,7 +13,6 @@ import pytest
 from edgesat import assoc, graphs, matching, saturation
 from edgesat.assoc import (
     AssPrimeReport,
-    _odd_cycle_supports,
     _three_shapes,
     _witness,
     ass_infinity,
@@ -31,7 +30,9 @@ from edgesat.graphs import (
     SimpleGraph,
     _closed_mask,
     _core_mask,
+    _covers_edges,
     _nbrs,
+    _odd_cycle_catalogue,
     closed_neighborhood,
     is_cover,
     is_minimal_cover,
@@ -45,14 +46,20 @@ from edgesat.graphs import (
 from edgesat.ideals import MonomialIdeal, colon_monomial, edge_ideal, power
 from edgesat.matching import WeightedGraph
 from edgesat.saturation import (
-    _saturating_graphs,
     in_sat_minus_power,
     is_strongly_t_saturating,
     saturating_vectors,
     support,
 )
 
-from conftest import ass_primes_reference, disjoint_triangles, graph, nbrs, odd_cycle_components
+from conftest import (
+    ass_primes_reference,
+    disjoint_triangles,
+    graph,
+    nbrs,
+    odd_cycle_components,
+    saturating_graphs,
+)
 
 
 DATA = Path(__file__).parent / "data"
@@ -155,7 +162,7 @@ class TestIsAssociated:
         def reference(g: SimpleGraph, f: frozenset[int], t: int) -> AssPrimeReport | None:
             if is_minimal_cover(g, f):
                 return AssPrimeReport(mask_of(f), "minimal", {"type": "minimal-cover"})
-            for a in _saturating_graphs(g, t, _core_mask(g, mask_of(f))):
+            for a in saturating_graphs(g, t, _core_mask(g, mask_of(f))):
                 if is_minimal_over(g, f, closed_neighborhood(g, support(a))):
                     evidence = _witness(g, t, _core_mask(g, mask_of(f)), [a])
                     if evidence is not None:
@@ -361,7 +368,7 @@ class TestReportWalk:
     def test_closed_forms_once_per_closed_neighbourhood_g10(self, runs):
         for route, supports in (
             (ass_primes_3, lambda g: [m for _, m in _three_shapes(g, g.full_mask)]),
-            (ass_infinity, lambda g: [m for m, _, _ in _odd_cycle_supports(g)]),
+            (ass_infinity, lambda g: [m for m, _, _ in _odd_cycle_catalogue(g, g.full_mask, g.n)]),
         ):
             g = SimpleGraph.from_edges(10, G10)
             runs.clear()
@@ -373,7 +380,8 @@ class TestReportWalk:
         # the census asks the formula and the closed form of one graph object
         g = SimpleGraph.from_edges(10, G10)
         assert prime_sets(ass_primes(g, 3)) == prime_sets(ass_primes_3(g))
-        closed = {_closed_mask(g, m) for m, _, _ in _odd_cycle_supports(g) if m.bit_count() <= 6}
+        catalogue = _odd_cycle_catalogue(g, g.full_mask, g.n)
+        closed = {_closed_mask(g, m) for m, _, _ in catalogue if m.bit_count() <= 6}
         closed |= {_closed_mask(g, m) for _, m in _three_shapes(g, g.full_mask)}
         assert len(runs) == len(set(runs)) and set(runs) == closed | {0}
 
@@ -404,6 +412,21 @@ class TestOddCycleCatalogue:
         assert walks == [6]
         ass_primes(SimpleGraph.from_edges(10, G10), 3)
         assert walks == [6, 6]
+
+    @pytest.mark.parametrize("t", [3, 5])
+    def test_small_cores_walk_only_their_region(self, walks, t):
+        # a dense 16-vertex graph has 55,433 odd-cycle sets; a cover whose core
+        # has at most 3 vertices is decided on the catalogue of its core alone
+        g = random_graphs(16, 2, 6)[0]
+        covers = [
+            m
+            for m in range(1 << g.n)
+            if _covers_edges(g, m) and 1 <= _core_mask(g, m).bit_count() <= 3
+        ]
+        assert len(covers) == 91
+        decided = [is_associated(g, set_of(m), t) for m in covers]
+        assert any(r is not None and r.kind == "embedded" for r in decided)
+        assert walks == []
 
     def test_memo_key_is_exact(self):
         # a catalogue read under another region or another cap changes some
@@ -571,7 +594,7 @@ class TestOddCycleSupports:
         c31 = graph(31, *((i, i + 1) for i in range(1, 31)), (1, 31))
         triangle_and_isolated = graph(16, (1, 2), (1, 3), (2, 3))
         for g, only in ((c31, c31.full_mask), (triangle_and_isolated, 0b111)):
-            assert [m for m, _, _ in _odd_cycle_supports(g)] == [only]
+            assert [m for m, _, _ in _odd_cycle_catalogue(g, g.full_mask, g.n)] == [only]
         assert len(ass_infinity(triangle_and_isolated)) == 4
         assert s_gamma(triangle_and_isolated) == 2
 
@@ -584,7 +607,7 @@ class TestOddCycleSupports:
                 comps = odd_cycle_components(g, um)
                 if comps is not None:
                     every.append((um, _nbrs(g, um), tuple(comps)))
-            assert _odd_cycle_supports(g) == every, g.edges
+            assert sorted(_odd_cycle_catalogue(g, g.full_mask, g.n)) == every, g.edges
         assert len(every) == 55433
 
 
@@ -604,7 +627,7 @@ def _s_gamma_reference(g: SimpleGraph) -> int:
     """s(Gamma) by a subset search over each component of each odd-cycle set."""
     comp_cache: dict[int, int] = {}
     best = 1
-    for um, _, comps in _odd_cycle_supports(g):
+    for um, _, comps in _odd_cycle_catalogue(g, g.full_mask, g.n):
         total = 0
         for cm in comps:
             level = comp_cache.get(cm)

@@ -59,6 +59,18 @@ class TestNu:
     def test_wrong_length(self, capsys, triangle_file):
         assert main(["nu", triangle_file, "1,1"]) == 2
 
+    @pytest.mark.parametrize("weights", ["99999999999999999999,1", "1024,1"])
+    def test_blow_up_past_its_budget_refused(self, capsys, weights):
+        # the blow-up has one clone per unit of weight: 1,024 at most
+        assert main(["nu", "--edges", "1-2", weights]) == 2
+        captured = capsys.readouterr()
+        assert "past its budget of 1024" in captured.err and captured.out == ""
+
+    def test_blow_up_at_its_budget_answers(self, capsys):
+        k8 = ",".join(f"{u}-{v}" for u in range(1, 9) for v in range(u + 1, 9))
+        code, out = run(capsys, "nu", "--edges", k8, ",".join(["128"] * 8))
+        assert code == 0 and out.startswith("nu = 512\n")
+
 
 class TestSat:
     def test_triangle(self, capsys, triangle_file):
@@ -156,6 +168,13 @@ class TestOtherCommands:
     def test_facets_signed(self, capsys, tailed_triangle_file):
         code, out = run(capsys, "facets", "--json", tailed_triangle_file, "2", "1,1,1,0,-1")
         assert code == 0 and json.loads(out)["facets"] == [[]]
+
+    def test_facets_past_their_budget_refused(self, capsys):
+        # 21 free vertices would walk 2^21 subsets; the negative entry is not free
+        path = ",".join(f"{i}-{i + 1}" for i in range(1, 22))
+        assert main(["facets", "--edges", path, "2", "-1" + ",0" * 21]) == 2
+        captured = capsys.readouterr()
+        assert "21 free vertices" in captured.err and captured.out == ""
 
     @pytest.mark.parametrize("json_flag", [[], ["--json"]])
     def test_facets_leading_negative_entry(self, capsys, json_flag):

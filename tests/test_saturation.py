@@ -57,6 +57,7 @@ from conftest import (
     minus,
     nbrs,
     odd_cycle_components,
+    saturating_graphs,
     shortest_odd_cycle,
 )
 
@@ -720,8 +721,9 @@ class TestSaturatingVectors:
 
 
 def walk_before_grown_keys(g: SimpleGraph, t: int, region: int, dominated: int):
-    """`saturation._saturating_graphs` as it was when each support's mask and
-    key were built from scratch for every subset of `combinations`."""
+    """The saturating search (`conftest.saturating_graphs`) as it was when each
+    support's mask and key were built from scratch for every subset of
+    `combinations`."""
     verts = list(iter_bits(region))
     for size in range(3, min(len(verts), 3 * (t - 1)) + 1):
         table = None
@@ -809,7 +811,7 @@ class TestGrownSupports:
                         if mask.bit_count() >= 2 * t and not dominated & ~(mask | nb):
                             skipped += nu(WeightedGraph(g, [mask >> i & 1 for i in range(g.n)])) >= t
                 cold_cache.clear()
-                got = list(saturation._saturating_graphs(g, t, region, dominated))
+                got = list(saturating_graphs(g, t, region, dominated))
                 cold_cache.clear()
                 assert got == list(walk_before_grown_keys(g, t, region, dominated))
         assert skipped or 2 * t > 3 * (t - 1)  # at t = 2 no support has 2t vertices
