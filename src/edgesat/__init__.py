@@ -20,16 +20,12 @@ from .assoc import (
 from .graphs import (
     SimpleGraph,
     closed_neighborhood,
-    connected_components,
     core_of_cover,
     covers_minimal_over,
-    induced_subgraph,
     is_cover,
-    is_dominating,
     is_minimal_cover,
     is_minimal_over,
     minimal_covers,
-    open_neighborhood,
 )
 from .ideals import (
     MonomialIdeal,

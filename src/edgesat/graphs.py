@@ -93,6 +93,11 @@ class SimpleGraph:
         """The memo of `_odd_cycle_catalogue`: (region, size cap) -> its sets."""
         return {}
 
+    @cached_property
+    def _support_memo(self) -> dict[int, list]:
+        """The memo of `saturation._in_power`: support mask -> its entry."""
+        return {}
+
     def has_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self.edges
 
@@ -115,11 +120,6 @@ def _nbrs(g: SimpleGraph, m: int) -> int:
     return out
 
 
-def open_neighborhood(g: SimpleGraph, u: Iterable[int]) -> VertexSet:
-    """N(U): vertices adjacent to some vertex of U (may intersect U)."""
-    return set_of(_nbrs(g, _vertex_mask(g, u)))
-
-
 def _closed_mask(g: SimpleGraph, m: int) -> int:
     return m | _nbrs(g, m)
 
@@ -127,19 +127,6 @@ def _closed_mask(g: SimpleGraph, m: int) -> int:
 def closed_neighborhood(g: SimpleGraph, u: Iterable[int]) -> VertexSet:
     """N[U] = U together with N(U)."""
     return set_of(_closed_mask(g, _vertex_mask(g, u)))
-
-
-def induced_subgraph(g: SimpleGraph, u: Iterable[int]) -> tuple[SimpleGraph, dict[int, int]]:
-    """Induced subgraph on u, relabelled to 1..|u| in sorted order.
-
-    Returns the subgraph and the old->new vertex mapping.
-    """
-    order = list(iter_bits(_vertex_mask(g, u)))
-    relabel = {old: i + 1 for i, old in enumerate(order)}
-    edges = frozenset(
-        (relabel[a], relabel[b]) for a, b in g.edges if a in relabel and b in relabel
-    )
-    return SimpleGraph(len(order), edges), relabel
 
 
 def _covers_edges(g: SimpleGraph, m: int) -> bool:
@@ -204,16 +191,12 @@ def _maximal_independent_sets(g: SimpleGraph, region: int) -> list[int]:
     return out
 
 
-def _set_order(s: VertexSet) -> tuple[int, list[int]]:
-    """Sort key of vertex sets: by size, then lexicographically."""
-    return (len(s), sorted(s))
-
-
 def _mask_order(m: int) -> int:
-    """Sort key of vertex masks in `_set_order`'s order.  Of two sets of one
-    size, the one holding the least vertex of their symmetric difference
-    comes first, so the key is the size above the bit-reversed mask (reversed
-    a byte at a time, through a table), negated."""
+    """Sort key of vertex masks, the library's one order of vertex sets: by
+    size, then lexicographically.  Of two sets of one size, the one holding
+    the least vertex of their symmetric difference comes first, so the key is
+    the size above the bit-reversed mask (reversed a byte at a time, through
+    a table), negated."""
     rev = int.from_bytes(m.to_bytes(8, "little").translate(_REVERSED_BYTES), "big")
     return (m.bit_count() << MAX_VERTICES) - rev
 
@@ -234,12 +217,12 @@ def _covers_over(g: SimpleGraph, s: int) -> tuple[int, ...]:
 
 
 def minimal_covers(g: SimpleGraph) -> list[VertexSet]:
-    """All minimal vertex covers, in `_set_order`."""
+    """All minimal vertex covers, in `_mask_order`."""
     return [set_of(m) for m in _covers_over(g, 0)]
 
 
 def covers_minimal_over(g: SimpleGraph, s: Iterable[int]) -> list[VertexSet]:
-    """The covers minimal among those containing s, in `_set_order`."""
+    """The covers minimal among those containing s, in `_mask_order`."""
     return [set_of(m) for m in _covers_over(g, _vertex_mask(g, s))]
 
 
@@ -271,16 +254,6 @@ def components_masked(g: SimpleGraph, region: int) -> list[int]:
         comps.append(comp)
         region &= ~comp
     return comps
-
-
-def connected_components(g: SimpleGraph) -> list[VertexSet]:
-    """Vertex sets of the connected components, ordered by least vertex."""
-    return [set_of(m) for m in components_masked(g, g.full_mask)]
-
-
-def is_dominating(g: SimpleGraph, u: Iterable[int]) -> bool:
-    """Is every vertex outside u adjacent to a vertex of u?"""
-    return _closed_mask(g, _vertex_mask(g, u)) == g.full_mask
 
 
 def _odd_cycle_sets(g: SimpleGraph, region: int, top: int) -> Iterator[list[tuple]]:

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graphs import SimpleGraph, _set_order, set_of
+from .graphs import SimpleGraph, _mask_order, iter_bits, set_of
 
 
 _BLOCK = 2048  # rows per side of one divisibility test: at most _BLOCK**2 * n booleans
@@ -296,5 +296,9 @@ def _ass_masks(j: MonomialIdeal) -> set[int]:
 
 
 def ass_primes_oracle(j: MonomialIdeal) -> list[frozenset[int]]:
-    """Associated primes of R/j as sets of variable indices, in `_set_order`."""
-    return sorted(map(set_of, _ass_masks(j)), key=_set_order)
+    """Associated primes of R/j as sets of variable indices, in `graphs._mask_order` of their
+    codes over the variables they use (at most 29, whose axes are longer than 1): any n works."""
+    masks = _ass_masks(j)
+    used = list(iter_bits(reduce(or_, masks, 0)))
+    codes = {sum(1 << p for p, v in enumerate(used) if m >> (v - 1) & 1): m for m in masks}
+    return [set_of(codes[c]) for c in sorted(codes, key=_mask_order)]

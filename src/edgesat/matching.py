@@ -12,8 +12,8 @@ runs Edmonds' maximum-cardinality matching on the resulting simple graph.
 An exhaustive edge-multiset search (`nu_bruteforce`) is kept as an
 independent cross-check, and `has_augmenting_walk` decides maximality
 directly via the weighted version of Berge's theorem.
-`_CACHE` is the one bounded cache: `nu` answers, the saturating catalogue,
-and the per-support-mask entries of the membership questions.
+`_CACHE` is the one bounded cache, of answers that no graph owns: `nu` and the
+saturating catalogue, by relabelled keys.  A graph's memos live on the graph.
 """
 
 from __future__ import annotations
@@ -288,31 +288,26 @@ def _greedy_counts(weights: Sequence[int], edges: Sequence[tuple[int, int]]) -> 
     return counts
 
 
-_CACHE_LIMIT = 1 << 18  # entries over all three stores, well above any benchmark run
+_CACHE_LIMIT = 1 << 18  # entries over both stores, well above any benchmark run
 
 
 class _Cache:
-    """The process's exact answers, at most `_CACHE_LIMIT` entries over three
-    stores: `nu` by `cache_key`; `saturating`, per (t, support size), a
-    support's t-saturating weightings by its relabelled edge bits (see
-    `saturation._support_vectors`); and `supports`, what the membership
-    questions read per support mask, one entry per mask, built for the graph
-    it names: the unit-weight graph, its edges in `_degree_order`, the drop
-    plans and the slot of the last answer (see `saturation._in_power`).
+    """The process's exact answers that depend on no graph object, at most
+    `_CACHE_LIMIT` entries over two stores: `nu` by `cache_key`; and
+    `saturating`, per (t, support size), a support's t-saturating weightings
+    by its relabelled edge bits (see `saturation._support_vectors`).
     Only `clear` empties a store: an insert into a full cache clears it
     first, in place, so a caller's reference to a store stays good."""
 
     def __init__(self) -> None:
         self.nu: dict[tuple[tuple[int, ...], int], int] = {}
         self.saturating: dict[tuple[int, int], dict[int, tuple]] = {}
-        self.supports: dict[int, list] = {}
         self.entries = 0
 
     def clear(self) -> None:
         self.nu.clear()
         for memo in self.saturating.values():
             memo.clear()
-        self.supports.clear()
         self.entries = 0
 
     def remember(self, store: dict, key, value):

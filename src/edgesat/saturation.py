@@ -9,9 +9,9 @@ of each inequality (an `itemgetter` of the support indices outside N and the
 edge bits of H - N) is made once per support, and each weight tuple meets the
 `nu` cache by key.  The membership questions keep, per support mask, its
 unit-weight graph (for the vertices, mask and edge bits), the edges in
-`_degree_order`, the plans and the last answer in `matching._CACHE`, so a
-question builds a weighted graph only for a mask with no entry or with one
-built for another graph.  A question is settled by nu <= w/2 and by a
+`_degree_order`, the plans and the last answer on the graph, in
+`SimpleGraph._support_memo`, so a question builds a weighted graph only for a
+mask with no entry.  A question is settled by nu <= w/2 and by a
 greedy b-matching before it runs a blossom.  The search for saturating
 graphs settles each weighting by its cheapest exact test first: the prune
 (some w - e_p already failed), then a greedy b-matching that reaches t, then
@@ -30,9 +30,9 @@ from .graphs import (
     SimpleGraph,
     _core_mask,
     _covers_edges,
+    _mask_order,
     _nbrs,
     _odd_cycle_catalogue,
-    _set_order,
     _vertex_mask,
     components_masked,
     iter_bits,
@@ -41,6 +41,7 @@ from .graphs import (
 )
 from .matching import (
     _CACHE,
+    _CACHE_LIMIT,
     WeightedGraph,
     _degree_order,
     _edge_bits,
@@ -70,13 +71,13 @@ def _check_t(t: int) -> None:
 
 def _in_power(g: SimpleGraph, a: Sequence[int], t: int) -> tuple[tuple, list]:
     """Whether x^a lies in I^t, as the slot (t, w, in_power, in_sat) of the
-    support's entry in the support store, w being the support's weights
+    support's entry in g's `_support_memo`, w being the support's weights
     capped at t and in_sat None until a saturation question asks it; with
     the entry.  An entry is [the unit-weight graph H on the support, the
     `_degree_order` of its edges, the drop plans (None until a saturation
-    question first needs them), the slot of the last question].  The store
-    keeps one entry per support mask; an entry built for another graph
-    object is replaced by one for g.
+    question first needs them), the slot of the last question].  The memo
+    keeps one entry per support mask, and empties itself before an insert
+    once it holds `_CACHE_LIMIT` entries.
 
     The cap decides membership in I^t and sat(I^t) alike: a size-t matching
     uses no vertex more than t times, and a weight of t or more on N gives
@@ -91,11 +92,12 @@ def _in_power(g: SimpleGraph, a: Sequence[int], t: int) -> tuple[tuple, list]:
             mask |= 1 << i
             w.append(x if x < t else t)
     w = tuple(w)
-    entry = _CACHE.supports.get(mask)
-    if entry is None or entry[0].graph is not g:
+    memo = g._support_memo
+    if (entry := memo.get(mask)) is None:
+        if len(memo) >= _CACHE_LIMIT:
+            memo.clear()
         h = WeightedGraph(g, [mask >> i & 1 for i in range(g.n)])
-        order = _degree_order(len(w), h.cache_key[1])
-        entry = _CACHE.remember(_CACHE.supports, mask, [h, order, None, None])
+        entry = memo[mask] = [h, _degree_order(len(w), h.cache_key[1]), None, None]
     slot = entry[3]  # read once: another thread may replace it
     if slot is None or slot[0] != t or slot[1] != w:
         h, order = entry[0], entry[1]
@@ -381,8 +383,8 @@ def facets_delta(g: SimpleGraph, a: Sequence[int], t: int) -> list[frozenset[int
     contributes no facet.  It is asked of g itself, at core(F): with a capped
     at s on core(F) and zero elsewhere, nu < s and the saturation inequality
     at each vertex of core(F), whose neighbourhood meets the support as it
-    does in the induced graph.  No subgraph is built.
-    """
+    does in the induced graph.  No subgraph is built, and the facets are
+    sorted as masks, in `_mask_order`."""
     _check_t(t)
     a = _integers(a)
     if len(a) != g.n:
@@ -391,7 +393,7 @@ def facets_delta(g: SimpleGraph, a: Sequence[int], t: int) -> list[frozenset[int
         raise ValueError("the facet formula needs a nonzero edge ideal")
     ga_mask = mask_of(i + 1 for i, x in enumerate(a) if x < 0)
     free = g.full_mask & ~ga_mask
-    facets: list[frozenset[int]] = []
+    facets = []
     sub = 0
     while True:  # all subsets of `free`; G = ga_mask | sub
         fmask = free & ~sub
@@ -402,8 +404,8 @@ def facets_delta(g: SimpleGraph, a: Sequence[int], t: int) -> list[frozenset[int
             if s >= 1:
                 h = WeightedGraph(g, [min(x, s) if core >> i & 1 else 0 for i, x in enumerate(a)])
                 if nu(h) < s and _inequalities_hold_at(h, s, iter_bits(core)):
-                    facets.append(set_of(sub))
+                    facets.append(sub)
         if sub == free:
             break
         sub = (sub - free) & free
-    return sorted(facets, key=_set_order)
+    return [set_of(m) for m in sorted(facets, key=_mask_order)]

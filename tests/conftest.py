@@ -15,7 +15,7 @@ from edgesat.graphs import (
     _core_mask,
     _layers,
     _odd_cycle_catalogue,
-    _set_order,
+    _vertex_mask,
     components_masked,
     covers_minimal_over,
     iter_bits,
@@ -48,6 +48,23 @@ def graph(n: int, *edges: tuple[int, int]) -> SimpleGraph:
 def nbrs(g: SimpleGraph, v: int) -> frozenset[int]:
     """The neighbours of v, as a vertex set read off g's adjacency masks."""
     return set_of(g.adj_bits[v - 1])
+
+
+def set_order(s: frozenset[int]) -> tuple[int, list[int]]:
+    """Sort key of vertex sets: by size, then lexicographically.  The library
+    sorts masks by `graphs._mask_order` instead; this is its reference."""
+    return (len(s), sorted(s))
+
+
+def induced_subgraph(g: SimpleGraph, u: Iterable[int]) -> tuple[SimpleGraph, dict[int, int]]:
+    """The induced subgraph on u, relabelled to 1..|u| in sorted order, and
+    the old->new vertex mapping; a label outside 1..n is refused."""
+    order = list(iter_bits(_vertex_mask(g, u)))
+    relabel = {old: i + 1 for i, old in enumerate(order)}
+    edges = frozenset(
+        (relabel[a], relabel[b]) for a, b in g.edges if a in relabel and b in relabel
+    )
+    return SimpleGraph(len(order), edges), relabel
 
 
 def shortest_odd_cycle(g: SimpleGraph) -> int | None:
@@ -96,7 +113,7 @@ def ass_primes_reference(g: SimpleGraph, t: int) -> list[AssPrimeReport]:
                 seen.add(f)
                 evidence = {"type": "witness", "exponents": list(a)}
                 reports.append(AssPrimeReport(mask_of(f), "embedded", evidence))
-    return sorted(reports, key=lambda r: _set_order(r.vertices))
+    return sorted(reports, key=lambda r: set_order(r.vertices))
 
 
 def disjoint_triangles(k: int) -> SimpleGraph:

@@ -56,6 +56,7 @@ from conftest import (
     ass_primes_reference,
     disjoint_triangles,
     graph,
+    induced_subgraph,
     nbrs,
     odd_cycle_components,
     saturating_graphs,
@@ -109,8 +110,6 @@ class TestIsAssociated:
             is_associated(triangle, {1, 2, 3, bad}, 2)
 
     def test_witness_reverifiable(self, triangle):
-        from edgesat.graphs import induced_subgraph
-
         rep = is_associated(triangle, {1, 2, 3}, 2)
         assert rep is not None
         a = tuple(rep.evidence["exponents"])

@@ -13,18 +13,20 @@ from edgesat.census import (
     formula_ass,
     oracle_ass,
 )
-from edgesat.graphs import SimpleGraph, _set_order, graph_to_text
+from edgesat.graphs import SimpleGraph, graph_to_text
+
+from conftest import set_order
 
 
 def check_graph_reference(g: SimpleGraph, t: int) -> dict | None:
     """The comparison on the vertex sets the public engines hand out, each
-    list sorted by `_set_order`: the mismatch dict `check_graph` must give."""
+    list sorted by `set_order`: the mismatch dict `check_graph` must give."""
     expected, got, closed = oracle_ass(g, t), formula_ass(g, t), closed_form_ass(g, t)
     if got == expected and (closed is None or closed == expected):
         return None
 
     def lists(primes):
-        return [sorted(p) for p in sorted(primes, key=_set_order)]
+        return [sorted(p) for p in sorted(primes, key=set_order)]
 
     return {
         "edges": [list(e) for e in g.sorted_edges],
@@ -45,7 +47,7 @@ def test_masks_agree_with_the_public_sets(t):
 
 @pytest.mark.parametrize("t", [2, 3, 4])
 def test_a_dropped_report_gives_the_set_level_mismatch(monkeypatch, t):
-    # ass_primes loses its last prime (the largest in `_set_order`): both
+    # ass_primes loses its last prime (the largest in `set_order`): both
     # comparisons read the same wrong engine and must report it alike
     real = assoc.ass_primes
     monkeypatch.setattr(assoc, "ass_primes", lambda g, t: real(g, t)[:-1])

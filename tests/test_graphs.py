@@ -14,21 +14,17 @@ from edgesat.graphs import (
     SimpleGraph,
     _core_mask,
     _mask_order,
-    _set_order,
+    _nbrs,
     closed_neighborhood,
     components_masked,
-    connected_components,
     core_of_cover,
     covers_minimal_over,
-    induced_subgraph,
     is_cover,
-    is_dominating,
     is_minimal_cover,
     is_minimal_over,
     iter_bits,
     mask_of,
     minimal_covers,
-    open_neighborhood,
     parse_graph_text,
     graph_to_text,
     set_of,
@@ -37,7 +33,7 @@ from edgesat.graphs import (
 )
 from edgesat.census import all_graphs, all_graphs_upto, random_graphs
 
-from conftest import graph, odd_cycle_components, shortest_odd_cycle
+from conftest import graph, induced_subgraph, odd_cycle_components, set_order, shortest_odd_cycle
 
 
 def _numpy_components_and_odd_girths(g: SimpleGraph, region: int) -> tuple[list[int], list[int | None]]:
@@ -80,14 +76,15 @@ def _check_against_numpy(g: SimpleGraph, region: int) -> None:
 
 
 class TestNeighborhoods:
+    # the open neighbourhood N(U) is the mask helper `_nbrs`
     def test_triangle_open(self, triangle):
-        assert open_neighborhood(triangle, {1}) == {2, 3}
+        assert _nbrs(triangle, 0b001) == 0b110
 
     def test_path_open(self, path3):
-        assert open_neighborhood(path3, {1, 3}) == {2}
+        assert _nbrs(path3, 0b101) == 0b010
 
     def test_tailed_triangle_closed_is_everything(self, tailed_triangle):
-        assert open_neighborhood(tailed_triangle, {1, 2, 3, 4}) == {1, 2, 3, 4, 5}
+        assert _nbrs(tailed_triangle, 0b01111) == 0b11111
         assert closed_neighborhood(tailed_triangle, {1, 2, 3, 4}) == {1, 2, 3, 4, 5}
 
     def test_triangle_closed(self, triangle):
@@ -153,14 +150,12 @@ class TestCovers:
             lambda g, bad: is_minimal_cover(g, {1, 2, bad}),
             lambda g, bad: is_minimal_over(g, {1, 2, 3}, {1, bad}),
             lambda g, bad: closed_neighborhood(g, {1, bad}),
-            lambda g, bad: open_neighborhood(g, {1, bad}),
-            lambda g, bad: is_dominating(g, {1, bad}),
             lambda g, bad: covers_minimal_over(g, {bad}),
             lambda g, bad: induced_subgraph(g, {1, bad}),
         ],
         ids=[
-            "is_cover", "is_minimal_cover", "is_minimal_over", "closed", "open", "dominating",
-            "covers_minimal_over", "induced_subgraph",
+            "is_cover", "is_minimal_cover", "is_minimal_over", "closed", "covers_minimal_over",
+            "induced_subgraph",
         ],
     )
     def test_vertex_sets_reject_labels_outside_the_graph(self, triangle, call, bad):
@@ -201,7 +196,7 @@ class TestCovers:
             rng = random.Random(64)
             masks = [rng.getrandbits(64) for _ in range(5000)]
             masks += [m ^ 1 << 63 for m in masks] + [(1 << 64) - 1, 1 << 63, 1, 0]
-        want = sorted(masks, key=lambda m: _set_order(set_of(m)))
+        want = sorted(masks, key=lambda m: set_order(set_of(m)))
         assert sorted(masks, key=_mask_order) == want
 
     def test_minimal_covers_pentagon(self, pentagon):
@@ -258,11 +253,11 @@ class TestCoversMinimalOver:
 class TestComponentsAndCycles:
     def test_components(self):
         two_tris = graph(6, (1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6))
-        assert connected_components(two_tris) == [{1, 2, 3}, {4, 5, 6}]
-        assert connected_components(graph(3)) == [{1}, {2}, {3}]
+        assert components_masked(two_tris, two_tris.full_mask) == [0b000111, 0b111000]
+        assert components_masked(graph(3), 0b111) == [0b001, 0b010, 0b100]
 
     def test_connected(self, tailed_triangle):
-        assert connected_components(tailed_triangle) == [{1, 2, 3, 4, 5}]
+        assert components_masked(tailed_triangle, tailed_triangle.full_mask) == [0b11111]
 
     def test_shortest_odd_cycle(self, triangle, pentagon, path3):
         assert shortest_odd_cycle(triangle) == 3
@@ -310,14 +305,15 @@ class TestComponentsAndCycles:
 
 
 class TestDominating:
+    # U dominates exactly when its closed neighbourhood N[U] is every vertex
     def test_pentagon_all(self, pentagon):
-        assert is_dominating(pentagon, {1, 2, 3, 4, 5})
+        assert closed_neighborhood(pentagon, {1, 2, 3, 4, 5}) == pentagon.vertices
 
     def test_tailed_triangle_not_dominated_by_triangle(self, tailed_triangle):
-        assert not is_dominating(tailed_triangle, {1, 2, 3})
+        assert closed_neighborhood(tailed_triangle, {1, 2, 3}) != tailed_triangle.vertices
 
     def test_tailed_triangle_four_dominating(self, tailed_triangle):
-        assert is_dominating(tailed_triangle, {1, 2, 3, 4})
+        assert closed_neighborhood(tailed_triangle, {1, 2, 3, 4}) == tailed_triangle.vertices
 
 
 class TestInvariants:

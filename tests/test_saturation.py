@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import gc
 import random
 import sys
 import threading
+import weakref
 from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
 
 from edgesat import matching, saturation
+from edgesat.assoc import ass_primes, is_associated
 from edgesat.census import all_graphs, all_graphs_upto, random_graphs
 from edgesat.cli import main
 from edgesat.graphs import (
@@ -18,12 +21,9 @@ from edgesat.graphs import (
     _closed_mask,
     _nbrs,
     _odd_cycle_sets,
-    _set_order,
     components_masked,
     core_of_cover,
-    induced_subgraph,
     is_cover,
-    is_dominating,
     iter_bits,
     mask_of,
     set_of,
@@ -54,16 +54,23 @@ from edgesat.saturation import (
 from conftest import (
     disjoint_triangles,
     graph,
+    induced_subgraph,
     minus,
     nbrs,
     odd_cycle_components,
     saturating_graphs,
+    set_order,
     shortest_odd_cycle,
 )
 
 
 def wg(g: SimpleGraph, *weights: int) -> WeightedGraph:
     return WeightedGraph(g, weights)
+
+
+def dominates(g: SimpleGraph, u: frozenset[int]) -> bool:
+    """Whether every vertex outside u has a neighbour in u: N[u] is V."""
+    return _closed_mask(g, mask_of(u)) == g.full_mask
 
 
 def cycle_graph(k: int) -> SimpleGraph:
@@ -206,9 +213,10 @@ class TestIntegerExponents:
 
 
 class TestSupportStore:
-    """The membership questions share the entries of `matching._CACHE.supports`,
-    one per support mask; an entry built for another graph object is
-    replaced, and only `clear` empties the store."""
+    """The membership questions keep their entries on the graph object, in
+    `SimpleGraph._support_memo`, one per support mask; the memo empties itself
+    before an insert once it holds `_CACHE_LIMIT` entries, and the process
+    cache holds no graph."""
 
     @pytest.mark.parametrize("t", [2, 3, 4])
     def test_differential_against_the_oracle_at_n7(self, cold_cache, t):
@@ -232,7 +240,8 @@ class TestSupportStore:
 
     def test_alternating_graphs_with_one_support(self, cold_cache):
         # the same support mask on the triangle and on the path 1-2-3 has
-        # other edge bits and plans; a stale entry answers for the wrong graph
+        # other edge bits and plans; an entry shared between them would answer
+        # for the wrong graph
         path = graph(3, (1, 2), (2, 3))
         triangle = graph(3, (1, 2), (1, 3), (2, 3))
         for _ in range(2):
@@ -240,14 +249,14 @@ class TestSupportStore:
                 assert [p(g, (1, 1, 2), 2) for p in PREDICATES] == answers
             for g, answers in ((triangle, [False, True, True]), (path, [False, False, False])):
                 assert [p(g, (1, 1, 1), 2) for p in PREDICATES] == answers
-            # one entry for the mask, built for the graph asked last
-            assert set(cold_cache.supports) == {0b111}
-            assert cold_cache.supports[0b111][0].graph is path
+            # one entry for the mask on each graph, built for that graph
+            for g in (triangle, path):
+                assert list(g._support_memo) == [0b111] and g._support_memo[0b111][0].graph is g
 
     @pytest.mark.parametrize("t", [2, 3])
     def test_graphs_asked_in_turn_answer_as_a_cold_cache(self, cold_cache, t):
-        # each vector of {0..t}^4 is asked of every graph on 4 vertices in turn, so
-        # each support mask meets entries built for the other graphs
+        # each vector of {0..t}^4 is asked of every graph on 4 vertices in turn,
+        # warm against a cleared cache and a fresh copy of the graph each time
         pool = list(all_graphs(4))
         vectors = list(product(range(t + 1), repeat=4))
         cold = []
@@ -255,15 +264,15 @@ class TestSupportStore:
             for g in pool:
                 for p in PREDICATES:
                     cold_cache.clear()
-                    cold.append(p(g, a, t))
+                    cold.append(p(SimpleGraph(g.n, g.edges), a, t))
         cold_cache.clear()
         warm = [p(g, a, t) for a in vectors for g in pool for p in PREDICATES]
         assert warm == cold
-        stored = len(cold_cache.nu) + len(cold_cache.supports)
-        assert cold_cache.entries == stored + sum(map(len, cold_cache.saturating.values()))
+        assert all(len(g._support_memo) == 16 for g in pool)
+        assert cold_cache.entries == len(cold_cache.nu) + sum(map(len, cold_cache.saturating.values()))
 
     def test_threads_switching_graphs_get_their_own_answers(self, cold_cache):
-        # each thread asks about one graph while others replace its entry
+        # each thread asks about one graph while others ask the same mask of another
         path = graph(3, (1, 2), (2, 3))
         triangle = graph(3, (1, 2), (1, 3), (2, 3))
         want = {triangle: [False, True, True], path: [False, False, False]}
@@ -286,9 +295,50 @@ class TestSupportStore:
         finally:
             sys.setswitchinterval(interval)
         assert not any(w.is_alive() for w in workers) and wrong == []
-        # a rebuilt entry replaces the old one and is counted once
-        stored = len(cold_cache.nu) + len(cold_cache.supports)
-        assert cold_cache.entries == stored + sum(map(len, cold_cache.saturating.values()))
+        for g in (triangle, path):
+            assert list(g._support_memo) == [0b111] and g._support_memo[0b111][0].graph is g
+        assert cold_cache.entries == len(cold_cache.nu) + sum(map(len, cold_cache.saturating.values()))
+
+    def test_threads_sharing_a_graph_at_alternating_t_get_their_own_answers(self, cold_cache, pentagon):
+        # each thread asks one vector of one graph object at its own t, while
+        # the others overwrite the slot of the one entry they share
+        a = (1, 1, 1, 1, 1)
+        want = {2: [True, True, False], 3: [False, True, True], 4: [False, False, False]}
+        wrong = []
+
+        def ask(t):
+            for _ in range(3000):
+                got = [p(pentagon, a, t) for p in PREDICATES]
+                if got != want[t]:
+                    wrong.append((t, got))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=ask, args=(t,)) for t in [2, 3, 4] * 2]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers) and wrong == []
+        assert list(pentagon._support_memo) == [0b11111]
+
+    def test_the_process_cache_keeps_no_graph_alive(self):
+        # the answers are kept, and checked, after the graph is gone
+        g = graph(5, (1, 2), (2, 3), (3, 4), (4, 5), (1, 5), (1, 3))
+        answers = [
+            in_power(g, (1, 1, 1, 1, 0), 2),
+            in_saturation(g, (1, 1, 1, 1, 1), 3),
+            len(ass_primes(g, 3)),
+            is_associated(g, g.vertices, 3) is None,
+        ]
+        ref = weakref.ref(g)
+        del g
+        gc.collect()
+        assert ref() is None
+        assert answers == [True, True, 5, False]
 
     def test_a_key_stored_twice_is_one_entry(self, cold_cache):
         for value in (1, 2):
@@ -299,25 +349,27 @@ class TestSupportStore:
         vectors = [(1, 1, 0, 0, 0), (1, 1, 1, 0, 0), (1, 0, 1, 0, 1), (1, 1, 1, 1, 1)]
         for a in vectors:
             in_saturation(pentagon, a, 2)
-        assert len(cold_cache.supports) == 4
-        assert cold_cache.entries == len(cold_cache.nu) + 4
-        # another graph's question on a new mask adds one entry ...
-        in_power(triangle, (0, 1, 1), 2)
-        assert len(cold_cache.supports) == 5
-        assert cold_cache.entries == len(cold_cache.nu) + 5
-        # ... and on a shared mask replaces the entry, counted once
+        assert len(pentagon._support_memo) == 4
+        assert cold_cache.entries == len(cold_cache.nu) + sum(map(len, cold_cache.saturating.values()))
+        # another graph's question on a shared mask adds an entry to that graph only
         in_power(triangle, (1, 1, 1), 2)
-        assert len(cold_cache.supports) == 5 and cold_cache.supports[0b111][0].graph is triangle
-        assert cold_cache.entries == len(cold_cache.nu) + 5
-        # a full cache empties itself, the store included, before an insert
+        assert list(triangle._support_memo) == [0b111] and len(pentagon._support_memo) == 4
+        assert pentagon._support_memo[0b111][0].graph is pentagon
+        # a full memo answers a mask it holds, and empties itself before an insert
+        monkeypatch.setattr(saturation, "_CACHE_LIMIT", 4)
+        assert not in_power(pentagon, (1, 1, 1, 0, 0), 3) and len(pentagon._support_memo) == 4
+        in_power(pentagon, (0, 1, 1, 0, 0), 2)
+        assert list(pentagon._support_memo) == [0b00110]
+        assert list(triangle._support_memo) == [0b111]
+        # a full process cache empties itself before an insert, and the
+        # graphs' memos are not its to clear
         monkeypatch.setattr(matching, "_CACHE_LIMIT", cold_cache.entries)
-        in_power(pentagon, (1, 1, 1, 0, 0), 2)
-        assert list(cold_cache.supports) == [0b111]
-        assert cold_cache.supports[0b111][0].graph is pentagon
-        assert cold_cache.entries == len(cold_cache.nu) + 1 < matching._CACHE_LIMIT
+        nu(WeightedGraph(triangle, (3, 2, 2)))
+        assert len(cold_cache.nu) == cold_cache.entries == 1 < matching._CACHE_LIMIT
         cold_cache.clear()
-        assert cold_cache.supports == {} and cold_cache.entries == 0
-        assert in_saturation(triangle, (1, 1, 1), 2) and len(cold_cache.supports) == 1
+        assert cold_cache.nu == {} and cold_cache.entries == 0
+        assert list(triangle._support_memo) == [0b111]
+        assert in_saturation(triangle, (1, 1, 1), 2) and list(triangle._support_memo) == [0b111]
 
 
 def _graphs_up_to_relabelling(n: int) -> list[SimpleGraph]:
@@ -413,7 +465,7 @@ class TestMembershipBounds:
         assert in_saturation(pentagon, (1, 1, 1, 1, 1), 2)  # in I^2: no inequality
         assert not in_saturation(pentagon, (1, 1, 1, 1, 2), 4)
         assert in_sat_minus_power(pentagon, (1, 1, 1, 1, 1), 3)
-        assert calls == [3, 4, 3] and len(cold_cache.supports) == 1
+        assert calls == [3, 4, 3] and list(pentagon._support_memo) == [0b11111]
 
 
 class TestLargeExponents:
@@ -840,7 +892,7 @@ class TestOracleEquivalenceSmall:
                 for t in (2, 3):
                     if in_sat_minus_power(g, a, t):
                         hits += 1
-                        assert is_dominating(g, support(a))
+                        assert dominates(g, support(a))
         assert hits > 0
 
     def test_degree_bound_small(self):
@@ -894,7 +946,7 @@ def facets_on_core_subgraphs(g: SimpleGraph, a: tuple[int, ...], t: int) -> list
                 sub, _ = induced_subgraph(g, core)
                 if in_sat_minus_power(sub, [a[v - 1] for v in sorted(core)], s):
                     facets.append(frozenset(extra))
-    return sorted(facets, key=_set_order)
+    return sorted(facets, key=set_order)
 
 
 class TestFacets:
@@ -910,7 +962,7 @@ class TestFacets:
     def test_matches_the_induced_core_route(self, cold_cache):
         # every graph with edges and n <= 5 and seeded samples at n = 6, 7, at
         # t = 1..4, with signed entries, some far above t to meet the cap at
-        # s; a facet question leaves the membership support store as it was
+        # s; a facet question leaves the graph's membership memo as it was
         rng = random.Random(4206)
         pool = [g for g in all_graphs_upto(5) if g.edges]
         pool += [g for n in (6, 7) for g in random_graphs(n, 200, 4200 + n) if g.edges]
@@ -924,9 +976,9 @@ class TestFacets:
                     )
                     want = facets_on_core_subgraphs(g, a, t)
                     in_power(g, [max(x, 0) for x in a], t)
-                    store, entries = cold_cache.supports, dict(cold_cache.supports)
+                    entries = dict(g._support_memo)
                     assert facets_delta(g, a, t) == want, (sorted(g.edges), a, t)
-                    assert cold_cache.supports is store and store == entries
+                    assert g._support_memo == entries
                     nonempty += bool(want)
         assert nonempty >= 500
 
