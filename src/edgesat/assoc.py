@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
 from .graphs import (
     SimpleGraph,
@@ -87,17 +87,6 @@ def _reports_over(
     return [AssPrimeReport(f, *reports[f]) for f in sorted(reports, key=_mask_order)]
 
 
-def _witness(g: SimpleGraph, t: int, core: int, vectors: Iterable[Sequence[int]]) -> dict | None:
-    """The evidence of the first of `vectors` that is a witness at the core
-    mask `core` of a cover: x^a is not in I^t, and the inequalities at the
-    core vertices off V_a hold.  None if there is none."""
-    for a in vectors:
-        h = WeightedGraph(g, a)
-        if nu(h) < t and _inequalities_hold_at(h, t, iter_bits(core & ~h.mask)):
-            return {"type": "witness", "exponents": list(a)}
-    return None
-
-
 def _cover_witness(g: SimpleGraph, t: int, core: int, catalogue: Iterable[tuple]) -> dict | None:
     """The evidence of an embedded prime P_F, from the core mask `core` of
     the cover F and an odd-cycle catalogue (U, N(U), components) of at most
@@ -105,9 +94,15 @@ def _cover_witness(g: SimpleGraph, t: int, core: int, catalogue: Iterable[tuple]
     the saturating graphs on the catalogue's U with U <= core(F) <= N[U], in
     its order, or None.  For a support S inside core(F), N[S] lies in F, and
     a vertex of F outside N[S] can leave the cover exactly when it lies in
-    core(F); so F is minimal over N[S] exactly when core(F) lies in N[S]."""
+    core(F); so F is minimal over N[S] exactly when core(F) lies in N[S].
+    A witness x^a is not in I^t, checked by the public `nu` as its certificate,
+    and the inequalities at the core vertices off V_a hold."""
     sets = (um for um, nb, _ in catalogue if not um & ~core and not core & ~(um | nb))
-    return _witness(g, t, core, _support_vectors(g, t, sets))
+    for a in _support_vectors(g, t, sets):
+        h = WeightedGraph(g, a)
+        if nu(h) < t and _inequalities_hold_at(h, t, iter_bits(core & ~h.mask)):
+            return {"type": "witness", "exponents": list(a)}
+    return None
 
 
 def is_associated(g: SimpleGraph, f: Iterable[int], t: int) -> AssPrimeReport | None:

@@ -19,6 +19,7 @@ EXIT_USAGE = 2
 
 _MAX_CLONES = 1024  # of the blow-up that `nu` builds: its blossom grows as the cube
 _MAX_FREE = 20  # of `facets`: it walks 2^(free vertices) subsets
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode  # the --json form
 
 
 class InputError(Exception):
@@ -104,7 +105,7 @@ def _emit(
     """Set the command's output, building only the form asked for (`payload` for --json,
     else the `human` lines); `main` writes it once the command has its exit status."""
     if args.json:
-        args.output = json.dumps(payload(), sort_keys=True, separators=(",", ":"))
+        args.output = _encode(payload())
     else:
         args.output = "\n".join(human())
 
@@ -116,18 +117,15 @@ def _emit_reports(
     reports: list[assoc.AssPrimeReport],
     title: str,
 ) -> None:
-    """`_emit` for prime reports: the payload lists their dicts (and t, if given), the
-    lines name each prime by its cover mask under the title."""
-
-    def payload() -> dict:
-        primes = {"primes": [r.to_dict() for r in reports]}
-        return primes if t is None else {**primes, "t": t}
-
-    def lines() -> list[str]:
+    """The output of prime reports, set as `_emit` sets it: the JSON lists their dicts
+    (and t, if given), each encoded on its own and joined, so that no list of every
+    dict is held; the lines name each prime by its cover mask under the title."""
+    if args.json:  # in `_encode`'s sorted key order: "primes" before "t"
+        primes = ",".join(_encode(r.to_dict()) for r in reports)
+        args.output = '{"primes":[' + primes + ("]}" if t is None else f'],"t":{t}}}')
+    else:
         name = _prime_namer(g.n)
-        return [title] + [f"  {name(r.mask):<16} {r.kind}" for r in reports]
-
-    _emit(args, payload, lines)
+        args.output = "\n".join([title] + [f"  {name(r.mask):<16} {r.kind}" for r in reports])
 
 
 def cmd_nu(args: argparse.Namespace) -> int:

@@ -12,6 +12,7 @@ from typing import Iterable, Iterator
 
 MAX_VERTICES = 64
 _REVERSED_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+_CACHE_LIMIT = 1 << 18  # entries per memo, well above any benchmark run
 
 VertexSet = frozenset[int]
 
@@ -25,6 +26,16 @@ def mask_of(vertices: Iterable[int]) -> int:
 
 def set_of(mask: int) -> VertexSet:
     return frozenset(iter_bits(mask))
+
+
+def _remember(memo: dict, key, value):
+    """Store `value` under `key` in `memo` and return it: the one bound of every
+    memo.  A memo that holds `_CACHE_LIMIT` entries empties itself first, in
+    place, so a caller's reference to it stays good."""
+    if len(memo) >= _CACHE_LIMIT:
+        memo.clear()
+    memo[key] = value
+    return value
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -207,13 +218,13 @@ def _covers_over(g: SimpleGraph, s: int) -> tuple[int, ...]:
     independent sets I of rest = V \\ s, each checked to have N(I) meet rest
     in exactly rest \\ I."""
     memo = g._cover_catalogue
-    if s not in memo:
+    if (found := memo.get(s)) is None:
         rest = g.full_mask & ~s
         sets = _maximal_independent_sets(g, rest)
         if any(_nbrs(g, i) & rest != rest & ~i for i in sets):
             raise RuntimeError("Bron-Kerbosch produced a cover that is not minimal")
-        memo[s] = tuple(sorted((s | rest & ~i for i in sets), key=_mask_order))
-    return memo[s]
+        found = _remember(memo, s, tuple(sorted((s | rest & ~i for i in sets), key=_mask_order)))
+    return found
 
 
 def minimal_covers(g: SimpleGraph) -> list[VertexSet]:
@@ -311,10 +322,11 @@ def _odd_cycle_catalogue(g: SimpleGraph, region: int, top: int) -> tuple[tuple, 
     """The (U, N(U), components) of one `_odd_cycle_sets` run, sorted once by
     `_mask_order` of U, memoised on g under region and min(top, |region|)."""
     key = (region, min(top, region.bit_count()))
-    if key not in g._odd_cycle_memo:
+    memo = g._odd_cycle_memo
+    if (found := memo.get(key)) is None:
         sets = (entry for level in _odd_cycle_sets(g, *key) for entry in level)
-        g._odd_cycle_memo[key] = tuple(sorted(sets, key=lambda entry: _mask_order(entry[0])))
-    return g._odd_cycle_memo[key]
+        found = _remember(memo, key, tuple(sorted(sets, key=lambda entry: _mask_order(entry[0]))))
+    return found
 
 
 def shortest_odd_cycle_masked(g: SimpleGraph, region: int) -> int | None:

@@ -12,8 +12,8 @@ runs Edmonds' maximum-cardinality matching on the resulting simple graph.
 An exhaustive edge-multiset search (`nu_bruteforce`) is kept as an
 independent cross-check, and `has_augmenting_walk` decides maximality
 directly via the weighted version of Berge's theorem.
-`_CACHE` is the one bounded cache, of answers that no graph owns: `nu` and the
-saturating catalogue, by relabelled keys.  A graph's memos live on the graph.
+`_CACHE` holds the answers no graph owns, `nu` and the saturating catalogue;
+a graph's memos live on the graph.  `graphs._remember` bounds each memo alone.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from itertools import accumulate
 from operator import index
 from typing import Iterable, Sequence
 
-from .graphs import SimpleGraph, mask_of, set_of
+from .graphs import SimpleGraph, _remember, mask_of, set_of
 
 
 def _edge_bits(g: SimpleGraph, verts: Sequence[int]) -> int:
@@ -288,36 +288,20 @@ def _greedy_counts(weights: Sequence[int], edges: Sequence[tuple[int, int]]) -> 
     return counts
 
 
-_CACHE_LIMIT = 1 << 18  # entries over both stores, well above any benchmark run
-
-
 class _Cache:
-    """The process's exact answers that depend on no graph object, at most
-    `_CACHE_LIMIT` entries over two stores: `nu` by `cache_key`; and
-    `saturating`, per (t, support size), a support's t-saturating weightings
-    by its relabelled edge bits (see `saturation._support_vectors`).
-    Only `clear` empties a store: an insert into a full cache clears it
-    first, in place, so a caller's reference to a store stays good."""
+    """The process's exact answers that depend on no graph object, in two
+    stores, each bounded by `graphs._remember`: `nu` by `cache_key`; and
+    `saturating`, a support's t-saturating weightings by (t, its size, its
+    relabelled edge bits) (see `saturation._support_vectors`).  `clear`
+    empties both in place, so a caller's reference to a store stays good."""
 
     def __init__(self) -> None:
         self.nu: dict[tuple[tuple[int, ...], int], int] = {}
-        self.saturating: dict[tuple[int, int], dict[int, tuple]] = {}
-        self.entries = 0
+        self.saturating: dict[tuple[int, int, int], tuple] = {}
 
     def clear(self) -> None:
         self.nu.clear()
-        for memo in self.saturating.values():
-            memo.clear()
-        self.entries = 0
-
-    def remember(self, store: dict, key, value):
-        """Store and return `value` under `key` in one of the stores; only a
-        new key adds an entry."""
-        if self.entries >= _CACHE_LIMIT:
-            self.clear()
-        self.entries += key not in store
-        store[key] = value
-        return value
+        self.saturating.clear()
 
 
 _CACHE = _Cache()
@@ -329,7 +313,7 @@ def _nu_of_key(key: tuple[tuple[int, ...], int]) -> int:
     if val is None:
         size, adj, _ = _blowup(*key)
         mate = _max_matching_simple(size, adj)
-        val = _CACHE.remember(_CACHE.nu, key, (size - mate.count(-1)) // 2)
+        val = _remember(_CACHE.nu, key, (size - mate.count(-1)) // 2)
     return val
 
 

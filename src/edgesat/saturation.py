@@ -16,8 +16,9 @@ greedy b-matching before it runs a blossom.  The search for saturating
 graphs settles each weighting by its cheapest exact test first: the prune
 (some w - e_p already failed), then a greedy b-matching that reaches t, then
 the inequalities, and only then a blossom run for nu(w) < t.  The supports
-are odd-cycle sets, and a support's weightings are cached by its relabelled
-edge bits, so supports that induce the same labelled graph share one entry.
+are odd-cycle sets, and a support's weightings are cached by (t, size, its
+relabelled edge bits), so supports that induce the same labelled graph share
+one entry.  Both memos insert through `graphs._remember`, which bounds each.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .graphs import (
     _mask_order,
     _nbrs,
     _odd_cycle_catalogue,
+    _remember,
     _vertex_mask,
     components_masked,
     iter_bits,
@@ -41,7 +43,6 @@ from .graphs import (
 )
 from .matching import (
     _CACHE,
-    _CACHE_LIMIT,
     WeightedGraph,
     _degree_order,
     _edge_bits,
@@ -75,9 +76,8 @@ def _in_power(g: SimpleGraph, a: Sequence[int], t: int) -> tuple[tuple, list]:
     capped at t and in_sat None until a saturation question asks it; with
     the entry.  An entry is [the unit-weight graph H on the support, the
     `_degree_order` of its edges, the drop plans (None until a saturation
-    question first needs them), the slot of the last question].  The memo
-    keeps one entry per support mask, and empties itself before an insert
-    once it holds `_CACHE_LIMIT` entries.
+    question first needs them), the slot of the last question], one per
+    support mask, stored through `_remember`.
 
     The cap decides membership in I^t and sat(I^t) alike: a size-t matching
     uses no vertex more than t times, and a weight of t or more on N gives
@@ -94,10 +94,8 @@ def _in_power(g: SimpleGraph, a: Sequence[int], t: int) -> tuple[tuple, list]:
     w = tuple(w)
     memo = g._support_memo
     if (entry := memo.get(mask)) is None:
-        if len(memo) >= _CACHE_LIMIT:
-            memo.clear()
         h = WeightedGraph(g, [mask >> i & 1 for i in range(g.n)])
-        entry = memo[mask] = [h, _degree_order(len(w), h.cache_key[1]), None, None]
+        entry = _remember(memo, mask, [h, _degree_order(len(w), h.cache_key[1]), None, None])
     slot = entry[3]  # read once: another thread may replace it
     if slot is None or slot[0] != t or slot[1] != w:
         h, order = entry[0], entry[1]
@@ -302,28 +300,17 @@ def _support_vectors(g: SimpleGraph, t: int, masks: Iterable[int]) -> Iterator[E
     the prune the rest.
 
     Whether (S, w) is t-saturating depends on H = G[S] and t alone, so a
-    support's weightings are kept in `matching._CACHE` under (t, |S|, the
-    edge bits of H relabelled 0..|S|-1) and read back for any support with
-    that key.  On a miss, a support of 2t or more vertices whose all-ones
-    weighting has a greedy b-matching of size t keeps () (nu is monotone);
-    any other runs `_support_weightings`.
+    support's weightings, from `_support_weightings`, are kept in
+    `matching._CACHE.saturating` under (t, |S|, the edge bits of H relabelled
+    0..|S|-1) and read back for any support with that key.
     """
-    tables: dict[int, list] = {}  # size -> `_weight_table`, built at its first computed support
+    tables: dict[int, list] = {}  # size -> `_weight_table`, filled by `_support_weightings`
     for mask in masks:
         sup = tuple(iter_bits(mask))
         size, bits = len(sup), _edge_bits(g, sup)
-        memo = _CACHE.saturating.setdefault((t, size), {})
-        found = memo.get(bits)
-        if found is None:
-            if size >= 2 * t and (
-                sum(_greedy_counts((1,) * size, _degree_order(size, bits))) >= t
-            ):
-                found = ()
-            else:
-                if size not in tables:
-                    tables[size] = _weight_table(size, t)
-                found = tuple(_support_weightings(g, mask, bits, t, tables[size]))
-            found = _CACHE.remember(memo, bits, found)
+        if (found := _CACHE.saturating.get((t, size, bits))) is None:
+            weightings = _support_weightings(g, mask, bits, t, tables)
+            found = _remember(_CACHE.saturating, (t, size, bits), tuple(weightings))
         for w in found:
             a = [0] * g.n
             for v, x in zip(sup, w):
@@ -331,13 +318,16 @@ def _support_vectors(g: SimpleGraph, t: int, masks: Iterable[int]) -> Iterator[E
             yield tuple(a)
 
 
-def _support_weightings(g: SimpleGraph, mask: int, bits: int, t: int, table: list) -> Iterator:
-    """The t-saturating weightings in `table` of the support mask `mask` of g,
-    with edge bits `bits`, each component of the support having an odd cycle.
+def _support_weightings(g: SimpleGraph, mask: int, bits: int, t: int, tables: dict) -> Iterator:
+    """The t-saturating weightings of the support mask `mask` of g, with edge
+    bits `bits`, each component of the support having an odd cycle, in the
+    order of its size's `_weight_table`, kept in `tables` by size.
 
-    It builds no `WeightedGraph` and gives each w its cheapest exact test first:
-    1. the prune: w fails if some w - e_p on the support already failed (nu
-       is monotone in the weights);
+    nu is monotone in the weights, so a support of 2t or more vertices whose
+    all-ones weighting has a greedy b-matching of size t has none, and needs
+    no table.  Otherwise it builds no `WeightedGraph` and gives each w its
+    cheapest exact test first:
+    1. the prune: w fails if some w - e_p on the support already failed;
     2. the greedy: when w sums to 2t or more, a greedy b-matching over the
        support's edges, ordered once per support by the smaller degree of
        their ends, fails w if it reaches size t;
@@ -346,13 +336,18 @@ def _support_weightings(g: SimpleGraph, mask: int, bits: int, t: int, table: lis
     Saturating is the AND of the inequalities and nu(w) < t.  A w with nu >= t
     satisfies every inequality, so the greedy fails only weightings that step 4
     would fail, and the failures that the prune reads are the same whichever
-    step finds them.  The yields and their order are those of `table`.
+    step finds them.
     """
     sup = list(iter_bits(mask))
-    order = _degree_order(len(sup), bits)
+    size = len(sup)
+    order = _degree_order(size, bits)
+    if size >= 2 * t and sum(_greedy_counts((1,) * size, order)) >= t:
+        return
+    if size not in tables:
+        tables[size] = _weight_table(size, t)
     plans = list(_drop_plans(g, sup, (g.adj_bits[v - 1] & mask for v in sup)))
     failed: set[int] = set()  # the weights with nu >= t so far
-    for w, code, heavy, below in table:
+    for w, code, heavy, below in tables[size]:
         if not failed.isdisjoint(below) or heavy and sum(_greedy_counts(w, order)) >= t:
             failed.add(code)
         elif _inequalities_hold(w, t, plans):

@@ -8,7 +8,7 @@ from typing import Iterable
 import pytest
 
 from edgesat import matching, saturation
-from edgesat.assoc import AssPrimeReport, _witness
+from edgesat.assoc import AssPrimeReport
 from edgesat.graphs import (
     SimpleGraph,
     _closed_mask,
@@ -25,7 +25,7 @@ from edgesat.graphs import (
     shortest_odd_cycle_masked,
 )
 from edgesat.matching import WeightedGraph
-from edgesat.saturation import _check_t, _support_vectors, support
+from edgesat.saturation import _check_t, _support_vectors, in_sat_minus_power, support
 
 _acceptance_lines: list[str] = []
 
@@ -92,6 +92,14 @@ def saturating_graphs(g: SimpleGraph, t: int, region: int, dominated: int = 0):
     return _support_vectors(g, t, (m for m, nb, _ in catalogue if not dominated & ~(m | nb)))
 
 
+def witness(g: SimpleGraph, t: int, core: int, a) -> bool:
+    """Whether x^a, supported in the core mask `core` of a cover F, witnesses
+    P_F at t by localisation: a read on the induced subgraph on core(F) lies
+    in sat(I^t) \\ I^t there."""
+    h, relabel = induced_subgraph(g, iter_bits(core))
+    return in_sat_minus_power(h, [a[v - 1] for v in relabel], t)
+
+
 def ass_primes_reference(g: SimpleGraph, t: int) -> list[AssPrimeReport]:
     """Ass(I^t) by enumerating, then reading: every t-saturating weighted
     graph of g, in the order of its exponent vector a, and for each the
@@ -109,7 +117,7 @@ def ass_primes_reference(g: SimpleGraph, t: int) -> list[AssPrimeReport]:
         if near not in over:
             over[near] = covers_minimal_over(g, iter_bits(near))
         for f in over[near]:
-            if f not in seen and _witness(g, t, _core_mask(g, mask_of(f)), [a]) is not None:
+            if f not in seen and witness(g, t, _core_mask(g, mask_of(f)), a):
                 seen.add(f)
                 evidence = {"type": "witness", "exponents": list(a)}
                 reports.append(AssPrimeReport(mask_of(f), "embedded", evidence))

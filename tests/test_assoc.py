@@ -14,7 +14,6 @@ from edgesat import assoc, graphs, matching, saturation
 from edgesat.assoc import (
     AssPrimeReport,
     _three_shapes,
-    _witness,
     ass_infinity,
     ass_primes,
     ass_primes_2,
@@ -60,6 +59,7 @@ from conftest import (
     nbrs,
     odd_cycle_components,
     saturating_graphs,
+    witness,
 )
 
 
@@ -120,8 +120,10 @@ class TestIsAssociated:
         # F = V: core(F) is the whole triangle, so for a supported on all of it
         # no inequality is asked and only nu(a) < t tells the witness apart.
         core = _core_mask(triangle, mask_of({1, 2, 3}))
-        assert _witness(triangle, 2, core, [(1, 1, 1)]) == {"type": "witness", "exponents": [1, 1, 1]}
-        assert _witness(triangle, 2, core, [(2, 2, 2)]) is None  # nu = 3: in I^2
+        assert witness(triangle, 2, core, (1, 1, 1))
+        assert not witness(triangle, 2, core, (2, 2, 2))  # nu = 3: in I^2
+        rep = is_associated(triangle, {1, 2, 3}, 2)
+        assert rep.evidence == {"type": "witness", "exponents": [1, 1, 1]}
 
     def test_agrees_with_oracle_small(self):
         rng = random.Random(51)
@@ -163,8 +165,8 @@ class TestIsAssociated:
                 return AssPrimeReport(mask_of(f), "minimal", {"type": "minimal-cover"})
             for a in saturating_graphs(g, t, _core_mask(g, mask_of(f))):
                 if is_minimal_over(g, f, closed_neighborhood(g, support(a))):
-                    evidence = _witness(g, t, _core_mask(g, mask_of(f)), [a])
-                    if evidence is not None:
+                    if witness(g, t, _core_mask(g, mask_of(f)), a):
+                        evidence = {"type": "witness", "exponents": list(a)}
                         return AssPrimeReport(mask_of(f), "embedded", evidence)
             return None
 
@@ -286,21 +288,40 @@ class TestCache:
     """Answers do not depend on what the process cache holds."""
 
     def test_tiny_limit_keeps_the_golden_answer(self, monkeypatch, cold_cache):
-        # a limit far below one query's needs: the cache fills and empties
-        # many times, never holds more than the limit, and the answer stays
-        monkeypatch.setattr(matching, "_CACHE_LIMIT", 20)  # the query holds 43 entries
-        remember, held = cold_cache.remember, []
+        # a limit far below one query's needs: each of the five memos fills
+        # and empties, never holds more than the limit, and the answers stay
+        golden = json.loads((DATA / "ass_g10_t4_formula.json").read_text())
+        witnesses = [p["evidence"]["exponents"] for p in golden["primes"] if p["kind"] == "embedded"]
+        fresh = SimpleGraph.from_edges(10, G10)
+        want = [saturation._membership(fresh, a, 4) for a in witnesses]
+        cold_cache.clear()
+        g, limit, held = SimpleGraph.from_edges(10, G10), 2, {}
+        memos = {
+            "nu": cold_cache.nu,
+            "saturating": cold_cache.saturating,
+            "supports": g._support_memo,
+            "covers": g._cover_catalogue,
+            "odd cycles": g._odd_cycle_memo,
+        }
+        names, remember = {id(memo): name for name, memo in memos.items()}, graphs._remember
 
-        def counted(store, key, value):
-            value = remember(store, key, value)
-            held.append(len(cold_cache.nu) + sum(map(len, cold_cache.saturating.values())))
+        def counted(memo, key, value):
+            value = remember(memo, key, value)
+            held.setdefault(names[id(memo)], []).append(len(memo))
             return value
 
-        monkeypatch.setattr(cold_cache, "remember", counted)
-        reports = ass_primes(SimpleGraph.from_edges(10, G10), 4)
-        golden = json.loads((DATA / "ass_g10_t4_formula.json").read_text())
+        monkeypatch.setattr(graphs, "_CACHE_LIMIT", limit)
+        for module in (graphs, matching, saturation):
+            monkeypatch.setattr(module, "_remember", counted)
+        reports = ass_primes(g, 4)
         assert [r.to_dict() for r in reports] == golden["primes"]
-        assert max(held) == 20 and held.count(1) > 1
+        for r in reports:  # each cover decided again, on its core's own catalogue
+            assert is_associated(g, r.vertices, 4).to_dict() == r.to_dict()
+        assert [saturation._membership(g, a, 4) for a in witnesses] == want
+        assert all(not in_pow for in_pow, _ in want)  # nu < t: no witness lies in I^4
+        assert sorted(held) == sorted(memos)
+        for name, sizes in held.items():
+            assert max(sizes) == limit and sizes.count(1) > 1, name
 
     @pytest.mark.parametrize(
         "g, t",

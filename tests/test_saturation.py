@@ -12,7 +12,7 @@ from itertools import combinations, permutations, product
 import numpy as np
 import pytest
 
-from edgesat import matching, saturation
+from edgesat import graphs, matching, saturation
 from edgesat.assoc import ass_primes, is_associated
 from edgesat.census import all_graphs, all_graphs_upto, random_graphs
 from edgesat.cli import main
@@ -214,9 +214,9 @@ class TestIntegerExponents:
 
 class TestSupportStore:
     """The membership questions keep their entries on the graph object, in
-    `SimpleGraph._support_memo`, one per support mask; the memo empties itself
-    before an insert once it holds `_CACHE_LIMIT` entries, and the process
-    cache holds no graph."""
+    `SimpleGraph._support_memo`, one per support mask; `graphs._remember`
+    empties a memo before an insert once it holds `_CACHE_LIMIT` entries, and
+    the process cache holds no graph."""
 
     @pytest.mark.parametrize("t", [2, 3, 4])
     def test_differential_against_the_oracle_at_n7(self, cold_cache, t):
@@ -259,17 +259,19 @@ class TestSupportStore:
         # warm against a cleared cache and a fresh copy of the graph each time
         pool = list(all_graphs(4))
         vectors = list(product(range(t + 1), repeat=4))
-        cold = []
+        cold, asked = [], {}
         for a in vectors:
             for g in pool:
                 for p in PREDICATES:
                     cold_cache.clear()
                     cold.append(p(SimpleGraph(g.n, g.edges), a, t))
+                    asked.update(cold_cache.nu)
         cold_cache.clear()
         warm = [p(g, a, t) for a in vectors for g in pool for p in PREDICATES]
         assert warm == cold
         assert all(len(g._support_memo) == 16 for g in pool)
-        assert cold_cache.entries == len(cold_cache.nu) + sum(map(len, cold_cache.saturating.values()))
+        # the warm store holds the answers the cold questions computed, and only those
+        assert cold_cache.nu == asked and len(cold_cache.nu) > 0 and cold_cache.saturating == {}
 
     def test_threads_switching_graphs_get_their_own_answers(self, cold_cache):
         # each thread asks about one graph while others ask the same mask of another
@@ -297,7 +299,7 @@ class TestSupportStore:
         assert not any(w.is_alive() for w in workers) and wrong == []
         for g in (triangle, path):
             assert list(g._support_memo) == [0b111] and g._support_memo[0b111][0].graph is g
-        assert cold_cache.entries == len(cold_cache.nu) + sum(map(len, cold_cache.saturating.values()))
+        assert len(cold_cache.nu) == 1 and cold_cache.saturating == {}
 
     def test_threads_sharing_a_graph_at_alternating_t_get_their_own_answers(self, cold_cache, pentagon):
         # each thread asks one vector of one graph object at its own t, while
@@ -342,32 +344,35 @@ class TestSupportStore:
 
     def test_a_key_stored_twice_is_one_entry(self, cold_cache):
         for value in (1, 2):
-            assert cold_cache.remember(cold_cache.nu, ((1, 1), 0b1), value) == value
-        assert cold_cache.nu == {((1, 1), 0b1): 2} and cold_cache.entries == 1
+            assert graphs._remember(cold_cache.nu, ((1, 1), 0b1), value) == value
+        assert cold_cache.nu == {((1, 1), 0b1): 2}
 
     def test_entries_are_counted_and_cleared(self, monkeypatch, cold_cache, pentagon, triangle):
         vectors = [(1, 1, 0, 0, 0), (1, 1, 1, 0, 0), (1, 0, 1, 0, 1), (1, 1, 1, 1, 1)]
         for a in vectors:
             in_saturation(pentagon, a, 2)
         assert len(pentagon._support_memo) == 4
-        assert cold_cache.entries == len(cold_cache.nu) + sum(map(len, cold_cache.saturating.values()))
         # another graph's question on a shared mask adds an entry to that graph only
         in_power(triangle, (1, 1, 1), 2)
         assert list(triangle._support_memo) == [0b111] and len(pentagon._support_memo) == 4
         assert pentagon._support_memo[0b111][0].graph is pentagon
         # a full memo answers a mask it holds, and empties itself before an insert
-        monkeypatch.setattr(saturation, "_CACHE_LIMIT", 4)
+        monkeypatch.setattr(graphs, "_CACHE_LIMIT", 4)
         assert not in_power(pentagon, (1, 1, 1, 0, 0), 3) and len(pentagon._support_memo) == 4
         in_power(pentagon, (0, 1, 1, 0, 0), 2)
         assert list(pentagon._support_memo) == [0b00110]
         assert list(triangle._support_memo) == [0b111]
-        # a full process cache empties itself before an insert, and the
-        # graphs' memos are not its to clear
-        monkeypatch.setattr(matching, "_CACHE_LIMIT", cold_cache.entries)
+        # each process store has its own bound: a full `nu` store empties itself
+        # before an insert, and the saturating store and the graphs' memos are
+        # not its to clear
+        assert saturating_vectors(triangle, 2) == [(1, 1, 1)]
+        saturating = dict(cold_cache.saturating)
+        monkeypatch.setattr(graphs, "_CACHE_LIMIT", len(cold_cache.nu))
         nu(WeightedGraph(triangle, (3, 2, 2)))
-        assert len(cold_cache.nu) == cold_cache.entries == 1 < matching._CACHE_LIMIT
+        assert len(cold_cache.nu) == 1 < graphs._CACHE_LIMIT
+        assert cold_cache.saturating == saturating and len(saturating) == 1
         cold_cache.clear()
-        assert cold_cache.nu == {} and cold_cache.entries == 0
+        assert cold_cache.nu == {} and cold_cache.saturating == {}
         assert list(triangle._support_memo) == [0b111]
         assert in_saturation(triangle, (1, 1, 1), 2) and list(triangle._support_memo) == [0b111]
 
@@ -776,10 +781,8 @@ def walk_before_grown_keys(g: SimpleGraph, t: int, region: int, dominated: int):
     """The saturating search (`conftest.saturating_graphs`) as it was when each
     support's mask and key were built from scratch for every subset of
     `combinations`."""
-    verts = list(iter_bits(region))
+    verts, tables = list(iter_bits(region)), {}
     for size in range(3, min(len(verts), 3 * (t - 1)) + 1):
-        table = None
-        memo = saturation._CACHE.saturating.setdefault((t, size), {})
         for sup in combinations(verts, size):
             mask = mask_of(sup)
             if dominated and dominated & ~_closed_mask(g, mask):
@@ -791,14 +794,13 @@ def walk_before_grown_keys(g: SimpleGraph, t: int, region: int, dominated: int):
                 bits = h.cache_key[1]
             else:
                 bits = _edge_bits(g, sup)
-            found = memo.get(bits)
+            found = saturation._CACHE.saturating.get((t, size, bits))
             if found is None:
                 if odd_cycle_components(g, mask) is None:
                     found = ()
                 else:
-                    table = table or saturation._weight_table(size, t)
-                    found = tuple(saturation._support_weightings(g, mask, bits, t, table))
-                found = saturation._CACHE.remember(memo, bits, found)
+                    found = tuple(saturation._support_weightings(g, mask, bits, t, tables))
+                found = graphs._remember(saturation._CACHE.saturating, (t, size, bits), found)
             for w in found:
                 on_support = dict(zip(sup, w))
                 a = tuple(on_support.get(v, 0) for v in range(1, g.n + 1))
